@@ -52,7 +52,6 @@ class RetrievalResult:
     """Hits sorted by score descending, ties by para_id ascending."""
 
     hits: list[tuple[str, float]]
-    query_echo: QueryVector
 
     def para_ids(self) -> list[str]:
         return [pid for pid, _ in self.hits]
@@ -185,14 +184,39 @@ class InvertedIndex:
 
     def term_frequency(self, term: str, doc_ordinal: int) -> int:
         self._check_ordinal(doc_ordinal)
+        return int(self.term_frequencies(term, np.array([doc_ordinal]))[0])
+
+    def term_frequencies(self, term: str, ordinals: np.ndarray) -> np.ndarray:
+        """Frequency of ``term`` in each document of ``ordinals`` (valid
+        ordinals), 0 where absent, by binary search of its postings."""
         tid = self._term_id.get(term)
         if tid is None:
-            return 0
+            return np.zeros(len(ordinals))
         s, e = self._term_offsets[tid], self._term_offsets[tid + 1]
-        pos = np.searchsorted(self._post_doc_ids[s:e], doc_ordinal)
-        if pos < e - s and self._post_doc_ids[s + pos] == doc_ordinal:
-            return int(self._post_tfs[s + pos])
-        return 0
+        docs = self._post_doc_ids[s:e]
+        pos = np.minimum(np.searchsorted(docs, ordinals), e - s - 1)
+        return np.where(docs[pos] == ordinals, self._post_tfs[s + pos], 0.0)
+
+    def doc_lengths(self, ordinals: np.ndarray) -> np.ndarray:
+        """Indexed token counts of the documents ``ordinals``."""
+        return self._doc_len[ordinals]
+
+    def bm25_norms(self, ordinals: np.ndarray) -> np.ndarray:
+        """BM25 length normalizers ``k1 * (1 - b + b * len / avg_len)`` of
+        the documents ``ordinals``."""
+        return self._norm[ordinals]
+
+    def matches_text(self, ordinal: int, text: str) -> bool:
+        """True when ``text`` tokenizes to exactly the term counts indexed
+        for document ``ordinal``."""
+        self._check_ordinal(ordinal)
+        counts = Counter(tokenize(text, self.stopwords))
+        s, e = self._doc_offsets[ordinal], self._doc_offsets[ordinal + 1]
+        if len(counts) != e - s:
+            return False
+        return all(counts.get(self._terms[tid]) == tf for tid, tf in
+                   zip(self._doc_term_ids[s:e].tolist(),
+                       self._doc_tfs[s:e].tolist()))
 
     def _check_ordinal(self, ordinal: int):
         if not 0 <= ordinal < self.doc_count:
@@ -230,17 +254,19 @@ class InvertedIndex:
                                  self.params.k1 + 1.0, scores)
         return scores
 
-    def _top_n(self, scores: np.ndarray, n: int,
-               echo: QueryVector) -> RetrievalResult:
+    def _top_n(self, scores: np.ndarray, n: int) -> RetrievalResult:
         if n <= 0:
-            return RetrievalResult([], echo)
+            return RetrievalResult([])
         cand = np.flatnonzero(scores > 0.0)
-        if cand.size == 0:
-            return RetrievalResult([], echo)
+        if cand.size > n:
+            # Keep every candidate scoring at least the n-th largest score,
+            # so ties across the cut reach the para_id tie-break below.
+            cut = np.partition(scores[cand], cand.size - n)[cand.size - n]
+            cand = cand[scores[cand] >= cut]
         order = np.lexsort((self._id_rank[cand], -scores[cand]))
         top = cand[order[:n]]
         hits = [(self._doc_ids[d], float(scores[d])) for d in top]
-        return RetrievalResult(hits, echo)
+        return RetrievalResult(hits)
 
     def retrieve(self, question: str, n: int) -> RetrievalResult:
         """Top-n documents under summed BM25; duplicate question terms
@@ -249,8 +275,7 @@ class InvertedIndex:
             raise ValueError("n must be >= 0")
         counts = Counter(tokenize(question, self.stopwords))
         weights = {t: float(c) for t, c in counts.items()}
-        echo = QueryVector(weights)
-        return self._top_n(self._accumulate(weights), n, echo)
+        return self._top_n(self._accumulate(weights), n)
 
     def retrieve_weighted(self, q: QueryVector, n: int) -> RetrievalResult:
         """Top-n under weighted BM25; weights are rescaled to sum to 1 over
@@ -259,10 +284,10 @@ class InvertedIndex:
             raise ValueError("n must be >= 0")
         positive = {t: w for t, w in q.weights.items() if w > 0.0}
         if not positive:
-            return RetrievalResult([], q)
+            return RetrievalResult([])
         total = sum(positive.values())
         rescaled = {t: w / total for t, w in positive.items()}
-        return self._top_n(self._accumulate(rescaled), n, q)
+        return self._top_n(self._accumulate(rescaled), n)
 
     def doc_tfidf_top(self, para_id: str, top_terms: int) -> QueryVector:
         """TF-IDF weights of the document's ``top_terms`` most frequent terms

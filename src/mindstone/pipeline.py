@@ -112,7 +112,6 @@ class ScoredCandidate:
     para_id: str
     s_retriever: float  # 0 for candidates only found by the RM3 pass
     s_ranker: float
-    provenance: str  # "first_pass" | "rm3_pass"
 
 
 @dataclass(frozen=True)
@@ -179,19 +178,17 @@ class Pipeline:
         except KeyError:
             raise StageError(stage, f"no paragraph text for {para_id!r}")
 
-    def _rank_many(self, question: str,
-                   para_ids: Sequence[str]) -> dict[str, float]:
-        out = {}
-        for pid in para_ids:
-            para = self._paragraph(pid, "rank")
-            try:
-                out[pid] = scorers.rank(self.ranker, question, para,
-                                        self.config.limits)
-            except MindstoneError:
-                raise
-            except Exception as exc:
-                raise StageError("rank", f"{pid}: {exc}")
-        return out
+    def _rank(self, question: str, para_ids: Sequence[str]) -> list[float]:
+        """Ranker scores of a candidate pool, in ``para_ids`` order."""
+        paras = [self._paragraph(pid, "rank") for pid in para_ids]
+        try:
+            scores = scorers.rank(self.ranker, question, paras,
+                                  self.config.limits)
+        except MindstoneError:
+            raise
+        except Exception as exc:
+            raise StageError("rank", str(exc))
+        return scores.tolist()
 
     def answer(self, question: str) -> PipelineResult:
         cfg = self.config
@@ -203,11 +200,11 @@ class Pipeline:
         trace.counts["retrieved"] = len(retrieval.hits)
 
         t0 = time.perf_counter()
-        rank_scores = self._rank_many(question, retrieval.para_ids())
+        rank_scores = self._rank(question, retrieval.para_ids())
         trace.times_ms["rank"] = (time.perf_counter() - t0) * 1000.0
 
-        pool = [ScoredCandidate(pid, s_ret, rank_scores[pid], "first_pass")
-                for pid, s_ret in retrieval.hits]
+        pool = [ScoredCandidate(pid, s_ret, s_rank) for (pid, s_ret), s_rank
+                in zip(retrieval.hits, rank_scores)]
 
         t0 = time.perf_counter()
         if cfg.rm3_enabled and pool:
@@ -221,9 +218,9 @@ class Pipeline:
             second = self.index.retrieve_weighted(expanded, depth)
             seen = {c.para_id for c in pool}
             new_ids = [pid for pid, _ in second.hits if pid not in seen]
-            new_scores = self._rank_many(question, new_ids)
-            pool.extend(ScoredCandidate(pid, 0.0, new_scores[pid], "rm3_pass")
-                        for pid in new_ids)
+            new_scores = self._rank(question, new_ids)
+            pool.extend(ScoredCandidate(pid, 0.0, s_rank)
+                        for pid, s_rank in zip(new_ids, new_scores))
             trace.counts["rm3_added"] = len(new_ids)
         else:
             trace.counts["rm3_added"] = 0

@@ -2,16 +2,23 @@
 builders, and the subprocess wire protocol for external scorers.
 
 A ranker exposes ``rank_text(question, text) -> float`` (a relevance logit,
-> 0 meaning "contains an answer"); a reader exposes
+> 0 meaning "contains an answer"), and may also expose
+``rank_pool(question, paragraphs, max_tokens) -> ndarray`` that scores a
+whole candidate pool at once, equal to ``rank_text`` on each paragraph
+truncated to ``max_tokens``. A reader exposes
 ``read_text(question, text, k) -> [(start, end, score), ...]`` with
-character offsets into the provided text. The module-level :func:`rank` and
-:func:`read` apply the truncation contract before dispatching, so scorer
-output never depends on content beyond the truncation limits.
+character offsets into the provided text. The module-level :func:`rank`
+(one call per candidate pool) and :func:`read` (one call per paragraph)
+apply the truncation contract, so scorer output never depends on content
+beyond the truncation limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..corpus import Paragraph, segment, token_spans
 from ..errors import StageError
@@ -62,11 +69,19 @@ def truncate_to_tokens(text: str, max_tokens: int) -> str:
     return text[:spans[max_tokens - 1][2]]
 
 
-def rank(scorer, question: str, paragraph: Paragraph,
-         limits: TruncationLimits = TruncationLimits()) -> float:
-    """Ranker stage for one paragraph: truncate, then score."""
-    text = truncate_to_tokens(paragraph.full_text, limits.ranker_para_tokens)
-    return float(scorer.rank_text(question, text))
+def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
+         limits: TruncationLimits = TruncationLimits()) -> np.ndarray:
+    """Ranker stage for a candidate pool: one score per paragraph, in order.
+    Each paragraph is truncated to ``limits.ranker_para_tokens``, then
+    scored by the scorer's ``rank_pool`` when it has one, else pair by pair
+    with ``rank_text``."""
+    max_tokens = limits.ranker_para_tokens
+    if hasattr(scorer, "rank_pool"):
+        return scorer.rank_pool(question, paragraphs, max_tokens)
+    return np.array([
+        float(scorer.rank_text(question,
+                               truncate_to_tokens(p.full_text, max_tokens)))
+        for p in paragraphs], dtype=np.float64)
 
 
 def read(scorer, question: str, paragraph: Paragraph, k: int,

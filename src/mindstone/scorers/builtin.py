@@ -14,12 +14,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .. import _kernels
-from ..corpus import token_spans, tokenize
+from ..corpus import Paragraph, token_spans, tokenize
 from ..index import InvertedIndex
+from . import truncate_to_tokens
 
 FEATURE_SPEC_VERSION = 1
 FEATURE_NAMES = [
@@ -93,8 +95,9 @@ class BuiltinRankerModel:
 
 
 class BuiltinRanker:
-    """Scores (question, text) pairs with a linear model; immutable after
-    construction, so concurrent scoring is safe."""
+    """Scores (question, text) pairs with a linear model. The model is
+    immutable and the memo only ever stores values that depend on the
+    paragraph alone, so concurrent scoring is safe."""
 
     def __init__(self, model: BuiltinRankerModel, index: InvertedIndex):
         if len(model.feature_weights) != len(FEATURE_NAMES):
@@ -102,10 +105,89 @@ class BuiltinRanker:
         self.model = model
         self.index = index
         self._w = np.array(model.feature_weights)
+        # Paragraph -> (index ordinal, or -1 when its text is not the
+        # indexed text; title terms), filled on first use.
+        self._memo: dict[Paragraph, tuple[int, frozenset[str]]] = {}
 
     def rank_text(self, question: str, text: str) -> float:
         x = extract_features(question, text, self.index)
         return float(x @ self._w + self.model.bias)
+
+    def rank_pool(self, question: str, paragraphs: Sequence[Paragraph],
+                  max_tokens: int) -> np.ndarray:
+        """Scores of a candidate pool, equal bit for bit to ``rank_text`` on
+        each paragraph truncated to ``max_tokens``.
+
+        A text of c code points holds at most ceil(c / 2) tokens, so one of
+        at most ``2 * max_tokens`` code points is never truncated; when it
+        is also the indexed text of its paragraph, its features come from
+        the index's postings instead of from tokenizing it.
+        """
+        x = np.empty((len(paragraphs), len(FEATURE_NAMES)))
+        rows, ordinals, titles = [], [], []
+        for i, para in enumerate(paragraphs):
+            text = para.full_text
+            if len(text) <= 2 * max_tokens:
+                ordinal, title_terms = self._indexed(para, text)
+                if ordinal >= 0:
+                    rows.append(i)
+                    ordinals.append(ordinal)
+                    titles.append(title_terms)
+                    continue
+            x[i] = extract_features(
+                question, truncate_to_tokens(text, max_tokens), self.index)
+        if rows:
+            x[rows] = self._indexed_features(question, np.array(ordinals),
+                                             titles)
+        # One 6-element dot per row: a whole-matrix product may sum in
+        # another order and differ from rank_text in the last bit.
+        bias = self.model.bias
+        return np.array([float(row @ self._w) + bias for row in x])
+
+    def _indexed(self, para: Paragraph,
+                 text: str) -> tuple[int, frozenset[str]]:
+        memo = self._memo.get(para)
+        if memo is None:
+            index = self.index
+            ordinal = -1
+            if para.para_id in index:
+                candidate = index.ordinal(para.para_id)
+                if index.matches_text(candidate, text):
+                    ordinal = candidate
+            title_terms = frozenset(tokenize(_first_line_title(text),
+                                             index.stopwords))
+            memo = self._memo[para] = (ordinal, title_terms)
+        return memo
+
+    def _indexed_features(self, question: str, ordinals: np.ndarray,
+                          titles: list[frozenset[str]]) -> np.ndarray:
+        """extract_features for indexed texts, as array ops over the
+        candidates in the same per-term order of float operations."""
+        index = self.index
+        q_counts = Counter(tokenize(question, index.stopwords))
+        k1 = index.params.k1
+        norm = index.bm25_norms(ordinals)
+        bm25 = np.zeros(len(ordinals))
+        idf_overlap = np.zeros(len(ordinals))
+        overlap = np.zeros(len(ordinals))
+        for term in sorted(q_counts):
+            tf = index.term_frequencies(term, ordinals)
+            hit = tf > 0
+            if not hit.any():
+                continue
+            tf = tf[hit]
+            idf = index.idf(term)
+            bm25[hit] += (q_counts[term] * idf * (tf * (k1 + 1.0))
+                          / (tf + norm[hit]))
+            idf_overlap[hit] += idf
+            overlap[hit] += 1.0
+        coverage = overlap / max(len(q_counts), 1)
+        log_length = [math.log1p(n) for n in
+                      index.doc_lengths(ordinals).tolist()]
+        q_terms = set(q_counts)
+        title_overlap = [float(len(q_terms & t)) for t in titles]
+        return np.column_stack([bm25, overlap, idf_overlap, coverage,
+                                log_length, title_overlap])
 
 
 @dataclass(frozen=True)
@@ -157,7 +239,9 @@ def train_builtin_ranker(dataset, index: InvertedIndex,
     x_tr, y_tr = x[train_idx], labels[train_idx]
     mean = x_tr.mean(axis=0)
     std = x_tr.std(axis=0)
-    std[std == 0.0] = 1.0
+    # A constant column can have a rounding-error std (~1e-15), which would
+    # blow its weight up; leave such columns unscaled.
+    std[x_tr.max(axis=0) == x_tr.min(axis=0)] = 1.0
     z_tr = (x_tr - mean) / std
 
     if init is not None:

@@ -93,12 +93,11 @@ def build_dataset_aug2(records: Sequence[GoldRecord], index: InvertedIndex,
         raise ValueError(f"m must be >= n, got m={m}, n={n}")
     examples: list[RankExample] = []
     for record in records:
-        scored = []
-        for para_id, _ in index.retrieve(record.question, m).hits:
-            para = paragraphs[para_id]
-            scored.append((rank(ranker, record.question, para, limits),
-                           para_id))
-        scored.sort(key=lambda t: (-t[0], t[1]))
+        para_ids = index.retrieve(record.question, m).para_ids()
+        scores = rank(ranker, record.question,
+                      [paragraphs[pid] for pid in para_ids], limits)
+        scored = sorted(zip(scores.tolist(), para_ids),
+                        key=lambda t: (-t[0], t[1]))
         for _, para_id in scored[:n]:
             text = paragraphs[para_id].full_text
             label = int(contains_answer(text, record.gold_answers))

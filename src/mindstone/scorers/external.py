@@ -13,6 +13,7 @@ import queue
 import shlex
 import subprocess
 import threading
+from contextlib import contextmanager
 
 from ..errors import (HandshakeTimeoutError, MalformedResponseError,
                       ScorerExitError, ScorerProtocolError, StageError)
@@ -176,37 +177,46 @@ def external_scorer_session(command_line: str | list[str], role: str,
 
 
 class ScorerPool:
-    """One ExternalScorer handle per worker thread, so a parallel batch
-    never interleaves requests on a single serial channel."""
+    """ExternalScorer handles shared by concurrent callers. Each call takes
+    an idle handle, spawning one only when all are busy, and returns it
+    after, so a parallel batch never interleaves requests on one serial
+    channel and k concurrent callers run at most k scorer processes."""
 
     def __init__(self, command: str | list[str], role: str,
                  timeout: float = 30.0):
         self.command = command
         self.role = role
         self.timeout = timeout
-        self._local = threading.local()
         self._handles: list[ExternalScorer] = []
-        self._handles_lock = threading.Lock()
+        self._idle: list[ExternalScorer] = []
+        self._lock = threading.Lock()
 
-    def _handle(self) -> ExternalScorer:
-        handle = getattr(self._local, "handle", None)
+    @contextmanager
+    def _handle(self):
+        with self._lock:
+            handle = self._idle.pop() if self._idle else None
         if handle is None:
             handle = ExternalScorer(self.command, self.role,
                                     timeout=self.timeout)
-            self._local.handle = handle
-            with self._handles_lock:
+            with self._lock:
                 self._handles.append(handle)
-        return handle
+        try:
+            yield handle
+        finally:
+            with self._lock:
+                self._idle.append(handle)
 
     def rank_text(self, question: str, text: str) -> float:
-        return self._handle().rank_text(question, text)
+        with self._handle() as handle:
+            return handle.rank_text(question, text)
 
     def read_text(self, question: str, text: str, k: int):
-        return self._handle().read_text(question, text, k)
+        with self._handle() as handle:
+            return handle.read_text(question, text, k)
 
     def close(self):
-        with self._handles_lock:
-            handles, self._handles = self._handles, []
+        with self._lock:
+            handles, self._handles, self._idle = self._handles, [], []
         for handle in handles:
             handle.close()
 

@@ -34,7 +34,7 @@ class TestEchoScorer:
         para = next(iter(f2_paragraphs.values()))
         with external_scorer_session(ECHO + ["--rank-score", "2.0"],
                                      "rank") as ranker:
-            assert rank(ranker, "q", para) == 2.0
+            assert rank(ranker, "q", [para]).tolist() == [2.0]
         with external_scorer_session(ECHO, "read") as reader:
             spans = read(reader, "q", para, k=1)
             assert spans[0].text == para.full_text
@@ -128,3 +128,17 @@ class TestScorerPool:
             parallel = pipe.answer_batch(questions, workers=4)
             assert [r.answers for r in serial] == \
                 [r.answers for r in parallel]
+
+    def test_repeated_parallel_batches_reuse_handles(self, f2_index,
+                                                    f2_paragraphs,
+                                                    f2_records, f2_reader):
+        from mindstone.pipeline import Pipeline, PipelineConfig
+        with ScorerPool(ECHO + ["--rank-score", "1.0"], "rank") as pool:
+            pipe = Pipeline(f2_index, f2_paragraphs, pool, f2_reader,
+                            PipelineConfig(n_retriever=10))
+            questions = [r.question for r in f2_records[:8]]
+            serial = [r.answers for r in pipe.answer_batch(questions)]
+            for _ in range(3):
+                parallel = pipe.answer_batch(questions, workers=2)
+                assert [r.answers for r in parallel] == serial
+            assert 1 <= len(pool._handles) <= 2

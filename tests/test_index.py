@@ -115,6 +115,27 @@ class TestRetrieve:
         keys = [(-s, pid) for pid, s in hits]
         assert keys == sorted(keys)
 
+    def test_ties_across_the_cut_break_by_para_id(self):
+        # Five strong documents, then thirty that tie exactly, in a build
+        # order unrelated to para_id order; every n from 6 to 34 cuts
+        # through the tie, so para_id alone decides who survives.
+        rng = np.random.default_rng(7)
+        ids = [f"t{i:02d}" for i in range(30)] + [f"s{i}" for i in range(5)]
+        rng.shuffle(ids)
+        paras = [Paragraph(pid, "a", "",
+                           "cat cat dog" if pid[0] == "s" else "cat dog", 0)
+                 for pid in ids]
+        paras += [Paragraph(f"u{i}", "a", "", "bird fish", 0)
+                  for i in range(10)]
+        idx = InvertedIndex.build(paras, stopwords=frozenset())
+        oracle = BruteForceBm25(paras, 0.9, 0.4, frozenset())
+        full = oracle.retrieve("cat", 100)
+        assert len(full) == 35
+        assert len({s for _, s in full[5:]}) == 1
+        for n in (1, 5, 6, 7, 20, 34, 35, 36, 100):
+            got = idx.retrieve("cat", n).hits
+            assert [pid for pid, _ in got] == [pid for pid, _ in full[:n]]
+
     def test_query_term_multiplicity_multiplies(self, f1_index):
         single = {pid: s for pid, s in f1_index.retrieve("cat", 50).hits}
         double = {pid: s for pid, s in f1_index.retrieve("cat cat", 50).hits}

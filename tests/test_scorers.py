@@ -3,15 +3,18 @@ span extraction quality on the frozen fixture."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindstone.corpus import Paragraph, segment
 from mindstone.eval import f1 as f1_score
-from mindstone.index import build_index
+from mindstone.index import InvertedIndex, build_index
 from mindstone.scorers import (BuiltinRanker, BuiltinRankerModel,
                                BuiltinReader, RankExample, TrainConfig,
                                TruncationLimits, rank, read,
                                truncate_to_tokens)
-from mindstone.scorers.builtin import (FEATURE_NAMES, train_builtin_ranker,
+from mindstone.scorers.builtin import (FEATURE_NAMES, extract_features,
+                                       train_builtin_ranker,
                                        train_ranker_phases)
 from mindstone.scorers.datasets import _by_article, resolve_gold_paragraph
 
@@ -40,7 +43,8 @@ class TestTruncation:
         a = Paragraph("p#0", "a", "T", base_body + " cat dog", 0)
         b = Paragraph("p#1", "a", "T", base_body + " entirely different", 0)
         q = "what about word1 word2"
-        assert rank(ranker, q, a, limits) == rank(ranker, q, b, limits)
+        score_a, score_b = rank(ranker, q, [a, b], limits)
+        assert score_a == score_b
 
     def test_read_spans_stay_inside_truncated_text(self, f2_index,
                                                    f2_reader):
@@ -64,7 +68,7 @@ class TestRank:
     def test_zero_model_scores_zero(self, f2_index, f2_paragraphs):
         ranker = BuiltinRanker(BuiltinRankerModel.zeros(), f2_index)
         para = next(iter(f2_paragraphs.values()))
-        assert rank(ranker, "any question", para) == 0.0
+        assert rank(ranker, "any question", [para]).tolist() == [0.0]
 
     def test_oracle_scorer_contract(self, f2_paragraphs, f2_records,
                                     oracle_ranker):
@@ -72,7 +76,7 @@ class TestRank:
         grouped = _by_article(f2_paragraphs.values())
         gold = resolve_gold_paragraph(record,
                                       grouped[record.gold_article_id])
-        assert rank(oracle_ranker, record.question, gold) == 1.0
+        assert rank(oracle_ranker, record.question, [gold]).tolist() == [1.0]
 
     def test_trained_sign_agrees_with_labels(self, f2_records,
                                              f2_paragraphs, f2_index,
@@ -83,16 +87,87 @@ class TestRank:
         dataset = build_dataset_finetune(f2_records, f2_paragraphs.values())
         held_out = dataset[int(len(dataset) * 0.8):]
         agree = sum(
-            (rank(trained_ranker, ex.question, f2_paragraphs[ex.para_id]) > 0)
+            (rank(trained_ranker, ex.question,
+                  [f2_paragraphs[ex.para_id]])[0] > 0)
             == (ex.label == 1)
             for ex in held_out)
         assert agree / len(held_out) >= 0.80
 
     def test_deterministic(self, f2_index, f2_paragraphs, trained_ranker):
         para = next(iter(f2_paragraphs.values()))
-        scores = {rank(trained_ranker, "what was the height", para)
+        scores = {rank(trained_ranker, "what was the height", [para])[0]
                   for _ in range(5)}
         assert len(scores) == 1
+
+
+# Single letters joined by single separators pack the most tokens into a
+# text, ceil(c / 2) in c code points; "a", "of" and "the" are stopwords and
+# "zzz" is in no paragraph.
+_WORDS = ["x", "y", "a", "of", "the", "cat", "dog", "stone", "hill"]
+
+
+@st.composite
+def _line(draw, max_words=8):
+    words = draw(st.lists(st.sampled_from(_WORDS), min_size=1,
+                          max_size=max_words))
+    seps = draw(st.lists(st.sampled_from([" ", ", ", "-"]),
+                         min_size=len(words), max_size=len(words)))
+    return "".join(w + sep for w, sep in zip(words, seps))[:-1] or "x"
+
+
+@st.composite
+def _rank_pool_case(draw):
+    limit = draw(st.integers(1, 30))
+    indexed, pool = [], []
+    for i in range(draw(st.integers(1, 6))):
+        title = draw(st.sampled_from(["", "", "cat", "Stone hill", "x y"]))
+        body = "\n".join(draw(st.lists(_line(), min_size=1, max_size=3)))
+        if draw(st.booleans()):
+            # Just under, at or just over the length that can be truncated.
+            size = 2 * limit + draw(st.sampled_from([-1, 0, 1]))
+            size -= len(title) + 1 if title else 0
+            if size >= 1:
+                body = ("x y " * size)[:size]
+        para = Paragraph(f"p{i}", "a", title, body, i)
+        indexed.append(para)
+        variant = draw(st.sampled_from(
+            ["indexed", "indexed", "other text", "same terms", "unindexed"]))
+        if variant == "other text":
+            para = Paragraph(para.para_id, "a", title, body + " dog", i)
+        elif variant == "same terms":
+            # Same term counts, but the first line (the title of an
+            # untitled multi-line body) can change.
+            body = " ".join(reversed(segment(body))) + "\nx"
+            para = Paragraph(para.para_id, "a", title, body, i)
+            indexed[-1] = Paragraph(para.para_id, "a", title,
+                                    body.replace("\n", " "), i)
+        elif variant == "unindexed":
+            para = Paragraph(f"new{i}", "a", title, body, i)
+        pool.append(para)
+    pool = draw(st.lists(st.sampled_from(pool + indexed), max_size=10))
+    question = " ".join(draw(st.lists(st.sampled_from(_WORDS + ["zzz"]),
+                                      max_size=6)))
+    weights = draw(st.lists(st.floats(-3, 3), min_size=6, max_size=6))
+    bias = draw(st.floats(-3, 3))
+    return limit, indexed, pool, question, weights, bias
+
+
+class TestRankPool:
+    @settings(max_examples=300, deadline=None)
+    @given(_rank_pool_case())
+    def test_equals_per_pair_features_bit_for_bit(self, case):
+        limit, indexed, pool, question, weights, bias = case
+        index = InvertedIndex.build(indexed)
+        ranker = BuiltinRanker(BuiltinRankerModel(tuple(weights), bias),
+                               index)
+        w = np.array(weights)
+        expected = [float(extract_features(
+            question, truncate_to_tokens(p.full_text, limit), index) @ w
+            + bias).hex() for p in pool]
+        limits = TruncationLimits(ranker_para_tokens=limit)
+        for _ in range(2):  # first use fills the memo, the second reads it
+            got = rank(ranker, question, pool, limits)
+            assert [s.hex() for s in got.tolist()] == expected
 
 
 class TestRead:
@@ -188,6 +263,30 @@ class TestTraining:
                                              TrainConfig(seed=seed))
             accs.append(report.holdout_accuracy)
         assert 0.4 <= np.mean(accs) <= 0.6, accs
+
+    def test_constant_length_column_stays_bounded(self, f2_index):
+        """Every paragraph has 37 tokens, so log_length is constant, yet
+        its column std is ~7e-14, not 0. That column must not get a
+        weight that makes the ranker order paragraphs by length."""
+        rng = np.random.default_rng(0)
+        filler = ["river", "stone", "cloud", "lamp", "book", "snow", "wind",
+                  "hill", "field", "tower"]
+
+        def text(n_tokens, marker):
+            words = [filler[int(rng.integers(len(filler)))]
+                     for _ in range(n_tokens - 1)]
+            return " ".join(["marker" if marker else "nothing"] + words)
+
+        question = "where is the marker"
+        data = [RankExample(question, f"p{i}", text(37, i % 2), i % 2)
+                for i in range(1000)]
+        model, _ = train_builtin_ranker(data, f2_index)
+        assert max(abs(w) for w in model.feature_weights) < 100
+        assert abs(model.bias) < 100
+        ranker = BuiltinRanker(model, f2_index)
+        for n_tokens in (5, 80):
+            assert ranker.rank_text(question, text(n_tokens, True)) > 0
+            assert ranker.rank_text(question, text(n_tokens, False)) < 0
 
     def test_empty_dataset_rejected(self, f2_index):
         with pytest.raises(ValueError):
