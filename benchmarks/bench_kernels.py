@@ -1,14 +1,11 @@
-"""Compare the numba and pure-numpy kernel backends on realistic workloads.
+"""Time the two numeric kernels and a BM25 retrieval batch.
 
-Times the two hot kernels (BM25 postings accumulation, span scoring) over
-synthetic data shaped like a desk-scale corpus, plus an end-to-end retrieval
-batch over the frozen F2 fixture under each backend.
+Times BM25 postings accumulation over synthetic postings shaped like a
+desk-scale corpus, span scoring over one synthetic paragraph (by default
+384 tokens, the reader's token limit), and a retrieval batch over the frozen
+F2 fixture.
 
-    python3 benchmarks/bench_kernels.py [--docs 50000] [--queries 300]
-
-The active backend for library code is chosen at import time: set
-MINDSTONE_NUMBA=0 to force the numpy path. This script imports both
-implementations directly, so one run covers both.
+    python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 384]
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ def time_fn(fn, *args, repeat: int = 5) -> float:
     return best
 
 
-def bench_bm25(n_docs: int, n_terms: int, rng) -> dict[str, float]:
+def bench_bm25(n_docs: int, n_terms: int, rng) -> tuple[float, int]:
     # Zipf-ish document frequencies over query terms.
     dfs = np.minimum((rng.pareto(1.2, size=n_terms) * 0.02 * n_docs + 5)
                      .astype(np.int64), n_docs)
@@ -52,25 +49,17 @@ def bench_bm25(n_docs: int, n_terms: int, rng) -> dict[str, float]:
     weights = rng.uniform(0.5, 4.0, size=n_terms)
     norm = rng.uniform(0.5, 1.5, size=n_docs)
 
-    out = {}
     scores = np.zeros(n_docs)
 
-    def run(impl):
+    def run():
         scores.fill(0.0)  # the kernel accumulates into its output
-        impl(starts, ends, ids, tfs, weights, norm, 1.9, scores)
-        return scores.copy()
+        _kernels.bm25_accumulate(starts, ends, ids, tfs, weights, norm, 1.9,
+                                 scores)
 
-    numpy_scores = run(_kernels.bm25_accumulate_numpy)
-    out["numpy"] = time_fn(run, _kernels.bm25_accumulate_numpy)
-    if _kernels.HAS_NUMBA:
-        numba_scores = run(_kernels.bm25_accumulate_numba)  # compile
-        out["numba"] = time_fn(run, _kernels.bm25_accumulate_numba)
-        assert np.array_equal(numpy_scores, numba_scores), "backend mismatch"
-    out["postings"] = len(ids)
-    return out
+    return time_fn(run), len(ids)
 
 
-def bench_spans(length: int, rng) -> dict[str, float]:
+def bench_spans(length: int, rng) -> float:
     win_w = np.where(rng.random(length) < 0.1,
                      rng.uniform(1.0, 4.0, size=length), 0.0)
     ctx_w = np.where(rng.random(length) < 0.15,
@@ -83,23 +72,12 @@ def bench_spans(length: int, rng) -> dict[str, float]:
             prev[i] = last[t]
         last[t] = i
 
-    out = {}
     mat = np.empty((length, 30))
-    out["numpy"] = time_fn(_kernels.span_score_matrix_numpy, win_w, ctx_w,
-                           prev, 30, 15, 0.5, 0.3, mat)
-    if _kernels.HAS_NUMBA:
-        mat_nb = np.empty((length, 30))
-        _kernels.span_score_matrix_numba(win_w, ctx_w, prev, 30, 15, 0.5,
-                                         0.3, mat_nb)  # compile
-        out["numba"] = time_fn(_kernels.span_score_matrix_numba, win_w,
-                               ctx_w, prev, 30, 15, 0.5, 0.3, mat_nb)
-        _kernels.span_score_matrix_numpy(win_w, ctx_w, prev, 30, 15, 0.5,
-                                         0.3, mat)
-        assert np.array_equal(mat, mat_nb), "backend mismatch"
-    return out
+    return time_fn(_kernels.span_score_matrix, win_w, ctx_w, prev, 30, 15,
+                   0.5, 0.3, mat)
 
 
-def bench_fixture_retrieval(n_queries: int) -> dict[str, float] | None:
+def bench_fixture_retrieval(n_queries: int) -> float | None:
     fixtures = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
     para_file = fixtures / "f2_paragraphs.jsonl"
     q_file = fixtures / "f2_questions.jsonl"
@@ -114,33 +92,11 @@ def bench_fixture_retrieval(n_queries: int) -> dict[str, float] | None:
     questions = [r.question for r in records]
     questions = (questions * ((n_queries // len(questions)) + 1))[:n_queries]
 
-    results = {}
-    for name in ("numpy", "numba"):
-        impl = getattr(_kernels, f"bm25_accumulate_{name}")
-        if impl is None:
-            continue
-        _kernels_orig = _kernels.bm25_accumulate
-        try:
-            _kernels.bm25_accumulate = impl
-            index.retrieve(questions[0], 100)  # warm
-            start = time.perf_counter()
-            for q in questions:
-                index.retrieve(q, 100)
-            results[name] = time.perf_counter() - start
-        finally:
-            _kernels.bm25_accumulate = _kernels_orig
-    results["queries"] = n_queries
-    return results
-
-
-def _row(label: str, res: dict) -> str:
-    numpy_ms = res["numpy"] * 1000
-    if "numba" in res:
-        numba_ms = res["numba"] * 1000
-        speedup = numpy_ms / numba_ms if numba_ms > 0 else float("inf")
-        return (f"{label:<34} numpy {numpy_ms:9.3f} ms   "
-                f"numba {numba_ms:9.3f} ms   ({speedup:4.1f}x)")
-    return f"{label:<34} numpy {numpy_ms:9.3f} ms   numba unavailable"
+    index.retrieve(questions[0], 100)  # warm
+    start = time.perf_counter()
+    for q in questions:
+        index.retrieve(q, 100)
+    return time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -152,25 +108,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(0)
-    print(f"numba available: {_kernels.HAS_NUMBA} "
-          f"(library backend: {_kernels.backend()})")
+    seconds, postings = bench_bm25(args.docs, args.terms, rng)
+    label = f"bm25 accumulate ({args.docs} docs, {postings} postings)"
+    print(f"{label:<44} {seconds * 1000:9.3f} ms")
 
-    res = bench_bm25(args.docs, args.terms, rng)
-    print(_row(f"bm25 accumulate ({args.docs} docs, "
-               f"{res['postings']} postings)", res))
+    seconds = bench_spans(args.span_tokens, rng)
+    label = f"span scores ({args.span_tokens} tokens x 30)"
+    print(f"{label:<44} {seconds * 1000:9.3f} ms")
 
-    res = bench_spans(args.span_tokens, rng)
-    print(_row(f"span scores ({args.span_tokens} tokens x 30)", res))
-
-    res = bench_fixture_retrieval(args.queries)
-    if res is not None:
-        print()
-        print(f"F2 retrieval batch, {res['queries']} queries, n=100:")
-        for name in ("numpy", "numba"):
-            if name in res:
-                per_q = res[name] / res["queries"] * 1000
-                print(f"  {name:<6} {res[name]:7.3f} s total "
-                      f"({per_q:6.3f} ms/query)")
+    seconds = bench_fixture_retrieval(args.queries)
+    if seconds is not None:
+        print(f"F2 retrieval batch, {args.queries} queries, n=100: "
+              f"{seconds:.3f} s total "
+              f"({seconds / args.queries * 1000:.3f} ms/query)")
     return 0
 
 

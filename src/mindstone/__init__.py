@@ -8,14 +8,13 @@ from .corpus import Article, Paragraph, split_article, tokenize
 from .errors import MindstoneError, StageError
 from .expansion import ExpansionParams, expand_query, question_vector
 from .fusion import FusionWeights, fuse, normalize_scores, tune_weights
-from .index import Bm25Params, InvertedIndex, QueryVector, build_index
+from .index import Bm25Params, InvertedIndex, QueryVector
 from .pipeline import Pipeline, PipelineConfig, RankedAnswer
 
 __all__ = [
     "Article", "Bm25Params", "ExpansionParams", "FusionWeights",
     "InvertedIndex", "MindstoneError", "Paragraph", "Pipeline",
     "PipelineConfig", "QueryVector", "RankedAnswer", "StageError",
-    "build_index", "expand_query", "fuse", "normalize_scores",
-    "question_vector", "split_article", "tokenize", "tune_weights",
-    "__version__",
+    "expand_query", "fuse", "normalize_scores", "question_vector",
+    "split_article", "tokenize", "tune_weights", "__version__",
 ]

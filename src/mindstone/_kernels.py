@@ -1,32 +1,22 @@
-"""Numeric inner loops for retrieval and span scoring.
+"""Numeric inner loops for retrieval and span scoring, in numpy.
 
-Two backends with identical accumulation order (so results agree bit-for-bit):
-a numba ``@njit`` path and a pure-numpy path. The numpy path is selected by
-setting ``MINDSTONE_NUMBA=0`` (or ``false``/``off``) in the environment, or
-automatically when numba is not importable. ``benchmarks/bench_kernels.py``
-compares the two.
+Callers look the kernels up as module attributes (``_kernels.bm25_accumulate``)
+so a profiler can wrap them in place. ``benchmarks/bench_kernels.py`` times
+them on synthetic arrays and on a retrieval batch over the F2 fixture.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("MINDSTONE_NUMBA", "1").strip().lower()
-_NUMBA_WANTED = _FLAG not in {"0", "false", "off", "no"}
 
-try:
-    if _NUMBA_WANTED:
-        from numba import njit
-    else:
-        njit = None
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
+def backend() -> str:
+    """Name of the kernel backend, recorded in benchmark provenance."""
+    return "numpy"
 
 
-def bm25_accumulate_numpy(term_starts, term_ends, doc_ids, tfs, term_weights,
-                          norm, k1p1, scores):
+def bm25_accumulate(term_starts, term_ends, doc_ids, tfs, term_weights, norm,
+                    k1p1, scores):
     """Accumulate BM25 contributions for each query term into ``scores``.
 
     Postings for query term ``q`` live in doc_ids/tfs[term_starts[q]:term_ends[q]];
@@ -41,8 +31,8 @@ def bm25_accumulate_numpy(term_starts, term_ends, doc_ids, tfs, term_weights,
         scores[ids] += term_weights[q] * (tf * k1p1) / (tf + norm[ids])
 
 
-def span_score_matrix_numpy(win_w, ctx_w, prev, max_len, ctx_radius,
-                            ctx_weight, penalty, out):
+def span_score_matrix(win_w, ctx_w, prev, max_len, ctx_radius, ctx_weight,
+                      penalty, out):
     """Score all token windows [i, i+ell), ell = 1..max_len.
 
     ``win_w[p]`` weights position p's token inside a window; ``ctx_w[p]``
@@ -81,63 +71,3 @@ def span_score_matrix_numpy(win_w, ctx_w, prev, max_len, ctx_radius,
             pv = p[valid]
             ctx[:n][valid] += ctx_w[pv] * (prev[pv] < ci[:n][valid])
         out[:n, ell - 1] = win[:n] + ctx_weight * ctx[:n] - penalty * ell
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def bm25_accumulate_numba(term_starts, term_ends, doc_ids, tfs,
-                              term_weights, norm, k1p1, scores):
-        for q in range(term_starts.shape[0]):
-            w = term_weights[q]
-            for p in range(term_starts[q], term_ends[q]):
-                d = doc_ids[p]
-                tf = tfs[p]
-                scores[d] += w * (tf * k1p1) / (tf + norm[d])
-
-    @njit(cache=True)
-    def span_score_matrix_numba(win_w, ctx_w, prev, max_len, ctx_radius,
-                                ctx_weight, penalty, out):
-        L = win_w.shape[0]
-        out.fill(-np.inf)
-        for i in range(L):
-            ci = i - ctx_radius
-            if ci < 0:
-                ci = 0
-            ctx = 0.0
-            for o in range(-ctx_radius, ctx_radius + 1):
-                p = i + o
-                if 0 <= p < L and prev[p] < ci:
-                    ctx += ctx_w[p]
-            win = 0.0
-            top = max_len if i + max_len <= L else L - i
-            for ell in range(1, top + 1):
-                p = i + ell - 1
-                if prev[p] < i:
-                    win += win_w[p]
-                if ell > 1:
-                    p = i + ell - 1 + ctx_radius
-                    if p < L and prev[p] < ci:
-                        ctx += ctx_w[p]
-                out[i, ell - 1] = win + ctx_weight * ctx - penalty * ell
-
-else:  # pragma: no cover
-    bm25_accumulate_numba = None
-    span_score_matrix_numba = None
-
-
-HAS_NUMBA = njit is not None
-USE_NUMBA = HAS_NUMBA
-
-
-def backend() -> str:
-    """Name of the active kernel backend."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
-if USE_NUMBA:
-    bm25_accumulate = bm25_accumulate_numba
-    span_score_matrix = span_score_matrix_numba
-else:
-    bm25_accumulate = bm25_accumulate_numpy
-    span_score_matrix = span_score_matrix_numpy

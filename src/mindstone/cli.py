@@ -9,6 +9,7 @@ produced it. Set MINDSTONE_LOG to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -45,32 +46,7 @@ def _load_config(args) -> PipelineConfig:
     data = {}
     if getattr(args, "config", None):
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    cfg = PipelineConfig.from_dict(data).to_dict()
-
-    def override(path: tuple[str, ...], value):
-        if value is None:
-            return
-        node = cfg
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-
-    override(("n_retriever",), getattr(args, "n_retriever", None))
-    override(("read_fraction",), getattr(args, "read_fraction", None))
-    override(("n_reader",), getattr(args, "n_reader", None))
-    override(("k_spans_per_paragraph",), getattr(args, "k_spans", None))
-    override(("rm3", "enabled"), getattr(args, "rm3", None))
-    override(("rm3", "alpha"), getattr(args, "rm3_alpha", None))
-    override(("rm3", "terms"), getattr(args, "rm3_terms", None))
-    override(("rm3", "second_pass_n"), getattr(args, "rm3_second_pass_n", None))
-    override(("fusion", "w_retriever"), getattr(args, "w_retriever", None))
-    override(("fusion", "w_ranker"), getattr(args, "w_ranker", None))
-    override(("fusion", "w_reader"), getattr(args, "w_reader", None))
-    return PipelineConfig.from_dict(cfg)
-
-
-def _scorer_descriptor(kind: str, detail: str) -> str:
-    return f"{kind}:{detail}"
+    return PipelineConfig.from_dict(data, overrides=vars(args))
 
 
 def _build_pipeline(args, config: PipelineConfig):
@@ -79,25 +55,25 @@ def _build_pipeline(args, config: PipelineConfig):
 
     if getattr(args, "external_ranker", None):
         ranker = ScorerPool(args.external_ranker, "rank")
-        ranker_desc = _scorer_descriptor("external", args.external_ranker)
+        ranker_desc = f"external:{args.external_ranker}"
     else:
         model_path = getattr(args, "ranker_model", None)
         if model_path:
             model = BuiltinRankerModel.load(model_path)
             digest = hashlib.sha256(
                 Path(model_path).read_bytes()).hexdigest()[:16]
-            ranker_desc = _scorer_descriptor("builtin", digest)
+            ranker_desc = f"builtin:{digest}"
         else:
             model = BuiltinRankerModel.zeros()
-            ranker_desc = _scorer_descriptor("builtin", "zeros")
+            ranker_desc = "builtin:zeros"
         ranker = BuiltinRanker(model, index)
 
     if getattr(args, "external_reader", None):
         reader = ScorerPool(args.external_reader, "read")
-        reader_desc = _scorer_descriptor("external", args.external_reader)
+        reader_desc = f"external:{args.external_reader}"
     else:
         reader = BuiltinReader(index)
-        reader_desc = _scorer_descriptor("builtin", "heuristic-v1")
+        reader_desc = "builtin:heuristic-v1"
 
     pipeline = Pipeline(index, paragraphs, ranker, reader, config)
     scorer_descs = {"ranker": ranker_desc, "reader": reader_desc}
@@ -251,10 +227,7 @@ def cmd_tune_weights(args) -> int:
           f"w_ranker={best.w_ranker:.4f} w_reader={best.w_reader:.4f} "
           f"(em={best_em:.4f}, {len(report)} grid points)")
     if args.out_config:
-        cfg = config.to_dict()
-        cfg["fusion"] = {"w_retriever": best.w_retriever,
-                         "w_ranker": best.w_ranker,
-                         "w_reader": best.w_reader}
+        cfg = dataclasses.replace(config, weights=best).to_dict()
         Path(args.out_config).write_text(
             json.dumps(cfg, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
@@ -323,9 +296,10 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
                    help="explicit reader cutoff (overrides --read-fraction)")
     p.add_argument("--k-spans", type=int, help="spans per read paragraph")
     rm3 = p.add_mutually_exclusive_group()
-    rm3.add_argument("--rm3", dest="rm3", action="store_const", const=True,
-                     default=None, help="enable query expansion second pass")
-    rm3.add_argument("--no-rm3", dest="rm3", action="store_const",
+    enable = rm3.add_argument("--rm3", action="store_const", const=True,
+                              default=None,
+                              help="enable query expansion second pass")
+    rm3.add_argument("--no-rm3", dest=enable.dest, action="store_const",
                      const=False, help="disable query expansion")
     p.add_argument("--rm3-alpha", type=float,
                    help="original-query mixing weight in [0,1]")
@@ -427,15 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bench)
 
-    for name, sp in sub.choices.items():
+    for sp in sub.choices.values():
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for all randomness")
+    for name in ("answer", "eval", "bench"):
         # Benchmarks default to serial so the stage breakdown can account
         # for the full wall time.
         default_workers = 1 if name == "bench" else (os.cpu_count() or 1)
-        sp.add_argument("--workers", type=int, default=default_workers,
-                        help="pipeline parallelism "
-                             f"(default: {default_workers})")
+        sub.choices[name].add_argument(
+            "--workers", type=int, default=default_workers,
+            help=f"pipeline parallelism (default: {default_workers})")
     return parser
 
 

@@ -375,9 +375,3 @@ class InvertedIndex:
             raise IndexBuildError("index payload does not match manifest checksum")
         return idx
 
-
-def build_index(paragraphs: Iterable[Paragraph],
-                params: Bm25Params = Bm25Params(),
-                stopwords=DEFAULT_STOPWORDS) -> InvertedIndex:
-    """Convenience wrapper over :meth:`InvertedIndex.build`."""
-    return InvertedIndex.build(paragraphs, params, stopwords)

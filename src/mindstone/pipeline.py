@@ -12,6 +12,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import scorers
@@ -54,57 +55,78 @@ class PipelineConfig:
         return max(1, math.ceil(self.read_fraction * self.n_retriever))
 
     def to_dict(self) -> dict:
-        return {
-            "n_retriever": self.n_retriever,
-            "read_fraction": self.read_fraction,
-            "n_reader": self.n_reader,
-            "k_spans_per_paragraph": self.k_spans_per_paragraph,
-            "rm3": {
-                "enabled": self.rm3_enabled,
-                "alpha": self.rm3.alpha,
-                "terms": self.rm3.top_terms,
-                "second_pass_n": self.rm3.second_pass_n,
-            },
-            "fusion": {
-                "w_retriever": self.weights.w_retriever,
-                "w_ranker": self.weights.w_ranker,
-                "w_reader": self.weights.w_reader,
-            },
-            "limits": {
-                "ranker_para_tokens": self.limits.ranker_para_tokens,
-                "reader_total_tokens": self.limits.reader_total_tokens,
-            },
-        }
+        out: dict = {}
+        for key, attr, _ in CONFIG_KEYS:
+            *sections, leaf = key.split(".")
+            node = out
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = attrgetter(attr)(self)
+        return out
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "PipelineConfig":
+    def from_dict(cls, data: Mapping,
+                  overrides: Mapping[str, object] = {}) -> "PipelineConfig":
+        """Config from its JSON form; absent keys keep their defaults and an
+        unknown key raises ValueError. ``overrides`` maps CLI flag dests
+        (the third column of :data:`CONFIG_KEYS`) to values that replace the
+        file's; a None value is no override."""
+        values = _flatten_config(data)
+        for key, _, dest in CONFIG_KEYS:
+            if dest is not None and overrides.get(dest) is not None:
+                values[key] = overrides[dest]
         base = cls()
-        rm3 = data.get("rm3", {})
-        fusion_cfg = data.get("fusion", {})
-        limits = data.get("limits", {})
-        return cls(
-            n_retriever=data.get("n_retriever", base.n_retriever),
-            read_fraction=data.get("read_fraction", base.read_fraction),
-            n_reader=data.get("n_reader", base.n_reader),
-            k_spans_per_paragraph=data.get("k_spans_per_paragraph",
-                                           base.k_spans_per_paragraph),
-            rm3_enabled=rm3.get("enabled", base.rm3_enabled),
-            rm3=ExpansionParams(
-                alpha=rm3.get("alpha", base.rm3.alpha),
-                top_terms=rm3.get("terms", base.rm3.top_terms),
-                second_pass_n=rm3.get("second_pass_n",
-                                      base.rm3.second_pass_n)),
-            weights=FusionWeights(
-                w_retriever=fusion_cfg.get("w_retriever",
-                                           base.weights.w_retriever),
-                w_ranker=fusion_cfg.get("w_ranker", base.weights.w_ranker),
-                w_reader=fusion_cfg.get("w_reader", base.weights.w_reader)),
-            limits=TruncationLimits(
-                ranker_para_tokens=limits.get("ranker_para_tokens",
-                                              base.limits.ranker_para_tokens),
-                reader_total_tokens=limits.get(
-                    "reader_total_tokens", base.limits.reader_total_tokens)),
-        )
+        fields: dict = {}
+        nested: dict[str, dict] = {}
+        for key, attr, _ in CONFIG_KEYS:
+            value = values[key] if key in values else attrgetter(attr)(base)
+            owner, _, name = attr.rpartition(".")
+            (nested.setdefault(owner, {}) if owner else fields)[name] = value
+        # Each nested object is built once from all of its keys, so checks
+        # across them (fusion weights summing to 1) see the final values.
+        for owner, kwargs in nested.items():
+            fields[owner] = type(getattr(base, owner))(**kwargs)
+        return cls(**fields)
+
+
+# One row per config key: dotted JSON key path, dotted PipelineConfig
+# attribute path, and the dest of the CLI flag that overrides it (None where
+# there is no flag). to_dict writes keys in this order.
+CONFIG_KEYS: tuple[tuple[str, str, str | None], ...] = (
+    ("n_retriever", "n_retriever", "n_retriever"),
+    ("read_fraction", "read_fraction", "read_fraction"),
+    ("n_reader", "n_reader", "n_reader"),
+    ("k_spans_per_paragraph", "k_spans_per_paragraph", "k_spans"),
+    ("rm3.enabled", "rm3_enabled", "rm3"),
+    ("rm3.alpha", "rm3.alpha", "rm3_alpha"),
+    ("rm3.terms", "rm3.top_terms", "rm3_terms"),
+    ("rm3.second_pass_n", "rm3.second_pass_n", "rm3_second_pass_n"),
+    ("fusion.w_retriever", "weights.w_retriever", "w_retriever"),
+    ("fusion.w_ranker", "weights.w_ranker", "w_ranker"),
+    ("fusion.w_reader", "weights.w_reader", "w_reader"),
+    ("limits.ranker_para_tokens", "limits.ranker_para_tokens", None),
+    ("limits.reader_total_tokens", "limits.reader_total_tokens", None),
+)
+_CONFIG_LEAVES = frozenset(key for key, _, _ in CONFIG_KEYS)
+_CONFIG_SECTIONS = frozenset(key.rpartition(".")[0] for key in _CONFIG_LEAVES
+                             if "." in key)
+
+
+def _flatten_config(data, prefix: str = "") -> dict:
+    """Dotted key -> value for every leaf of a config's JSON form."""
+    if not isinstance(data, Mapping):
+        where = f"key {prefix[:-1]!r}" if prefix else "root"
+        raise ValueError(f"config {where} must be a JSON object")
+    values = {}
+    for name, value in data.items():
+        key = f"{prefix}{name}"
+        if key in _CONFIG_LEAVES:
+            values[key] = value
+        elif key in _CONFIG_SECTIONS:
+            values.update(_flatten_config(value, key + "."))
+        else:
+            raise ValueError(f"unknown config key {key!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -201,10 +223,9 @@ class Pipeline:
 
         t0 = time.perf_counter()
         rank_scores = self._rank(question, retrieval.para_ids())
-        trace.times_ms["rank"] = (time.perf_counter() - t0) * 1000.0
-
         pool = [ScoredCandidate(pid, s_ret, s_rank) for (pid, s_ret), s_rank
                 in zip(retrieval.hits, rank_scores)]
+        trace.times_ms["rank"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
         if cfg.rm3_enabled and pool:
@@ -226,7 +247,10 @@ class Pipeline:
             trace.counts["rm3_added"] = 0
         trace.times_ms["rm3"] = (time.perf_counter() - t0) * 1000.0
 
+        # Ordering the pool is rank-stage time; it waits for RM3's additions.
+        t0 = time.perf_counter()
         pool.sort(key=lambda c: (-c.s_ranker, c.para_id))
+        trace.times_ms["rank"] += (time.perf_counter() - t0) * 1000.0
         trace.counts["ranked"] = len(pool)
         to_read = pool[:cfg.n_reader_effective]
         trace.counts["read"] = len(to_read)

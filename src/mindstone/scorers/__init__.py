@@ -58,11 +58,20 @@ class AnswerSpan:
     s_reader: float
 
 
+def within_token_limit(text: str, max_tokens: int) -> bool:
+    """True when ``text`` is too short to hold more than ``max_tokens``
+    tokens: tokens are separated by at least one other code point, so a
+    text of c code points holds at most ceil(c / 2) of them."""
+    return len(text) <= 2 * max_tokens
+
+
 def truncate_to_tokens(text: str, max_tokens: int) -> str:
     """Cut text after its ``max_tokens``-th token (raw alphanumeric runs,
     stopwords included). Text at or under the limit is returned unchanged."""
     if max_tokens <= 0:
         return ""
+    if within_token_limit(text, max_tokens):
+        return text
     spans = token_spans(text)
     if len(spans) <= max_tokens:
         return text
@@ -122,13 +131,13 @@ from .datasets import (  # noqa: E402
     build_dataset_aug1, build_dataset_aug2, build_dataset_finetune,
     read_rank_examples, write_rank_examples,
 )
-from .external import ExternalScorer, external_scorer_session  # noqa: E402
+from .external import ExternalScorer  # noqa: E402
 
 __all__ = [
     "AnswerSpan", "BuiltinRanker", "BuiltinRankerModel", "BuiltinReader",
     "ExternalScorer", "RankExample", "TrainConfig", "TrainReport",
     "TruncationLimits", "build_dataset_aug1", "build_dataset_aug2",
-    "build_dataset_finetune", "external_scorer_session", "rank", "read",
-    "read_rank_examples", "train_builtin_ranker", "train_ranker_phases",
-    "truncate_to_tokens", "write_rank_examples",
+    "build_dataset_finetune", "rank", "read", "read_rank_examples",
+    "train_builtin_ranker", "train_ranker_phases", "truncate_to_tokens",
+    "write_rank_examples",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 from .. import _kernels
 from ..corpus import Paragraph, token_spans, tokenize
 from ..index import InvertedIndex
-from . import truncate_to_tokens
+from . import truncate_to_tokens, within_token_limit
 
 FEATURE_SPEC_VERSION = 1
 FEATURE_NAMES = [
@@ -118,16 +118,16 @@ class BuiltinRanker:
         """Scores of a candidate pool, equal bit for bit to ``rank_text`` on
         each paragraph truncated to ``max_tokens``.
 
-        A text of c code points holds at most ceil(c / 2) tokens, so one of
-        at most ``2 * max_tokens`` code points is never truncated; when it
-        is also the indexed text of its paragraph, its features come from
-        the index's postings instead of from tokenizing it.
+        A text within the token limit (:func:`within_token_limit`) is never
+        truncated; when it is also the indexed text of its paragraph, its
+        features come from the index's postings instead of from tokenizing
+        it.
         """
         x = np.empty((len(paragraphs), len(FEATURE_NAMES)))
         rows, ordinals, titles = [], [], []
         for i, para in enumerate(paragraphs):
             text = para.full_text
-            if len(text) <= 2 * max_tokens:
+            if within_token_limit(text, max_tokens):
                 ordinal, title_terms = self._indexed(para, text)
                 if ordinal >= 0:
                     rows.append(i)

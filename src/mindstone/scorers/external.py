@@ -40,17 +40,29 @@ class ExternalScorer:
         except OSError as exc:
             raise ScorerExitError(f"could not spawn scorer {argv!r}: {exc}")
         self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
+        self._reader = threading.Thread(
+            target=self._pump, args=(self._proc.stdout, self._lines),
+            daemon=True)
         self._reader.start()
         self._lock = threading.Lock()
         self._next_id = 0
         self._closed = False
-        self.hello = self._handshake()
+        try:
+            self.hello = self._handshake()
+        except BaseException:
+            # The caller never gets this handle, so nothing else can stop
+            # the scorer or release its pipes.
+            self._proc.kill()
+            self.close()
+            raise
 
-    def _pump(self):
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(_EOF)
+    @staticmethod
+    def _pump(stdout, lines: queue.Queue):
+        # No reference to the handle: a handle dropped without close() is
+        # still collected, and __del__ closes it from the dropping thread.
+        for line in stdout:
+            lines.put(line)
+        lines.put(_EOF)
 
     def _next_line(self, timeout: float) -> str:
         try:
@@ -68,7 +80,6 @@ class ExternalScorer:
         try:
             line = self._next_line(self.timeout)
         except TimeoutError:
-            self.close()
             raise HandshakeTimeoutError(
                 f"no hello from scorer {self.command!r} within "
                 f"{self.timeout}s")
@@ -156,6 +167,11 @@ class ExternalScorer:
         except (OSError, subprocess.TimeoutExpired):
             self._proc.kill()
             self._proc.wait()
+        # The pump reads stdout until EOF. Closing the pipe while it still
+        # reads (a grandchild may hold the write end) would block here.
+        self._reader.join(timeout=5)
+        if not self._reader.is_alive():
+            self._proc.stdout.close()
 
     def __enter__(self):
         return self
@@ -168,12 +184,6 @@ class ExternalScorer:
             self.close()
         except Exception:
             pass
-
-
-def external_scorer_session(command_line: str | list[str], role: str,
-                            timeout: float = 30.0) -> ExternalScorer:
-    """Spawn a scorer subprocess and perform the hello handshake."""
-    return ExternalScorer(command_line, role, timeout=timeout)
 
 
 class ScorerPool:

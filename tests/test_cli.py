@@ -159,6 +159,19 @@ class TestEvalAndBench:
         tuned = json.loads(out_config.read_text("utf-8"))
         total = sum(tuned["fusion"].values())
         assert total == pytest.approx(1.0)
+        assert tuned["n_retriever"] == 10
+        # The written config loads back through --config unchanged.
+        out_dir = tmp_path / "bench"
+        code = main(["bench", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--ranker-model", str(workdir / "model.json"),
+                     "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                     "--config", str(out_config), "--runs", "1",
+                     "--queries-per-run", "5", "--out-dir", str(out_dir)])
+        assert code == 0
+        manifest = json.loads(
+            (out_dir / "run_manifest.json").read_text("utf-8"))
+        assert manifest["config"] == tuned
 
 
 class TestConfigPrecedence:
@@ -187,6 +200,21 @@ class TestConfigPrecedence:
         assert record["trace"]["counts"]["retrieved"] == 4
 
 
+    def test_misspelt_config_key_exits_one_naming_it(self, workdir, tmp_path,
+                                                     capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"rm3": {"enabled": True, "term": 5}}),
+                          encoding="utf-8")
+        code = main(["answer", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--config", str(config),
+                     "--question", "What was the height of mount ardenfell?"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "rm3.term" in captured.err
+        assert captured.out == ""
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -212,6 +240,16 @@ class TestExitCodes:
                 parser.parse_args([name, "--help"])
             assert exc.value.code == 0
             capsys.readouterr()
+
+    def test_workers_only_where_read(self, capsys):
+        parser = build_parser()
+        for name in ("ingest", "index", "build-dataset", "train-ranker",
+                     "answer", "tune-weights", "eval", "bench"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--help"])
+            text = capsys.readouterr().out
+            assert ("--workers" in text) == (name in ("answer", "eval",
+                                                      "bench")), name
 
     def test_help_documents_config_keys(self, capsys):
         parser = build_parser()

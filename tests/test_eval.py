@@ -163,7 +163,7 @@ class TestRunEval:
         """A pipeline whose reader always lands the gold span gives
         em = f1 = 1.0 by construction."""
         from mindstone.corpus import Paragraph
-        from mindstone.index import build_index
+        from mindstone.index import InvertedIndex
         from mindstone.pipeline import Pipeline, PipelineConfig
 
         golds = {"what is the code word": "zephyr",
@@ -172,7 +172,7 @@ class TestRunEval:
             Paragraph("a#0", "a", "Codes", "the code word is zephyr", 0),
             Paragraph("b#0", "b", "Codes", "the other code is quill", 0),
         ]}
-        index = build_index(paras.values())
+        index = InvertedIndex.build(paras.values())
 
         class OracleReader:
             def read_text(self, question, text, k):

@@ -5,14 +5,14 @@ import pytest
 
 from mindstone.corpus import Paragraph
 from mindstone.expansion import ExpansionParams, expand_query, question_vector
-from mindstone.index import QueryVector, build_index
+from mindstone.index import InvertedIndex, QueryVector
 
 
 @pytest.fixture(scope="module")
 def small_index():
     paras = [Paragraph(f"d{i}", f"a{i}", "", body, 0) for i, body in
              enumerate(["x x cat", "y dog dog", "cat dog bird", "z z z"])]
-    return build_index(paras, stopwords=frozenset())
+    return InvertedIndex.build(paras, stopwords=frozenset())
 
 
 class TestExpandQuery:

@@ -1,5 +1,7 @@
 """External scorer wire protocol: handshake, request/response, failures."""
 
+import gc
+import subprocess
 import sys
 
 import pytest
@@ -7,8 +9,7 @@ import pytest
 from mindstone.errors import (HandshakeTimeoutError, MalformedResponseError,
                               ScorerExitError, StageError)
 from mindstone.scorers import rank, read
-from mindstone.scorers.external import (ExternalScorer, ScorerPool,
-                                        external_scorer_session)
+from mindstone.scorers.external import ExternalScorer, ScorerPool
 
 ECHO = [sys.executable, "-m", "mindstone.scorers.echo_scorer"]
 
@@ -17,50 +18,67 @@ def py_script(body: str) -> list[str]:
     return [sys.executable, "-c", body]
 
 
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every process started through subprocess.Popen during the test."""
+    procs = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return procs
+
+
 class TestEchoScorer:
     def test_handshake_and_constant_rank(self):
-        with external_scorer_session(ECHO + ["--rank-score", "0.25"],
-                                     "rank") as scorer:
+        with ExternalScorer(ECHO + ["--rank-score", "0.25"],
+                            "rank") as scorer:
             assert scorer.hello["protocol"] == 1
             assert scorer.rank_text("question", "paragraph text") == 0.25
             assert scorer.rank_text("another", "text") == 0.25
 
     def test_read_returns_whole_text_span(self):
-        with external_scorer_session(ECHO, "read") as scorer:
+        with ExternalScorer(ECHO, "read") as scorer:
             spans = scorer.read_text("q", "some paragraph", k=2)
             assert spans == [(0, len("some paragraph"), 1.0)]
 
     def test_dispatch_through_stage_functions(self, f2_paragraphs):
         para = next(iter(f2_paragraphs.values()))
-        with external_scorer_session(ECHO + ["--rank-score", "2.0"],
-                                     "rank") as ranker:
+        with ExternalScorer(ECHO + ["--rank-score", "2.0"],
+                            "rank") as ranker:
             assert rank(ranker, "q", [para]).tolist() == [2.0]
-        with external_scorer_session(ECHO, "read") as reader:
+        with ExternalScorer(ECHO, "read") as reader:
             spans = read(reader, "q", para, k=1)
             assert spans[0].text == para.full_text
             assert spans[0].para_id == para.para_id
 
 
 class TestFailureModes:
-    def test_immediate_exit_is_exit_error(self):
+    def test_immediate_exit_is_exit_error(self, spawned):
         with pytest.raises(ScorerExitError):
-            external_scorer_session(py_script("import sys; sys.exit(3)"),
-                                    "rank", timeout=10)
+            ExternalScorer(py_script("import sys; sys.exit(3)"), "rank",
+                           timeout=10)
+        assert spawned[0].stdout.closed
 
     def test_invalid_hello_line_names_offender(self):
         script = py_script("print('this is not json', flush=True); "
                            "import time; time.sleep(2)")
         with pytest.raises(MalformedResponseError, match="not json"):
-            external_scorer_session(script, "rank", timeout=10)
+            ExternalScorer(script, "rank", timeout=10)
 
-    def test_handshake_timeout(self):
+    def test_handshake_timeout(self, spawned):
         script = py_script("import time; time.sleep(5)")
         with pytest.raises(HandshakeTimeoutError):
-            external_scorer_session(script, "rank", timeout=0.3)
+            ExternalScorer(script, "rank", timeout=0.3)
+        assert spawned[0].stdout.closed
+        assert spawned[0].returncode is not None
 
     def test_role_not_offered(self):
         with pytest.raises(MalformedResponseError, match="read"):
-            external_scorer_session(ECHO + ["--roles", "rank"], "read")
+            ExternalScorer(ECHO + ["--roles", "rank"], "read")
 
     def test_error_response_becomes_stage_error(self):
         script = py_script(
@@ -71,7 +89,7 @@ class TestFailureModes:
             "    req = json.loads(line)\n"
             "    print(json.dumps({'type':'error','id':req['id'],"
             "'message':'model exploded'}), flush=True)\n")
-        with external_scorer_session(script, "rank") as scorer:
+        with ExternalScorer(script, "rank") as scorer:
             with pytest.raises(StageError, match="model exploded"):
                 scorer.rank_text("q", "t")
 
@@ -83,7 +101,7 @@ class TestFailureModes:
             "for line in sys.stdin:\n"
             "    print(json.dumps({'type':'rank_result','id':'bogus',"
             "'score':1.0}), flush=True)\n")
-        with external_scorer_session(script, "rank") as scorer:
+        with ExternalScorer(script, "rank") as scorer:
             with pytest.raises(MalformedResponseError, match="bogus"):
                 scorer.rank_text("q", "t")
 
@@ -92,7 +110,7 @@ class TestFailureModes:
             "import json; print(json.dumps({'type':'hello','protocol':2,"
             "'roles':['rank']}), flush=True)")
         with pytest.raises(MalformedResponseError, match="protocol"):
-            external_scorer_session(script, "rank")
+            ExternalScorer(script, "rank")
 
     def test_death_mid_stream_is_exit_error(self):
         script = py_script(
@@ -101,15 +119,24 @@ class TestFailureModes:
             "'roles':['rank']}), flush=True)\n"
             "sys.stdin.readline()\n"
             "sys.exit(7)\n")
-        scorer = external_scorer_session(script, "rank")
+        scorer = ExternalScorer(script, "rank")
         with pytest.raises(ScorerExitError, match="7"):
             scorer.rank_text("q", "t")
         scorer.close()
 
     def test_close_is_idempotent(self):
-        scorer = external_scorer_session(ECHO, "rank")
+        scorer = ExternalScorer(ECHO, "rank")
         scorer.close()
         scorer.close()
+        assert scorer._proc.stdout.closed
+
+    def test_dropped_handle_stops_scorer(self):
+        scorer = ExternalScorer(ECHO, "rank")
+        proc = scorer._proc
+        del scorer
+        gc.collect()
+        assert proc.returncode is not None
+        assert proc.stdout.closed
 
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,7 @@ import pytest
 from conftest import BruteForceBm25, make_random_corpus
 from mindstone.corpus import Paragraph
 from mindstone.errors import IndexBuildError, UnknownDocumentError
-from mindstone.index import (Bm25Params, InvertedIndex, QueryVector,
-                             build_index)
+from mindstone.index import Bm25Params, InvertedIndex, QueryVector
 
 
 def _paras(*bodies, title=""):
@@ -23,14 +22,14 @@ def _paras(*bodies, title=""):
 
 class TestBuild:
     def test_hand_counted_statistics(self):
-        idx = build_index(_paras("cat sat", "cat cat ran", "dog ran"),
-                          stopwords=frozenset())
+        idx = InvertedIndex.build(
+            _paras("cat sat", "cat cat ran", "dog ran"), stopwords=frozenset())
         assert idx.doc_count == 3
         assert idx.doc_freq("cat") == 2
         assert idx.avg_doc_len == pytest.approx(7 / 3)
 
     def test_empty_stream(self):
-        idx = build_index([])
+        idx = InvertedIndex.build([])
         assert idx.doc_count == 0
         assert idx.retrieve("anything at all", 5).hits == []
 
@@ -44,7 +43,7 @@ class TestBuild:
     def test_duplicate_para_id_names_offender(self):
         p = Paragraph("dup#0", "a", "", "text", 0)
         with pytest.raises(IndexBuildError, match="dup#0"):
-            build_index([p, p])
+            InvertedIndex.build([p, p])
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -55,16 +54,16 @@ class TestBuild:
 
 class TestBm25Score:
     def test_absent_term_scores_zero(self):
-        idx = build_index(_paras("cat sat"), stopwords=frozenset())
+        idx = InvertedIndex.build(_paras("cat sat"), stopwords=frozenset())
         assert idx.bm25_score("dog", 0) == 0.0
 
     def test_one_doc_identity(self):
         # tf=1, doc_len=avg_doc_len, df=N=1: score reduces to idf = ln(4/3).
-        idx = build_index(_paras("hello"), stopwords=frozenset())
+        idx = InvertedIndex.build(_paras("hello"), stopwords=frozenset())
         assert idx.bm25_score("hello", 0) == pytest.approx(math.log(4 / 3))
 
     def test_unknown_ordinal_errors(self):
-        idx = build_index(_paras("cat"), stopwords=frozenset())
+        idx = InvertedIndex.build(_paras("cat"), stopwords=frozenset())
         with pytest.raises(UnknownDocumentError):
             idx.bm25_score("cat", 5)
 
@@ -179,14 +178,15 @@ class TestDocTfidfTop:
         assert f1_index.doc_tfidf_top(f1_paragraphs[0].para_id, 0).weights == {}
 
     def test_hand_counted(self):
-        idx = build_index(_paras("cat cat dog"), stopwords=frozenset())
+        idx = InvertedIndex.build(_paras("cat cat dog"),
+                                  stopwords=frozenset())
         vec = idx.doc_tfidf_top("d0", 1)
         assert set(vec.weights) == {"cat"}
         assert vec.weights["cat"] == pytest.approx(2 * idx.idf("cat"))
 
     def test_tie_break_is_lexicographic(self):
-        idx = build_index(_paras("dog cat dog cat bird"),
-                          stopwords=frozenset())
+        idx = InvertedIndex.build(_paras("dog cat dog cat bird"),
+                                  stopwords=frozenset())
         vec = idx.doc_tfidf_top("d0", 3)
         # tf: cat=2, dog=2, bird=1; ties on tf resolve alphabetically.
         assert list(vec.weights) == ["cat", "dog", "bird"]

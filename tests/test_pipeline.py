@@ -8,9 +8,10 @@ from mindstone.corpus import Paragraph
 from mindstone.errors import StageError
 from mindstone.expansion import ExpansionParams
 from mindstone.fusion import FusionWeights
-from mindstone.index import build_index
+from mindstone.index import InvertedIndex
 from mindstone.pipeline import (Pipeline, PipelineConfig, answer_record,
                                 dump_answer_line)
+from mindstone.scorers import TruncationLimits
 
 
 class ConstantRanker:
@@ -49,14 +50,37 @@ class TestConfig:
         assert cfg.n_reader_effective == 7
 
     def test_round_trip_through_dict(self):
-        cfg = PipelineConfig(n_retriever=40, read_fraction=0.1,
+        cfg = PipelineConfig(n_retriever=40, read_fraction=0.1, n_reader=6,
                              rm3_enabled=True,
                              rm3=ExpansionParams(alpha=0.3, top_terms=9,
                                                  second_pass_n=17),
                              weights=FusionWeights(0.5, 0.25, 0.25),
-                             k_spans_per_paragraph=2)
+                             k_spans_per_paragraph=2,
+                             limits=TruncationLimits(ranker_para_tokens=100,
+                                                     reader_total_tokens=50))
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize("data, key", [
+        ({"n_retreiver": 20}, "'n_retreiver'"),
+        ({"rm3": {"term": 5}}, "'rm3.term'"),
+        ({"fusion": {"w_ranke": 1.0}}, "'fusion.w_ranke'"),
+        ({"limits": {"x": 1}}, "'limits.x'"),
+    ])
+    def test_unknown_key_is_named(self, data, key):
+        with pytest.raises(ValueError, match=f"unknown config key {key}"):
+            PipelineConfig.from_dict(data)
+
+    def test_overrides_replace_file_values(self):
+        cfg = PipelineConfig.from_dict(
+            {"n_retriever": 50, "fusion": {"w_retriever": 1.0,
+                                           "w_ranker": 0.0,
+                                           "w_reader": 0.0}},
+            overrides={"n_retriever": 7, "rm3": None, "w_retriever": 0.5,
+                       "w_reader": 0.5, "unrelated": 3})
+        assert cfg.n_retriever == 7
+        assert cfg.rm3_enabled is False
+        assert cfg.weights == FusionWeights(0.5, 0.0, 0.5)
 
     def test_dict_uses_documented_keys(self):
         data = PipelineConfig().to_dict()
@@ -79,7 +103,7 @@ class TestAnswer:
             Paragraph("g#1", "g", "Topic", "filler body with words", 1),
             Paragraph("h#0", "h", "Other", "unrelated body entirely", 0),
         ]}
-        return build_index(paras.values()), paras
+        return InvertedIndex.build(paras.values()), paras
 
     def test_single_matching_paragraph_yields_gold_span(self):
         index, paras = self._gold_corpus()

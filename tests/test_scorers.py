@@ -3,12 +3,12 @@ span extraction quality on the frozen fixture."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mindstone.corpus import Paragraph, segment
+from mindstone.corpus import Paragraph, segment, token_spans
 from mindstone.eval import f1 as f1_score
-from mindstone.index import InvertedIndex, build_index
+from mindstone.index import InvertedIndex
 from mindstone.scorers import (BuiltinRanker, BuiltinRankerModel,
                                BuiltinReader, RankExample, TrainConfig,
                                TruncationLimits, rank, read,
@@ -27,12 +27,43 @@ class ConstantScorer:
         return self.value
 
 
+def _truncate_by_counting(text, max_tokens):
+    """Reference truncation: tokenize the whole text and count."""
+    if max_tokens <= 0:
+        return ""
+    spans = token_spans(text)
+    if len(spans) <= max_tokens:
+        return text
+    return text[:spans[max_tokens - 1][2]]
+
+
+@st.composite
+def _text_and_limit(draw):
+    """Arbitrary Unicode, or text packed with short tokens, and a limit
+    around the text's ceil(c / 2) bound on its token count."""
+    text = draw(st.text() | st.lists(
+        st.sampled_from(["a", "\u00e91", " ", "_", ".\n", "\u0301"]),
+        max_size=20).map("".join))
+    return text, draw(st.integers(-1, len(text) // 2 + 1))
+
+
 class TestTruncation:
     def test_truncate_to_tokens(self):
         text = "one two three four five"
         assert truncate_to_tokens(text, 3) == "one two three"
         assert truncate_to_tokens(text, 99) == text
         assert truncate_to_tokens(text, 0) == ""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_text_and_limit())
+    @example(("a b", 1))  # 2 * max_tokens + 1 code points, one token over
+    @example(("\u00e9.1_x", 2))
+    def test_truncate_is_idempotent_prefix_equal_to_counting(self, case):
+        text, max_tokens = case
+        out = truncate_to_tokens(text, max_tokens)
+        assert text.startswith(out)
+        assert truncate_to_tokens(out, max_tokens) == out
+        assert out == _truncate_by_counting(text, max_tokens)
 
     def test_rank_ignores_content_beyond_limit(self, f2_index):
         limits = TruncationLimits(ranker_para_tokens=50,
@@ -175,7 +206,7 @@ class TestRead:
         paras = [Paragraph("x#0", "x", "", "battle of hastings", 0),
                  Paragraph("x#1", "x", "", "farming was common here", 0),
                  Paragraph("x#2", "x", "", "other filler words", 0)]
-        idx = build_index(paras)
+        idx = InvertedIndex.build(paras)
         spans = read(BuiltinReader(idx), "what is the battle of hastings",
                      paras[0], k=3)
         assert spans[0].text == "battle of hastings"
