@@ -81,7 +81,7 @@ def _build_pipeline(args, config: PipelineConfig):
 
 
 def _run_manifest(config: PipelineConfig, index: InvertedIndex,
-                  scorer_descs: dict, seed: int, workers: int) -> dict:
+                  scorer_descs: dict, seed: int) -> dict:
     core = {
         "tool_version": __version__,
         "config": config.to_dict(),
@@ -93,7 +93,6 @@ def _run_manifest(config: PipelineConfig, index: InvertedIndex,
         json.dumps(core, sort_keys=True).encode("utf-8")).hexdigest()
     manifest = dict(core)
     manifest["manifest_key"] = key
-    manifest["workers"] = workers
     manifest["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                            time.gmtime())
     return manifest
@@ -201,8 +200,7 @@ def cmd_answer(args) -> int:
         batch = [("q0", args.question)]
     else:
         batch = _read_batch_questions(args.batch)
-    results = pipeline.answer_batch([q for _, q in batch],
-                                    workers=args.workers)
+    results = pipeline.answer_batch([q for _, q in batch])
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for (qid, _), result in zip(batch, results):
@@ -240,12 +238,10 @@ def cmd_eval(args) -> int:
     records, skipped = eval_mod.read_questions(args.questions)
     n_grid = [int(n) for n in args.n_grid.split(",")]
     report, curves = eval_mod.run_eval(records, pipeline, n_grid,
-                                       tau=args.tau, workers=args.workers,
-                                       malformed_skipped=skipped)
+                                       tau=args.tau, malformed_skipped=skipped)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _run_manifest(config, pipeline.index, scorer_descs,
-                             args.seed, args.workers)
+    manifest = _run_manifest(config, pipeline.index, scorer_descs, args.seed)
     report.manifest_key = manifest["manifest_key"]
     eval_mod.write_report_json(report, out_dir / "report.json")
     eval_mod.write_curves_csv(curves, out_dir / "curves.csv")
@@ -260,12 +256,10 @@ def cmd_bench(args) -> int:
     pipeline, scorer_descs = _build_pipeline(args, config)
     records, _ = eval_mod.read_questions(args.questions)
     latency = eval_mod.run_benchmark(records, pipeline, runs=args.runs,
-                                     queries_per_run=args.queries_per_run,
-                                     workers=args.workers)
+                                     queries_per_run=args.queries_per_run)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _run_manifest(config, pipeline.index, scorer_descs,
-                             args.seed, args.workers)
+    manifest = _run_manifest(config, pipeline.index, scorer_descs, args.seed)
     payload = latency.to_dict()
     payload["manifest_key"] = manifest["manifest_key"]
     (out_dir / "latency.json").write_text(
@@ -404,13 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in sub.choices.values():
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for all randomness")
-    for name in ("answer", "eval", "bench"):
-        # Benchmarks default to serial so the stage breakdown can account
-        # for the full wall time.
-        default_workers = 1 if name == "bench" else (os.cpu_count() or 1)
-        sub.choices[name].add_argument(
-            "--workers", type=int, default=default_workers,
-            help=f"pipeline parallelism (default: {default_workers})")
     return parser
 
 

@@ -81,9 +81,15 @@ def split_article(article: Article) -> list[Paragraph]:
 
 
 def segment(text: str) -> list[str]:
-    """Lowercase and split on maximal runs of non-alphanumerics (no stopword
-    filtering). This is the raw token stream truncation limits count."""
-    return _TOKEN_RE.findall(text.lower())
+    """The lowercased maximal alphanumeric runs of ``text`` (no stopword
+    filtering): the tokens of :func:`token_spans`, without offsets. This is
+    the raw token stream truncation limits count."""
+    if text.isascii():
+        # Lowercasing ASCII only maps A-Z to a-z, so it moves no token
+        # boundary and can run once over the whole text.
+        return _TOKEN_RE.findall(text.lower())
+    # Elsewhere it can: "İ".lower() appends a combining mark.
+    return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
 def token_spans(text: str) -> list[tuple[str, int, int]]:

@@ -181,7 +181,6 @@ def convert_squad_v11(path: str | Path) -> tuple[list[Article], list[GoldRecord]
 class LatencyReport:
     runs: int
     queries_per_run: int
-    workers: int
     per_run_mean_ms: list[float]
     reported_ms: float
     stage_breakdown_ms: dict[str, float]
@@ -190,7 +189,6 @@ class LatencyReport:
         return {
             "runs": self.runs,
             "queries_per_run": self.queries_per_run,
-            "workers": self.workers,
             "per_run_mean_ms": self.per_run_mean_ms,
             "reported_ms": self.reported_ms,
             "stage_breakdown_ms": self.stage_breakdown_ms,
@@ -262,8 +260,8 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def run_eval(records: Sequence[GoldRecord], pipeline, n_grid: Sequence[int],
-             tau: float = 0.5, workers: int = 1,
-             malformed_skipped: int = 0) -> tuple[EvalReport, list[CurvePoint]]:
+             tau: float = 0.5, malformed_skipped: int = 0
+             ) -> tuple[EvalReport, list[CurvePoint]]:
     """Run the pipeline over all questions and compute every metric.
 
     Latency is intentionally not measured here (see run_benchmark); the
@@ -272,9 +270,8 @@ def run_eval(records: Sequence[GoldRecord], pipeline, n_grid: Sequence[int],
     if not records:
         raise ValueError("empty question set")
     n_grid = sorted(set(int(n) for n in n_grid))
-    results = pipeline.answer_batch([r.question for r in records],
-                                    workers=workers)
-    texts = pipeline.paragraph_texts
+    results = pipeline.answer_batch([r.question for r in records])
+    paragraphs = pipeline.paragraphs
 
     em_vals, f1_vals = [], []
     retr_hits = {n: [] for n in n_grid}
@@ -290,8 +287,9 @@ def run_eval(records: Sequence[GoldRecord], pipeline, n_grid: Sequence[int],
         em_vals.append(exact_match(top_pred, golds))
         f1_vals.append(f1(top_pred, golds))
 
-        retrieved_texts = [texts[pid] for pid, _ in result.retrieved]
-        ranked_texts = [texts[pid] for pid, _ in result.ranked]
+        retrieved_texts = [paragraphs[pid].full_text
+                           for pid, _ in result.retrieved]
+        ranked_texts = [paragraphs[pid].full_text for pid, _ in result.ranked]
         answer_texts = [a.answer_text for a in result.answers]
         has_gold_para = record.gold_paragraph is not None
         if not has_gold_para:
@@ -328,10 +326,12 @@ def run_eval(records: Sequence[GoldRecord], pipeline, n_grid: Sequence[int],
 
 
 def run_benchmark(records: Sequence[GoldRecord], pipeline, runs: int = 5,
-                  queries_per_run: int | None = None,
-                  workers: int = 1) -> LatencyReport:
+                  queries_per_run: int | None = None) -> LatencyReport:
     """Timing protocol: a warm-up pass, then ``runs`` timed passes over the
-    same batch; the reported latency is the minimum of per-run means."""
+    same batch; the reported latency is the minimum of per-run means.
+    Questions are answered one after another on the calling thread, also
+    where answer_batch would fan out, so the per-question stage times add
+    up to the wall time."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if not records:
@@ -341,13 +341,14 @@ def run_benchmark(records: Sequence[GoldRecord], pipeline, runs: int = 5,
         reps = (queries_per_run + len(questions) - 1) // len(questions)
         questions = (questions * reps)[:queries_per_run]
 
-    pipeline.answer_batch(questions, workers=workers)  # warm-up, untimed
+    for question in questions:  # warm-up, untimed
+        pipeline.answer_or_error(question)
 
     per_run_mean_ms: list[float] = []
     per_run_stage_ms: list[dict[str, float]] = []
     for _ in range(runs):
         start = time.perf_counter()
-        results = pipeline.answer_batch(questions, workers=workers)
+        results = [pipeline.answer_or_error(q) for q in questions]
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         per_run_mean_ms.append(elapsed_ms / len(questions))
         stage_totals: dict[str, float] = {}
@@ -361,7 +362,6 @@ def run_benchmark(records: Sequence[GoldRecord], pipeline, runs: int = 5,
     return LatencyReport(
         runs=runs,
         queries_per_run=len(questions),
-        workers=workers,
         per_run_mean_ms=per_run_mean_ms,
         reported_ms=per_run_mean_ms[best],
         stage_breakdown_ms=per_run_stage_ms[best],

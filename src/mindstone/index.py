@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +25,8 @@ from .corpus import DEFAULT_STOPWORDS, Paragraph, tokenize
 from .errors import IndexBuildError, UnknownDocumentError
 
 FORMAT_VERSION = 1
+_ARRAY_NAMES = ("term_offsets", "post_doc_ids", "post_tfs", "doc_len",
+                "doc_offsets", "doc_term_ids", "doc_tfs")
 
 
 @dataclass(frozen=True)
@@ -359,19 +363,27 @@ class InvertedIndex:
             raise IndexBuildError(
                 f"unsupported index format_version: {manifest.get('format_version')}")
         strings = json.loads((directory / "strings.json").read_text("utf-8"))
-        arrays = np.load(directory / "arrays.npz")
+        arrays = _read_arrays(directory / "arrays.npz")
         idx = cls(params=Bm25Params(k1=manifest["k1"], b=manifest["b"]),
                   stopwords=frozenset(strings["stopwords"]),
-                  doc_ids=strings["doc_ids"],
-                  doc_len=arrays["doc_len"],
-                  terms=strings["terms"],
-                  term_offsets=arrays["term_offsets"],
-                  post_doc_ids=arrays["post_doc_ids"],
-                  post_tfs=arrays["post_tfs"],
-                  doc_offsets=arrays["doc_offsets"],
-                  doc_term_ids=arrays["doc_term_ids"],
-                  doc_tfs=arrays["doc_tfs"])
+                  doc_ids=strings["doc_ids"], terms=strings["terms"],
+                  **arrays)
         if idx.build_checksum != manifest["build_checksum"]:
             raise IndexBuildError("index payload does not match manifest checksum")
         return idx
 
+
+def _read_arrays(path: Path) -> dict[str, np.ndarray]:
+    """The index arrays saved at ``path``. An unreadable or damaged archive,
+    or one that lacks an array, is an IndexBuildError naming the file."""
+    try:
+        # Opened apart from the archive, so a damaged zip cannot leak it.
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as archive:
+            missing = [name for name in _ARRAY_NAMES if name not in archive]
+            if missing:
+                raise IndexBuildError(
+                    f"{path.name} has no array {missing[0]!r}")
+            return {name: archive[name] for name in _ARRAY_NAMES}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        raise IndexBuildError(f"{path.name} is unreadable: {exc}") from None

@@ -2,13 +2,16 @@
 the top ranked slice, fuse the three stage scores, and emit sorted answers.
 
 All stages are pure over an immutable index and paragraph store, so a batch
-can fan out across workers without changing any result.
+gives the same results on any thread. It fans out over threads only when a
+stage is an external-scorer ``ScorerPool``, whose subprocess waits free the
+GIL; the builtin stages hold it, so their batches run serially.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,6 +26,7 @@ from .expansion import ExpansionParams, expand_query, question_vector
 from .fusion import FusionWeights, fuse, normalize_scores
 from .index import InvertedIndex
 from .scorers import TruncationLimits
+from .scorers.external import ScorerPool
 
 DEFAULT_WEIGHTS = FusionWeights(1 / 3, 1 / 3, 1 / 3)
 
@@ -56,7 +60,7 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for key, attr, _ in CONFIG_KEYS:
+        for key, attr, _, _ in CONFIG_KEYS:
             *sections, leaf = key.split(".")
             node = out
             for section in sections:
@@ -67,19 +71,26 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: Mapping,
                   overrides: Mapping[str, object] = {}) -> "PipelineConfig":
-        """Config from its JSON form; absent keys keep their defaults and an
-        unknown key raises ValueError. ``overrides`` maps CLI flag dests
-        (the third column of :data:`CONFIG_KEYS`) to values that replace the
-        file's; a None value is no override."""
+        """Config from its JSON form; absent keys keep their defaults, and an
+        unknown key or a value of the wrong type raises ValueError.
+        ``overrides`` maps CLI flag dests (the third column of
+        :data:`CONFIG_KEYS`) to values that replace the file's; a None value
+        is no override."""
         values = _flatten_config(data)
-        for key, _, dest in CONFIG_KEYS:
+        for key, _, dest, _ in CONFIG_KEYS:
             if dest is not None and overrides.get(dest) is not None:
                 values[key] = overrides[dest]
         base = cls()
         fields: dict = {}
         nested: dict[str, dict] = {}
-        for key, attr, _ in CONFIG_KEYS:
-            value = values[key] if key in values else attrgetter(attr)(base)
+        for key, attr, _, kind in CONFIG_KEYS:
+            if key in values:
+                value = values[key]
+                if not _is_kind(value, kind):
+                    raise ValueError(f"config key {key!r} must be {kind}, "
+                                     f"got {value!r}")
+            else:
+                value = attrgetter(attr)(base)
             owner, _, name = attr.rpartition(".")
             (nested.setdefault(owner, {}) if owner else fields)[name] = value
         # Each nested object is built once from all of its keys, so checks
@@ -89,25 +100,44 @@ class PipelineConfig:
         return cls(**fields)
 
 
+# Accepted JSON types of config values.
+INT, NUMBER, BOOL = "an integer", "a number", "true or false"
+INT_OR_NULL = "an integer or null"
+
+
+def _is_kind(value, kind: str) -> bool:
+    """True when ``value`` has the JSON type ``kind``. A bool is not a
+    number, and an integer is a number."""
+    if isinstance(value, bool):
+        return kind == BOOL
+    if value is None:
+        return kind == INT_OR_NULL
+    if isinstance(value, int):
+        return kind in (INT, INT_OR_NULL, NUMBER)
+    return isinstance(value, float) and kind == NUMBER
+
+
 # One row per config key: dotted JSON key path, dotted PipelineConfig
-# attribute path, and the dest of the CLI flag that overrides it (None where
-# there is no flag). to_dict writes keys in this order.
-CONFIG_KEYS: tuple[tuple[str, str, str | None], ...] = (
-    ("n_retriever", "n_retriever", "n_retriever"),
-    ("read_fraction", "read_fraction", "read_fraction"),
-    ("n_reader", "n_reader", "n_reader"),
-    ("k_spans_per_paragraph", "k_spans_per_paragraph", "k_spans"),
-    ("rm3.enabled", "rm3_enabled", "rm3"),
-    ("rm3.alpha", "rm3.alpha", "rm3_alpha"),
-    ("rm3.terms", "rm3.top_terms", "rm3_terms"),
-    ("rm3.second_pass_n", "rm3.second_pass_n", "rm3_second_pass_n"),
-    ("fusion.w_retriever", "weights.w_retriever", "w_retriever"),
-    ("fusion.w_ranker", "weights.w_ranker", "w_ranker"),
-    ("fusion.w_reader", "weights.w_reader", "w_reader"),
-    ("limits.ranker_para_tokens", "limits.ranker_para_tokens", None),
-    ("limits.reader_total_tokens", "limits.reader_total_tokens", None),
+# attribute path, the dest of the CLI flag that overrides it (None where
+# there is no flag), and the value's accepted JSON type. to_dict writes
+# keys in this order.
+CONFIG_KEYS: tuple[tuple[str, str, str | None, str], ...] = (
+    ("n_retriever", "n_retriever", "n_retriever", INT),
+    ("read_fraction", "read_fraction", "read_fraction", NUMBER),
+    ("n_reader", "n_reader", "n_reader", INT_OR_NULL),
+    ("k_spans_per_paragraph", "k_spans_per_paragraph", "k_spans", INT),
+    ("rm3.enabled", "rm3_enabled", "rm3", BOOL),
+    ("rm3.alpha", "rm3.alpha", "rm3_alpha", NUMBER),
+    ("rm3.terms", "rm3.top_terms", "rm3_terms", INT),
+    ("rm3.second_pass_n", "rm3.second_pass_n", "rm3_second_pass_n",
+     INT_OR_NULL),
+    ("fusion.w_retriever", "weights.w_retriever", "w_retriever", NUMBER),
+    ("fusion.w_ranker", "weights.w_ranker", "w_ranker", NUMBER),
+    ("fusion.w_reader", "weights.w_reader", "w_reader", NUMBER),
+    ("limits.ranker_para_tokens", "limits.ranker_para_tokens", None, INT),
+    ("limits.reader_total_tokens", "limits.reader_total_tokens", None, INT),
 )
-_CONFIG_LEAVES = frozenset(key for key, _, _ in CONFIG_KEYS)
+_CONFIG_LEAVES = frozenset(row[0] for row in CONFIG_KEYS)
 _CONFIG_SECTIONS = frozenset(key.rpartition(".")[0] for key in _CONFIG_LEAVES
                              if "." in key)
 
@@ -191,8 +221,6 @@ class Pipeline:
         self.ranker = ranker
         self.reader = reader
         self.config = config
-        self.paragraph_texts = {pid: p.full_text
-                                for pid, p in paragraphs.items()}
 
     def _paragraph(self, para_id: str, stage: str) -> Paragraph:
         try:
@@ -316,24 +344,25 @@ class Pipeline:
                 s_reader=c.s_reader, fused=fused_score))
         return answers
 
-    def answer_batch(self, questions: Sequence[str],
-                     workers: int = 1) -> list[PipelineResult]:
-        """Element-wise answer(); output order matches input order and is
-        independent of worker count. Per-question stage errors are recorded
-        and the batch continues."""
+    def answer_or_error(self, question: str) -> PipelineResult:
+        """answer(), with a stage error recorded in the result instead of
+        raised."""
+        try:
+            return self.answer(question)
+        except MindstoneError as exc:
+            return PipelineResult(answers=[], trace=StageTrace(), retrieved=[],
+                                  ranked=[], error=str(exc))
 
-        def safe(question: str) -> PipelineResult:
-            try:
-                return self.answer(question)
-            except MindstoneError as exc:
-                return PipelineResult(answers=[], trace=StageTrace(),
-                                      retrieved=[], ranked=[],
-                                      error=str(exc))
-
-        if workers <= 1:
-            return [safe(q) for q in questions]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(safe, questions))
+    def answer_batch(self, questions: Sequence[str]) -> list[PipelineResult]:
+        """Element-wise answer_or_error(), in input order. Fans out over up
+        to one thread per CPU when a stage is a ScorerPool, else answers
+        serially on the calling thread."""
+        threads = min(os.cpu_count() or 1, len(questions))
+        if threads > 1 and any(isinstance(stage, ScorerPool)
+                               for stage in (self.ranker, self.reader)):
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return list(pool.map(self.answer_or_error, questions))
+        return [self.answer_or_error(q) for q in questions]
 
     def with_config(self, config: PipelineConfig) -> "Pipeline":
         return Pipeline(self.index, self.paragraphs, self.ranker,

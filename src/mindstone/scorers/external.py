@@ -2,8 +2,9 @@
 
 The scorer speaks first: ``{"type":"hello","protocol":1,"roles":[...]}``.
 The host then sends one request per line and reads one response per line;
-ids are echoed verbatim. Each handle is a serial channel; use a pool of
-handles for parallelism.
+ids are echoed verbatim. Each handle is a serial channel; a
+:class:`ScorerPool` holds several, and ``Pipeline.answer_batch`` fans a batch
+out over threads only when a stage is such a pool.
 """
 
 from __future__ import annotations
@@ -187,10 +188,11 @@ class ExternalScorer:
 
 
 class ScorerPool:
-    """ExternalScorer handles shared by concurrent callers. Each call takes
-    an idle handle, spawning one only when all are busy, and returns it
-    after, so a parallel batch never interleaves requests on one serial
-    channel and k concurrent callers run at most k scorer processes."""
+    """ExternalScorer handles shared by concurrent callers, such as the
+    threads of ``Pipeline.answer_batch``. Each call takes an idle handle,
+    spawning one only when all are busy, and returns it after, so requests
+    never interleave on one serial channel and k concurrent callers run at
+    most k scorer processes, reused from one batch to the next."""
 
     def __init__(self, command: str | list[str], role: str,
                  timeout: float = 30.0):

@@ -256,7 +256,7 @@ def test_criterion_08_timing_methodology(f2_index, f2_paragraphs,
         pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker, f2_reader,
                         PipelineConfig(n_retriever=n_retriever))
         latency = run_benchmark(f2_records, pipe, runs=5,
-                                queries_per_run=200, workers=1)
+                                queries_per_run=200)
         assert latency.runs == 5
         assert latency.queries_per_run == 200
         assert latency.reported_ms == min(latency.per_run_mean_ms)
@@ -272,32 +272,26 @@ def test_criterion_08_timing_methodology(f2_index, f2_paragraphs,
 
 def test_criterion_09_determinism(f2_records, f2_paragraphs, f2_index,
                                   trained_ranker, tmp_path):
-    """Two eval runs at each worker count produce byte-identical
-    report.json and curves.csv (also identical across worker counts)."""
+    """Two eval runs produce byte-identical report.json and curves.csv."""
     from mindstone.cli import main
 
     f2_index.save(tmp_path / "idx")
     trained_ranker.model.save(tmp_path / "model.json")
     outputs = {}
-    for workers in (1, 4):
-        for attempt in (0, 1):
-            out_dir = tmp_path / f"run-w{workers}-{attempt}"
-            code = main([
-                "eval", "--index", str(tmp_path / "idx"),
-                "--paragraphs", str(FIXTURES / "f2_paragraphs.jsonl"),
-                "--ranker-model", str(tmp_path / "model.json"),
-                "--questions", str(FIXTURES / "f2_questions.jsonl"),
-                "--n-grid", "1,5,20,100", "--seed", "0",
-                "--workers", str(workers), "--out-dir", str(out_dir)])
-            assert code == 0
-            outputs[(workers, attempt)] = (
-                (out_dir / "report.json").read_bytes(),
-                (out_dir / "curves.csv").read_bytes())
-    baseline = outputs[(1, 0)]
-    for key, payload in outputs.items():
-        assert payload == baseline, f"run {key} differs"
-    _report(9, "report.json and curves.csv byte-identical across repeats "
-               "and worker counts {1, 4}")
+    for attempt in (0, 1):
+        out_dir = tmp_path / f"run-{attempt}"
+        code = main([
+            "eval", "--index", str(tmp_path / "idx"),
+            "--paragraphs", str(FIXTURES / "f2_paragraphs.jsonl"),
+            "--ranker-model", str(tmp_path / "model.json"),
+            "--questions", str(FIXTURES / "f2_questions.jsonl"),
+            "--n-grid", "1,5,20,100", "--seed", "0",
+            "--out-dir", str(out_dir)])
+        assert code == 0
+        outputs[attempt] = ((out_dir / "report.json").read_bytes(),
+                            (out_dir / "curves.csv").read_bytes())
+    assert outputs[1] == outputs[0], "repeat run differs"
+    _report(9, "report.json and curves.csv byte-identical across repeats")
 
 
 def test_criterion_10_dataset_builders(f2_index, f2_paragraphs, f2_records):

@@ -199,7 +199,6 @@ class TestConfigPrecedence:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["trace"]["counts"]["retrieved"] == 4
 
-
     def test_misspelt_config_key_exits_one_naming_it(self, workdir, tmp_path,
                                                      capsys):
         config = tmp_path / "run.json"
@@ -213,6 +212,22 @@ class TestConfigPrecedence:
         captured = capsys.readouterr()
         assert "rm3.term" in captured.err
         assert captured.out == ""
+
+
+    def test_wrong_config_type_exits_one_naming_it(self, workdir, tmp_path,
+                                                   capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n_retriever": "20"}), encoding="utf-8")
+        code = main(["answer", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--config", str(config),
+                     "--question", "What was the height of mount ardenfell?"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: ") and "n_retriever" in lines[0]
 
 
 class TestExitCodes:
@@ -232,6 +247,22 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_corrupt_index_exits_one(self, workdir, tmp_path, capsys):
+        import shutil
+        idx = tmp_path / "idx"
+        shutil.copytree(workdir / "idx", idx)
+        payload = (idx / "arrays.npz").read_bytes()
+        (idx / "arrays.npz").write_bytes(payload[:len(payload) // 2])
+        code = main(["answer", "--index", str(idx),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--question", "What was the height of mount ardenfell?"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: ") and "arrays.npz" in lines[0]
+
     def test_help_exits_zero_everywhere(self, capsys):
         parser = build_parser()
         for name in ("ingest", "index", "build-dataset", "train-ranker",
@@ -241,15 +272,25 @@ class TestExitCodes:
             assert exc.value.code == 0
             capsys.readouterr()
 
-    def test_workers_only_where_read(self, capsys):
+    def test_no_subcommand_accepts_workers(self, capsys):
         parser = build_parser()
         for name in ("ingest", "index", "build-dataset", "train-ranker",
                      "answer", "tune-weights", "eval", "bench"):
             with pytest.raises(SystemExit):
                 parser.parse_args([name, "--help"])
-            text = capsys.readouterr().out
-            assert ("--workers" in text) == (name in ("answer", "eval",
-                                                      "bench")), name
+            assert "--workers" not in capsys.readouterr().out, name
+        pipeline_args = ["--index", "idx", "--paragraphs", "p.jsonl"]
+        for argv in (["answer", *pipeline_args, "--question", "q"],
+                     ["eval", *pipeline_args, "--questions", "q.jsonl",
+                      "--out-dir", "out"],
+                     ["bench", *pipeline_args, "--questions", "q.jsonl",
+                      "--out-dir", "out"]):
+            parser.parse_args(argv)
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*argv, "--workers", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --workers" in \
+                capsys.readouterr().err
 
     def test_help_documents_config_keys(self, capsys):
         parser = build_parser()
@@ -259,5 +300,5 @@ class TestExitCodes:
         for flag in ("--n-retriever", "--read-fraction", "--n-reader",
                      "--rm3", "--rm3-alpha", "--rm3-terms",
                      "--rm3-second-pass-n", "--k-spans", "--w-retriever",
-                     "--w-ranker", "--w-reader", "--seed", "--workers"):
+                     "--w-ranker", "--w-reader", "--seed"):
             assert flag in text, f"{flag} missing from help"

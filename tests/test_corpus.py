@@ -2,12 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mindstone.corpus import (DEFAULT_STOPWORDS, Article, Paragraph,
                               load_paragraph_map, load_stopwords,
                               read_articles, read_paragraphs, segment,
                               split_article, token_spans, tokenize,
                               write_paragraphs)
+
+
+def _unicode_text():
+    """Arbitrary Unicode, and ASCII mixed with characters whose lowercase
+    form differs in length or category."""
+    return st.text() | st.lists(st.sampled_from(
+        ["A", "z", "9", " ", "_", "-", "\u0130", "\u00df", "\u1e9e",
+         "\u03a3", "\ufb01", "\u2160", "\u0301", "\u00c9"]),
+        max_size=30).map("".join)
 
 
 class TestSplitArticle:
@@ -96,6 +107,16 @@ class TestTokenize:
 
     def test_segment_keeps_stopwords(self):
         assert segment("The cat") == ["the", "cat"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(_unicode_text())
+    @example("\u0130stanbul")  # "İ".lower() appends a combining mark
+    @example("Stra\u00dfe \u1e9e \u03a3\u0391\u03a3 \ufb01ne \u2160")
+    def test_segment_and_token_spans_agree(self, text):
+        spans = token_spans(text)
+        assert segment(text) == [token for token, _, _ in spans]
+        for token, start, end in spans:
+            assert text[start:end].lower() == token
 
 
 class TestStopwordFile:

@@ -2,6 +2,7 @@
 protocol."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -228,6 +229,33 @@ class TestRunBenchmark:
         report = run_benchmark(f2_records[:5], pipe, runs=1)
         assert report.reported_ms == report.per_run_mean_ms[0]
         assert report.queries_per_run == 5
+
+    def test_pool_stages_are_timed_on_the_calling_thread(self, f2_index,
+                                                         f2_paragraphs,
+                                                         f2_records,
+                                                         f2_reader):
+        from mindstone.pipeline import Pipeline, PipelineConfig
+        from mindstone.scorers.external import ScorerPool
+
+        class InProcessPool(ScorerPool):
+            """A ScorerPool (so answer_batch would fan out) that scores in
+            process and notes the calling threads."""
+
+            def __init__(self):
+                super().__init__(["unused"], "rank")
+                self.threads = set()
+
+            def rank_text(self, question, text):
+                self.threads.add(threading.get_ident())
+                return 1.0
+
+        pool = InProcessPool()
+        pipe = Pipeline(f2_index, f2_paragraphs, pool, f2_reader,
+                        PipelineConfig(n_retriever=10))
+        report = run_benchmark(f2_records[:8], pipe, runs=2)
+        assert pool.threads == {threading.get_ident()}
+        assert report.queries_per_run == 8
+        assert "workers" not in report.to_dict()
 
     def test_rejects_bad_args(self, f2_index, f2_paragraphs, trained_ranker,
                               f2_reader):

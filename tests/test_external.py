@@ -1,8 +1,10 @@
 """External scorer wire protocol: handshake, request/response, failures."""
 
 import gc
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -143,29 +145,50 @@ class TestFailureModes:
             ExternalScorer(ECHO, "juggle")
 
 
+class ThreadRecordingPool(ScorerPool):
+    """A ScorerPool that notes which threads call it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.threads = set()
+
+    def rank_text(self, question, text):
+        self.threads.add(threading.get_ident())
+        return super().rank_text(question, text)
+
+
 class TestScorerPool:
     def test_parallel_batch_through_pool(self, f2_index, f2_paragraphs,
                                          f2_records, f2_reader):
-        from mindstone.pipeline import Pipeline, PipelineConfig
-        with ScorerPool(ECHO + ["--rank-score", "1.0"], "rank") as pool:
+        from mindstone.pipeline import Pipeline, PipelineConfig, answer_record
+        with ThreadRecordingPool(ECHO + ["--rank-score", "1.0"],
+                                 "rank") as pool:
             pipe = Pipeline(f2_index, f2_paragraphs, pool, f2_reader,
                             PipelineConfig(n_retriever=10))
             questions = [r.question for r in f2_records[:8]]
-            serial = pipe.answer_batch(questions, workers=1)
-            parallel = pipe.answer_batch(questions, workers=4)
-            assert [r.answers for r in serial] == \
-                [r.answers for r in parallel]
+            serial = [pipe.answer(q) for q in questions]
+            pool.threads.clear()
+            batch = pipe.answer_batch(questions)
+            if (os.cpu_count() or 1) > 1:
+                assert threading.get_ident() not in pool.threads
+            assert [answer_record(f"q{i}", r)["answers"]
+                    for i, r in enumerate(batch)] == \
+                [answer_record(f"q{i}", r)["answers"]
+                 for i, r in enumerate(serial)]
+            assert [r.ranked for r in batch] == [r.ranked for r in serial]
 
     def test_repeated_parallel_batches_reuse_handles(self, f2_index,
                                                     f2_paragraphs,
-                                                    f2_records, f2_reader):
+                                                    f2_records, f2_reader,
+                                                    spawned):
         from mindstone.pipeline import Pipeline, PipelineConfig
         with ScorerPool(ECHO + ["--rank-score", "1.0"], "rank") as pool:
             pipe = Pipeline(f2_index, f2_paragraphs, pool, f2_reader,
                             PipelineConfig(n_retriever=10))
             questions = [r.question for r in f2_records[:8]]
-            serial = [r.answers for r in pipe.answer_batch(questions)]
+            serial = [pipe.answer(q).answers for q in questions]
             for _ in range(3):
-                parallel = pipe.answer_batch(questions, workers=2)
-                assert [r.answers for r in parallel] == serial
-            assert 1 <= len(pool._handles) <= 2
+                batch = pipe.answer_batch(questions)
+                assert [r.answers for r in batch] == serial
+            assert 1 <= len(spawned) <= min(os.cpu_count() or 1,
+                                            len(questions))

@@ -265,6 +265,35 @@ class TestPersistence:
         with pytest.raises(IndexBuildError, match="checksum"):
             InvertedIndex.load(tmp_path / "idx")
 
+    def test_truncated_arrays_are_an_index_error(self, f1_index, tmp_path):
+        f1_index.save(tmp_path / "idx")
+        arrays = tmp_path / "idx" / "arrays.npz"
+        payload = arrays.read_bytes()
+        arrays.write_bytes(payload[:len(payload) // 2])
+        with pytest.raises(IndexBuildError, match="arrays.npz"):
+            InvertedIndex.load(tmp_path / "idx")
+
+    def test_missing_array_is_named(self, f1_index, tmp_path):
+        f1_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / "arrays.npz"
+        with np.load(path) as archive:
+            kept = {name: archive[name] for name in archive.files
+                    if name != "doc_tfs"}
+        np.savez(path, **kept)
+        with pytest.raises(IndexBuildError,
+                           match="arrays.npz has no array 'doc_tfs'"):
+            InvertedIndex.load(tmp_path / "idx")
+
+    def test_damaged_member_is_an_index_error(self, f1_index, tmp_path):
+        f1_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / "arrays.npz"
+        payload = bytearray(path.read_bytes())
+        # A data byte of the last member, past its 128-byte .npy header.
+        payload[payload.rindex(b"\x93NUMPY") + 200] ^= 0xFF
+        path.write_bytes(bytes(payload))
+        with pytest.raises(IndexBuildError, match="arrays.npz.*CRC"):
+            InvertedIndex.load(tmp_path / "idx")
+
     def test_format_version_guard(self, f1_index, tmp_path):
         import json
         f1_index.save(tmp_path / "idx")

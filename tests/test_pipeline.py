@@ -1,6 +1,8 @@
 """Cascade orchestration: stage flow, cutoffs, fusion ordering, batching."""
 
 import json
+import re
+import threading
 
 import pytest
 
@@ -70,6 +72,35 @@ class TestConfig:
     def test_unknown_key_is_named(self, data, key):
         with pytest.raises(ValueError, match=f"unknown config key {key}"):
             PipelineConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"n_retriever": "20"}, "'n_retriever' must be an integer, got '20'"),
+        ({"n_retriever": 5.5}, "'n_retriever' must be an integer, got 5.5"),
+        ({"n_retriever": True}, "'n_retriever' must be an integer, got True"),
+        ({"rm3": {"enabled": "yes"}},
+         "'rm3.enabled' must be true or false, got 'yes'"),
+        ({"rm3": {"enabled": 1}}, "'rm3.enabled' must be true or false"),
+        ({"read_fraction": "0.1"}, "'read_fraction' must be a number"),
+        ({"fusion": {"w_ranker": None}}, "'fusion.w_ranker' must be a number"),
+        ({"n_reader": 2.0}, "'n_reader' must be an integer or null"),
+        ({"rm3": {"second_pass_n": "5"}},
+         "'rm3.second_pass_n' must be an integer or null"),
+        ({"limits": {"reader_total_tokens": [384]}},
+         "'limits.reader_total_tokens' must be an integer"),
+    ])
+    def test_wrong_value_type_is_named(self, data, message):
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"config key {message}")):
+            PipelineConfig.from_dict(data)
+
+    def test_accepted_value_types(self):
+        cfg = PipelineConfig.from_dict({
+            "n_reader": None, "read_fraction": 1,
+            "rm3": {"enabled": True, "alpha": 1, "second_pass_n": None},
+            "fusion": {"w_retriever": 1, "w_ranker": 0, "w_reader": 0.0}})
+        assert cfg.read_fraction == 1 and cfg.rm3.alpha == 1
+        assert cfg.n_reader is None and cfg.rm3.second_pass_n is None
+        assert PipelineConfig.from_dict({"n_reader": 4}).n_reader == 4
 
     def test_overrides_replace_file_values(self):
         cfg = PipelineConfig.from_dict(
@@ -269,16 +300,24 @@ class TestBatch:
         rev = pipe.answer_batch(questions[::-1])
         assert [r.answers for r in fwd] == [r.answers for r in rev][::-1]
 
-    def test_worker_count_does_not_change_results(self, f2_index,
-                                                  f2_paragraphs,
-                                                  trained_ranker, f2_reader,
+    def test_builtin_batch_runs_on_calling_thread(self, f2_index,
+                                                  f2_paragraphs, f2_reader,
                                                   f2_records):
-        pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker, f2_reader,
+        class ThreadRecordingRanker(ConstantRanker):
+            def __init__(self):
+                super().__init__()
+                self.threads = set()
+
+            def rank_text(self, question, text):
+                self.threads.add(threading.get_ident())
+                return self.value
+
+        ranker = ThreadRecordingRanker()
+        pipe = Pipeline(f2_index, f2_paragraphs, ranker, f2_reader,
                         PipelineConfig(n_retriever=10))
-        questions = [r.question for r in f2_records[:12]]
-        one = pipe.answer_batch(questions, workers=1)
-        four = pipe.answer_batch(questions, workers=4)
-        assert [r.answers for r in one] == [r.answers for r in four]
+        results = pipe.answer_batch([r.question for r in f2_records[:12]])
+        assert all(r.error is None and r.answers for r in results)
+        assert ranker.threads == {threading.get_ident()}
 
     def test_repeat_runs_are_byte_identical(self, f2_index, f2_paragraphs,
                                             trained_ranker, f2_reader,

@@ -90,6 +90,35 @@ class TestTruncation:
             assert span.end_char <= len(surviving)
             assert span.text == surviving[span.start_char:span.end_char]
 
+    def test_reader_budget_counts_question_tokens_as_spans(self):
+        class WholeTextReader:
+            def read_text(self, question, text, k):
+                self.text = text
+                return [(0, len(text), 1.0)]
+
+        # Two question tokens: "\u0130".lower() is "i" plus a combining
+        # mark, which must not split a token in two.
+        reader = WholeTextReader()
+        para = Paragraph("p#0", "a", "", "w1 w2 w3 w4 w5 w6", 0)
+        read(reader, "\u0130a \u0130b", para, k=1,
+             limits=TruncationLimits(reader_total_tokens=6))
+        assert reader.text == "w1 w2 w3 w4"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(), st.text(min_size=1), st.integers(1, 12))
+    @example("\u0130stanbul \u0130zmir x", "\u0130stanbul a b c d e f", 4)
+    def test_builtin_read_spans_lie_in_truncated_text(self, question, body,
+                                                      budget):
+        para = Paragraph("p#0", "a", "", body, 0)
+        reader = BuiltinReader(InvertedIndex.build([para]))
+        limits = TruncationLimits(reader_total_tokens=budget)
+        # The reader budget, counted with token_spans alone.
+        q_count = min(len(token_spans(question)), budget - 1)
+        surviving = _truncate_by_counting(body, max(1, budget - q_count))
+        for span in read(reader, question, para, k=3, limits=limits):
+            assert 0 <= span.start_char < span.end_char <= len(surviving)
+            assert span.text == surviving[span.start_char:span.end_char]
+
     def test_limits_validated(self):
         with pytest.raises(ValueError):
             TruncationLimits(ranker_para_tokens=0)
