@@ -84,11 +84,8 @@ def segment(text: str) -> list[str]:
     """The lowercased maximal alphanumeric runs of ``text`` (no stopword
     filtering): the tokens of :func:`token_spans`, without offsets. This is
     the raw token stream truncation limits count."""
-    if text.isascii():
-        # Lowercasing ASCII only maps A-Z to a-z, so it moves no token
-        # boundary and can run once over the whole text.
-        return _TOKEN_RE.findall(text.lower())
-    # Elsewhere it can: "İ".lower() appends a combining mark.
+    # Lowered per token, not as a whole text: "İ".lower() appends a
+    # combining mark, which would split the token.
     return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 

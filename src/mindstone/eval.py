@@ -328,10 +328,8 @@ def run_eval(records: Sequence[GoldRecord], pipeline, n_grid: Sequence[int],
 def run_benchmark(records: Sequence[GoldRecord], pipeline, runs: int = 5,
                   queries_per_run: int | None = None) -> LatencyReport:
     """Timing protocol: a warm-up pass, then ``runs`` timed passes over the
-    same batch; the reported latency is the minimum of per-run means.
-    Questions are answered one after another on the calling thread, also
-    where answer_batch would fan out, so the per-question stage times add
-    up to the wall time."""
+    same batch; the reported latency is the minimum of per-run means. It
+    never fans out, so the per-question stage times add up to the wall time."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if not records:

@@ -24,7 +24,8 @@ from . import _kernels
 from .corpus import DEFAULT_STOPWORDS, Paragraph, tokenize
 from .errors import IndexBuildError, UnknownDocumentError
 
-FORMAT_VERSION = 1
+# 2: terms are tokens of the original text lowercased one by one.
+FORMAT_VERSION = 2
 _ARRAY_NAMES = ("term_offsets", "post_doc_ids", "post_tfs", "doc_len",
                 "doc_offsets", "doc_term_ids", "doc_tfs")
 

@@ -2,9 +2,8 @@
 the top ranked slice, fuse the three stage scores, and emit sorted answers.
 
 All stages are pure over an immutable index and paragraph store, so a batch
-gives the same results on any thread. It fans out over threads only when a
-stage is an external-scorer ``ScorerPool``, whose subprocess waits free the
-GIL; the builtin stages hold it, so their batches run serially.
+gives the same results on any thread; it fans out only when a stage waits on
+external-scorer subprocesses (see ``Pipeline.answer_batch``).
 """
 
 from __future__ import annotations
@@ -355,9 +354,9 @@ class Pipeline:
 
     def answer_batch(self, questions: Sequence[str]) -> list[PipelineResult]:
         """Element-wise answer_or_error(), in input order. Fans out over up
-        to one thread per CPU when a stage is a ScorerPool, else answers
-        serially on the calling thread."""
-        threads = min(os.cpu_count() or 1, len(questions))
+        to one thread per usable CPU when a stage is a ScorerPool, else
+        answers serially on the calling thread."""
+        threads = min(usable_cpus(), len(questions))
         if threads > 1 and any(isinstance(stage, ScorerPool)
                                for stage in (self.ranker, self.reader)):
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -367,6 +366,14 @@ class Pipeline:
     def with_config(self, config: PipelineConfig) -> "Pipeline":
         return Pipeline(self.index, self.paragraphs, self.ranker,
                         self.reader, config)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has
+    one): the cap on a batch's threads and so on its scorer processes."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def answer_record(qid: str, result: PipelineResult) -> dict:

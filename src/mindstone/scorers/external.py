@@ -2,9 +2,8 @@
 
 The scorer speaks first: ``{"type":"hello","protocol":1,"roles":[...]}``.
 The host then sends one request per line and reads one response per line;
-ids are echoed verbatim. Each handle is a serial channel; a
-:class:`ScorerPool` holds several, and ``Pipeline.answer_batch`` fans a batch
-out over threads only when a stage is such a pool.
+ids are echoed verbatim. Each handle is a serial channel; a batch fans out
+over threads only through a :class:`ScorerPool` of them.
 """
 
 from __future__ import annotations
@@ -190,9 +189,8 @@ class ExternalScorer:
 class ScorerPool:
     """ExternalScorer handles shared by concurrent callers, such as the
     threads of ``Pipeline.answer_batch``. Each call takes an idle handle,
-    spawning one only when all are busy, and returns it after, so requests
-    never interleave on one serial channel and k concurrent callers run at
-    most k scorer processes, reused from one batch to the next."""
+    spawning one only when all are busy, and returns it after, so k callers
+    share no channel and run at most k scorer processes, batch after batch."""
 
     def __init__(self, command: str | list[str], role: str,
                  timeout: float = 30.0):

@@ -43,7 +43,7 @@ class TestIngestAndIndex:
             (workdir / "idx" / "manifest.json").read_text("utf-8"))
         assert manifest["k1"] == 0.9
         assert manifest["b"] == 0.4
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
 
     def test_squad_ingest(self, tmp_path):
         squad = {"data": [{"title": "T", "paragraphs": [

@@ -160,7 +160,8 @@ class ThreadRecordingPool(ScorerPool):
 class TestScorerPool:
     def test_parallel_batch_through_pool(self, f2_index, f2_paragraphs,
                                          f2_records, f2_reader):
-        from mindstone.pipeline import Pipeline, PipelineConfig, answer_record
+        from mindstone.pipeline import (Pipeline, PipelineConfig,
+                                        answer_record, usable_cpus)
         with ThreadRecordingPool(ECHO + ["--rank-score", "1.0"],
                                  "rank") as pool:
             pipe = Pipeline(f2_index, f2_paragraphs, pool, f2_reader,
@@ -169,7 +170,7 @@ class TestScorerPool:
             serial = [pipe.answer(q) for q in questions]
             pool.threads.clear()
             batch = pipe.answer_batch(questions)
-            if (os.cpu_count() or 1) > 1:
+            if usable_cpus() > 1:
                 assert threading.get_ident() not in pool.threads
             assert [answer_record(f"q{i}", r)["answers"]
                     for i, r in enumerate(batch)] == \
@@ -181,7 +182,7 @@ class TestScorerPool:
                                                     f2_paragraphs,
                                                     f2_records, f2_reader,
                                                     spawned):
-        from mindstone.pipeline import Pipeline, PipelineConfig
+        from mindstone.pipeline import Pipeline, PipelineConfig, usable_cpus
         with ScorerPool(ECHO + ["--rank-score", "1.0"], "rank") as pool:
             pipe = Pipeline(f2_index, f2_paragraphs, pool, f2_reader,
                             PipelineConfig(n_retriever=10))
@@ -190,5 +191,18 @@ class TestScorerPool:
             for _ in range(3):
                 batch = pipe.answer_batch(questions)
                 assert [r.answers for r in batch] == serial
-            assert 1 <= len(spawned) <= min(os.cpu_count() or 1,
-                                            len(questions))
+            assert 1 <= len(spawned) <= min(usable_cpus(), len(questions))
+
+    def test_one_usable_cpu_batches_serially(self, f2_index, f2_paragraphs,
+                                             f2_records, f2_reader, spawned,
+                                             monkeypatch):
+        from mindstone.pipeline import Pipeline, PipelineConfig
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        with ThreadRecordingPool(ECHO + ["--rank-score", "1.0"],
+                                 "rank") as pool:
+            pipe = Pipeline(f2_index, f2_paragraphs, pool, f2_reader,
+                            PipelineConfig(n_retriever=10))
+            pipe.answer_batch([r.question for r in f2_records[:8]])
+            assert pool.threads == {threading.get_ident()}
+            assert len(spawned) == 1

@@ -248,7 +248,7 @@ class TestPersistence:
         f1_index.save(tmp_path / "idx")
         manifest = json.loads(
             (tmp_path / "idx" / "manifest.json").read_text("utf-8"))
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
         assert manifest["k1"] == 0.9 and manifest["b"] == 0.4
         assert manifest["doc_count"] == f1_index.doc_count
         assert manifest["avg_doc_len"] == f1_index.avg_doc_len
