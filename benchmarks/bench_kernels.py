@@ -1,11 +1,13 @@
 """Time the two numeric kernels and a BM25 retrieval batch.
 
 Times BM25 postings accumulation over synthetic postings shaped like a
-desk-scale corpus, span scoring over one synthetic paragraph (by default
-384 tokens, the reader's token limit), and a retrieval batch over the frozen
-F2 fixture.
+desk-scale corpus; span scoring over synthetic paragraphs of 30 tokens (an
+F2-sized paragraph) and 384 tokens (the reader's token limit), next to the
+position-at-a-time loop kernel that ``tests/test_kernels.py`` keeps as its
+oracle; and a retrieval batch over the frozen F2 fixture. Kernel times are
+the median and interquartile range over repeated calls.
 
-    python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 384]
+    python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 30 384]
 """
 
 from __future__ import annotations
@@ -17,21 +19,30 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from mindstone import _kernels  # noqa: E402
+from test_kernels import _loop_span_scores  # noqa: E402
 
 
-def time_fn(fn, *args, repeat: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeat):
+def time_fn(fn, *args, repeat: int) -> np.ndarray:
+    """Seconds per call, one entry per repeat."""
+    times = np.empty(repeat)
+    for r in range(repeat):
         start = time.perf_counter()
         fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
+        times[r] = time.perf_counter() - start
+    return times
 
 
-def bench_bm25(n_docs: int, n_terms: int, rng) -> tuple[float, int]:
+def describe(times: np.ndarray) -> str:
+    q1, med, q3 = np.percentile(times * 1000, [25, 50, 75])
+    return f"{med:9.3f} ms  (IQR {q1:.3f}-{q3:.3f}, {len(times)} calls)"
+
+
+def bench_bm25(n_docs: int, n_terms: int, rng) -> tuple[np.ndarray, int]:
     # Zipf-ish document frequencies over query terms.
     dfs = np.minimum((rng.pareto(1.2, size=n_terms) * 0.02 * n_docs + 5)
                      .astype(np.int64), n_docs)
@@ -56,10 +67,12 @@ def bench_bm25(n_docs: int, n_terms: int, rng) -> tuple[float, int]:
         _kernels.bm25_accumulate(starts, ends, ids, tfs, weights, norm, 1.9,
                                  scores)
 
-    return time_fn(run), len(ids)
+    return time_fn(run, repeat=20), len(ids)
 
 
-def bench_spans(length: int, rng) -> float:
+def bench_spans(length: int, rng) -> dict[str, np.ndarray]:
+    """Time the banded kernel and the loop oracle on one paragraph, with
+    the builtin reader's defaults (30-token spans, a 15-token context)."""
     win_w = np.where(rng.random(length) < 0.1,
                      rng.uniform(1.0, 4.0, size=length), 0.0)
     ctx_w = np.where(rng.random(length) < 0.15,
@@ -72,9 +85,13 @@ def bench_spans(length: int, rng) -> float:
             prev[i] = last[t]
         last[t] = i
 
-    mat = np.empty((length, 30))
-    return time_fn(_kernels.span_score_matrix, win_w, ctx_w, prev, 30, 15,
-                   0.5, 0.3, mat)
+    args = (win_w, ctx_w, prev, 30, 15, 0.5, 0.3, np.empty((length, 30)))
+    times = {"banded": [], "loop": []}
+    for _ in range(10):  # alternate, so drift hits both kernels alike
+        times["banded"].append(time_fn(_kernels.span_score_matrix, *args,
+                                       repeat=20))
+        times["loop"].append(time_fn(_loop_span_scores, *args, repeat=20))
+    return {name: np.concatenate(t) for name, t in times.items()}
 
 
 def bench_fixture_retrieval(n_queries: int) -> float | None:
@@ -103,18 +120,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--docs", type=int, default=50_000)
     parser.add_argument("--terms", type=int, default=8)
-    parser.add_argument("--span-tokens", type=int, default=384)
+    parser.add_argument("--span-tokens", type=int, nargs="+",
+                        default=[30, 384])
     parser.add_argument("--queries", type=int, default=300)
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(0)
-    seconds, postings = bench_bm25(args.docs, args.terms, rng)
+    times, postings = bench_bm25(args.docs, args.terms, rng)
     label = f"bm25 accumulate ({args.docs} docs, {postings} postings)"
-    print(f"{label:<44} {seconds * 1000:9.3f} ms")
+    print(f"{label:<44} {describe(times)}")
 
-    seconds = bench_spans(args.span_tokens, rng)
-    label = f"span scores ({args.span_tokens} tokens x 30)"
-    print(f"{label:<44} {seconds * 1000:9.3f} ms")
+    for length in args.span_tokens:
+        for name, times in bench_spans(length, rng).items():
+            label = f"span scores, {name} ({length} tokens x 30)"
+            print(f"{label:<44} {describe(times)}")
 
     seconds = bench_fixture_retrieval(args.queries)
     if seconds is not None:

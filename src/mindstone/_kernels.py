@@ -1,5 +1,14 @@
 """Numeric inner loops for retrieval and span scoring, in numpy.
 
+``bm25_accumulate`` adds each query term's postings into a score vector.
+``span_score_matrix`` scores every token window of a paragraph in one
+banded prefix-sum pass: a cumsum along the rows of two masked
+(L x band width) bands, with no Python loop over window lengths or
+offsets. Its output is bit-identical to the position-at-a-time loop it
+replaced (kept in ``tests/test_kernels.py`` as the oracle), because cumsum
+adds in the same left-to-right order and the padding outside the paragraph
+is exact zeros.
+
 Callers look the kernels up as module attributes (``_kernels.bm25_accumulate``)
 so a profiler can wrap them in place. ``benchmarks/bench_kernels.py`` times
 them on synthetic arrays and on a retrieval batch over the F2 fixture.
@@ -45,29 +54,52 @@ def span_score_matrix(win_w, ctx_w, prev, max_len, ctx_radius, ctx_weight,
                       [i-ctx_radius, i+ell+ctx_radius)
                     - penalty * ell
     Invalid windows (i + ell > L) stay at -inf.
+
+    One banded prefix-sum pass, no loop over ``ell`` or offsets. Row i of
+    the window band holds positions i .. i+max_len-1, each weight kept
+    where ``prev[p] < i``; row i of the context band holds positions
+    i-r .. i+max_len-1+r (r = ctx_radius), kept where
+    ``prev[p] < max(i-r, 0)``, and exact zeros outside [0, L). Both bands
+    are strided views of zero-padded copies of the inputs. A cumsum along
+    each row gives the window sum for ``ell`` in window column ell-1 and
+    the context sum in context column 2r+ell-1.
+
+    The result is bit-identical to adding the terms one position at a time
+    from 0.0: cumsum adds left to right in that same order (no pairwise or
+    blocked summation), and an exact zero leaves a running sum unchanged.
+    The window sum's first term gets the ``0.0 +`` the loop starts with,
+    which turns a -0.0 weight into 0.0; a -0.0 context sum is only ever
+    added to a window sum that is not -0.0, so it needs none.
     """
     L = win_w.shape[0]
     out.fill(-np.inf)
-    starts = np.arange(L)
-    ci = np.maximum(starts - ctx_radius, 0)
-    win = np.zeros(L)
-    ctx = np.zeros(L)
-    # Context base covers window length 1: positions [i-ctx_radius, i+1+ctx_radius).
-    for o in range(-ctx_radius, ctx_radius + 1):
-        p = starts + o
-        valid = (p >= 0) & (p < L)
-        pv = p[valid]
-        ctx[valid] += ctx_w[pv] * (prev[pv] < ci[valid])
-    for ell in range(1, max_len + 1):
-        n = L - ell + 1
-        if n <= 0:
-            break
-        p = starts[:n] + ell - 1
-        win[:n] += win_w[p] * (prev[p] < starts[:n])
-        if ell > 1:
-            # New rightmost context position for the grown window.
-            p = starts[:n] + ell - 1 + ctx_radius
-            valid = p < L
-            pv = p[valid]
-            ctx[:n][valid] += ctx_w[pv] * (prev[pv] < ci[:n][valid])
-        out[:n, ell - 1] = win[:n] + ctx_weight * ctx[:n] - penalty * ell
+    if L == 0:
+        return
+    r = ctx_radius
+    width = 2 * r + max_len
+    padded = np.zeros((2, L + width - 1))
+    padded[0, r:r + L] = win_w
+    padded[1, r:r + L] = ctx_w
+    padded_prev = np.zeros(L + width - 1, dtype=np.int64)
+    padded_prev[r:r + L] = prev
+    # Row i, column k of a band is padded position i + k, i.e. token i-r+k.
+    # np.ndarray rather than as_strided: it checks that the strides stay
+    # inside the buffer, and it builds no helper objects per call.
+    step = padded.strides[1]
+    w_band = np.ndarray((2, L, width), padded.dtype, padded,
+                        strides=(padded.strides[0], step, step))
+    p_step = padded_prev.strides[0]
+    p_band = np.ndarray((L, width), padded_prev.dtype, padded_prev,
+                        strides=(p_step, p_step))
+    starts = np.arange(L)[:, None]
+    win = w_band[0, :, r:r + max_len] * (p_band[:, r:r + max_len] < starts)
+    ctx = w_band[1] * (p_band < np.maximum(starts - r, 0))
+    win[:, 0] += 0.0  # the loop's 0.0 + first term
+    np.cumsum(win, axis=1, out=win)
+    np.cumsum(ctx, axis=1, out=ctx)
+    ctx = ctx[:, 2 * r:]
+    ctx *= ctx_weight
+    win += ctx
+    ells = np.arange(1, max_len + 1)
+    win -= penalty * ells
+    np.copyto(out[:, :max_len], win, where=ells <= L - starts)

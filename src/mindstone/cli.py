@@ -14,11 +14,14 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
-from . import __version__, eval as eval_mod, fusion
+import numpy as np
+
+from . import __version__, _kernels, eval as eval_mod, fusion
 from .corpus import (DEFAULT_STOPWORDS, load_paragraph_map, load_stopwords,
                      read_articles, read_paragraphs, split_article,
                      write_paragraphs)
@@ -95,6 +98,13 @@ def _run_manifest(config: PipelineConfig, index: InvertedIndex,
     manifest["manifest_key"] = key
     manifest["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                            time.gmtime())
+    # What produced the numbers, outside the hashed core: a library upgrade
+    # does not change which run a manifest_key names.
+    manifest["provenance"] = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "kernel_backend": _kernels.backend(),
+    }
     return manifest
 
 
@@ -201,6 +211,7 @@ def cmd_answer(args) -> int:
     else:
         batch = _read_batch_questions(args.batch)
     results = pipeline.answer_batch([q for _, q in batch])
+    eval_mod.log_failed_questions([qid for qid, _ in batch], results)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for (qid, _), result in zip(batch, results):

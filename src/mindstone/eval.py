@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import re
 import string
 import time
@@ -18,7 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .corpus import Article, segment
+
+log = logging.getLogger("mindstone")
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT = set(string.punctuation)
@@ -184,6 +189,8 @@ class LatencyReport:
     per_run_mean_ms: list[float]
     reported_ms: float
     stage_breakdown_ms: dict[str, float]
+    # Per stage, p50/p95/max over the reported run's questions.
+    stage_spread_ms: dict[str, dict[str, float]]
 
     def to_dict(self) -> dict:
         return {
@@ -192,6 +199,7 @@ class LatencyReport:
             "per_run_mean_ms": self.per_run_mean_ms,
             "reported_ms": self.reported_ms,
             "stage_breakdown_ms": self.stage_breakdown_ms,
+            "stage_spread_ms": self.stage_spread_ms,
         }
 
 
@@ -259,6 +267,14 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def log_failed_questions(qids: Sequence[str], results) -> None:
+    """One WARNING per result that carries a stage error (its text starts
+    with the failing stage, as ``[read] ...``)."""
+    for qid, result in zip(qids, results):
+        if result.error is not None:
+            log.warning("question %s failed: %s", qid, result.error)
+
+
 def run_eval(records: Sequence[GoldRecord], pipeline, n_grid: Sequence[int],
              tau: float = 0.5, malformed_skipped: int = 0
              ) -> tuple[EvalReport, list[CurvePoint]]:
@@ -271,6 +287,7 @@ def run_eval(records: Sequence[GoldRecord], pipeline, n_grid: Sequence[int],
         raise ValueError("empty question set")
     n_grid = sorted(set(int(n) for n in n_grid))
     results = pipeline.answer_batch([r.question for r in records])
+    log_failed_questions([r.qid for r in records], results)
     paragraphs = pipeline.paragraphs
 
     em_vals, f1_vals = [], []
@@ -343,24 +360,31 @@ def run_benchmark(records: Sequence[GoldRecord], pipeline, runs: int = 5,
         pipeline.answer_or_error(question)
 
     per_run_mean_ms: list[float] = []
-    per_run_stage_ms: list[dict[str, float]] = []
+    per_run_stage_times: list[dict[str, list[float]]] = []
     for _ in range(runs):
         start = time.perf_counter()
         results = [pipeline.answer_or_error(q) for q in questions]
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         per_run_mean_ms.append(elapsed_ms / len(questions))
-        stage_totals: dict[str, float] = {}
+        stage_times: dict[str, list[float]] = {}
         for res in results:
             for stage, dt in res.trace.times_ms.items():
-                stage_totals[stage] = stage_totals.get(stage, 0.0) + dt
-        per_run_stage_ms.append(
-            {k: v / len(questions) for k, v in stage_totals.items()})
+                stage_times.setdefault(stage, []).append(dt)
+        per_run_stage_times.append(stage_times)
 
     best = min(range(runs), key=lambda i: per_run_mean_ms[i])
+    best_times = per_run_stage_times[best]
+    spread = {}
+    for stage, times in best_times.items():
+        p50, p95 = np.percentile(times, [50, 95])
+        spread[stage] = {"p50": float(p50), "p95": float(p95),
+                         "max": max(times)}
     return LatencyReport(
         runs=runs,
         queries_per_run=len(questions),
         per_run_mean_ms=per_run_mean_ms,
         reported_ms=per_run_mean_ms[best],
-        stage_breakdown_ms=per_run_stage_ms[best],
+        stage_breakdown_ms={stage: sum(times) / len(questions)
+                            for stage, times in best_times.items()},
+        stage_spread_ms=spread,
     )

@@ -1,12 +1,19 @@
 """Command-line interface: subcommand flows, exit codes, config precedence."""
 
 import csv
+import hashlib
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mindstone import _kernels, cli
 from mindstone.cli import build_parser, main
+from mindstone.errors import StageError
+from mindstone.index import InvertedIndex
+from mindstone.pipeline import Pipeline, PipelineConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -102,6 +109,32 @@ class TestAnswer:
         lines = out.read_text("utf-8").splitlines()
         assert len(lines) == 200
 
+    def test_failed_question_is_logged(self, workdir, monkeypatch, caplog,
+                                       capsys):
+        class FailingReader:
+            def read_text(self, question, text, k):
+                raise StageError("read", "reader crashed")
+
+        build = cli._build_pipeline
+
+        def build_failing(args, config):
+            pipeline, descs = build(args, config)
+            return Pipeline(pipeline.index, pipeline.paragraphs,
+                            pipeline.ranker, FailingReader(), config), descs
+
+        monkeypatch.setattr(cli, "_build_pipeline", build_failing)
+        with caplog.at_level("WARNING", logger="mindstone"):
+            code = main(["answer", "--index", str(workdir / "idx"),
+                         "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                         "--question", "What was the height of mount "
+                                       "ardenfell?"])
+        assert code == 0
+        record = json.loads(capsys.readouterr().out.strip())
+        assert record["error"] == "[read] reader crashed"
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "mindstone"] == [
+            "question q0 failed: [read] reader crashed"]
+
 
 class TestEvalAndBench:
     def test_eval_outputs(self, workdir, tmp_path):
@@ -128,6 +161,28 @@ class TestEvalAndBench:
             values = [float(r[col]) for r in rows[1:]]
             assert values == sorted(values), f"column {col} not monotone"
 
+    def test_manifest_provenance_is_not_hashed(self, workdir, monkeypatch):
+        args = (PipelineConfig(), InvertedIndex.load(workdir / "idx"),
+                {"ranker": "builtin:zeros", "reader": "builtin:heuristic-v1"},
+                0)
+        manifest = cli._run_manifest(*args)
+        assert manifest["provenance"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "kernel_backend": _kernels.backend()}
+        # The key hashes the same five fields as before provenance existed.
+        core = {k: manifest[k] for k in ("tool_version", "config",
+                                         "index_checksum", "scorers", "seed")}
+        assert manifest["manifest_key"] == hashlib.sha256(
+            json.dumps(core, sort_keys=True).encode("utf-8")).hexdigest()
+
+        monkeypatch.setattr(platform, "python_version", lambda: "3.0.0")
+        monkeypatch.setattr(np, "__version__", "1.0.0")
+        monkeypatch.setattr(_kernels, "backend", lambda: "other")
+        other = cli._run_manifest(*args)
+        assert other["provenance"] == {"python": "3.0.0", "numpy": "1.0.0",
+                                       "kernel_backend": "other"}
+        assert other["manifest_key"] == manifest["manifest_key"]
+
     def test_bench_outputs(self, workdir, tmp_path):
         out_dir = tmp_path / "bench"
         code = main(["bench", "--index", str(workdir / "idx"),
@@ -141,6 +196,8 @@ class TestEvalAndBench:
         assert latency["runs"] == 2
         assert latency["queries_per_run"] == 20
         assert latency["reported_ms"] == min(latency["per_run_mean_ms"])
+        assert (set(latency["stage_spread_ms"])
+                == set(latency["stage_breakdown_ms"]))
 
     def test_tune_weights(self, workdir, tmp_path):
         report = tmp_path / "tuning.csv"

@@ -197,6 +197,28 @@ class TestRunEval:
         assert report.recall_at[1] == 1.0
         assert curves[0].topn_em == 1.0
 
+    def test_failed_questions_are_logged(self, f2_index, f2_paragraphs,
+                                         f2_records, trained_ranker,
+                                         caplog):
+        from mindstone.errors import StageError
+        from mindstone.pipeline import Pipeline, PipelineConfig
+
+        class FailingReader:
+            def read_text(self, question, text, k):
+                raise StageError("read", "reader crashed")
+
+        pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker,
+                        FailingReader(), PipelineConfig(n_retriever=5))
+        records = f2_records[:3]
+        with caplog.at_level("WARNING", logger="mindstone"):
+            report, _ = run_eval(records, pipe, [1])
+        assert report.em == 0.0
+        warnings = [r for r in caplog.records
+                    if r.name == "mindstone" and r.levelname == "WARNING"]
+        assert [r.getMessage() for r in warnings] == [
+            f"question {r.qid} failed: [read] reader crashed"
+            for r in records]
+
     def test_empty_question_set_rejected(self, f2_index, f2_paragraphs,
                                          trained_ranker, f2_reader):
         from mindstone.pipeline import Pipeline
@@ -220,6 +242,21 @@ class TestRunBenchmark:
         assert report.reported_ms == min(report.per_run_mean_ms)
         total = sum(report.stage_breakdown_ms.values())
         assert total == pytest.approx(report.reported_ms, rel=0.05)
+
+    def test_stage_spread_next_to_breakdown(self, f2_index, f2_paragraphs,
+                                            f2_records, trained_ranker,
+                                            f2_reader):
+        from mindstone.pipeline import Pipeline, PipelineConfig
+        pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker, f2_reader,
+                        PipelineConfig(n_retriever=20))
+        report = run_benchmark(f2_records[:20], pipe, runs=2)
+        assert set(report.stage_spread_ms) == set(report.stage_breakdown_ms)
+        for stage, spread in report.stage_spread_ms.items():
+            assert set(spread) == {"p50", "p95", "max"}
+            assert 0.0 <= spread["p50"] <= spread["p95"] <= spread["max"]
+            # The breakdown is the same run's mean over the same questions.
+            assert report.stage_breakdown_ms[stage] <= spread["max"]
+        assert report.to_dict()["stage_spread_ms"] == report.stage_spread_ms
 
     def test_single_run(self, f2_index, f2_paragraphs, f2_records,
                         trained_ranker, f2_reader):

@@ -1,6 +1,9 @@
-"""The numpy kernels agree with naive python reference implementations."""
+"""The numpy kernels agree with naive python reference implementations, and
+the banded span kernel is bit-identical to the loop kernel it replaced."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mindstone import _kernels
 
@@ -73,6 +76,78 @@ def _reference_spans(win_w, ctx_w, tokens, max_len, radius, ctx_weight,
     return out
 
 
+def _loop_span_scores(win_w, ctx_w, prev, max_len, ctx_radius, ctx_weight,
+                      penalty, out):
+    """Reference span kernel: one position at a time, growing every window
+    by one token per ``ell``. ``span_score_matrix`` must reproduce its
+    output bit for bit."""
+    L = win_w.shape[0]
+    out.fill(-np.inf)
+    starts = np.arange(L)
+    ci = np.maximum(starts - ctx_radius, 0)
+    win = np.zeros(L)
+    ctx = np.zeros(L)
+    # Context base covers window length 1: positions [i-ctx_radius, i+1+ctx_radius).
+    for o in range(-ctx_radius, ctx_radius + 1):
+        p = starts + o
+        valid = (p >= 0) & (p < L)
+        pv = p[valid]
+        ctx[valid] += ctx_w[pv] * (prev[pv] < ci[valid])
+    for ell in range(1, max_len + 1):
+        n = L - ell + 1
+        if n <= 0:
+            break
+        p = starts[:n] + ell - 1
+        win[:n] += win_w[p] * (prev[p] < starts[:n])
+        if ell > 1:
+            # New rightmost context position for the grown window.
+            p = starts[:n] + ell - 1 + ctx_radius
+            valid = p < L
+            pv = p[valid]
+            ctx[:n][valid] += ctx_w[pv] * (prev[pv] < ci[:n][valid])
+        out[:n, ell - 1] = win[:n] + ctx_weight * ctx[:n] - penalty * ell
+
+
+def _span_case(tokens, win_by_type, ctx_by_type, max_len, radius,
+               ctx_weight=0.5, penalty=0.3):
+    """Kernel arguments for a token sequence with per-type weights."""
+    prev = np.full(len(tokens), -1, dtype=np.int64)
+    last = {}
+    for idx, t in enumerate(tokens):
+        if t in last:
+            prev[idx] = last[t]
+        last[t] = idx
+    win_w = np.array([win_by_type[t] for t in tokens], dtype=np.float64)
+    ctx_w = np.array([ctx_by_type[t] for t in tokens], dtype=np.float64)
+    return win_w, ctx_w, prev, max_len, radius, ctx_weight, penalty
+
+
+@st.composite
+def _span_cases(draw):
+    L = draw(st.integers(0, 130))
+    pattern = draw(st.sampled_from(["distinct", "equal", "repeated"]))
+    if pattern == "distinct":
+        tokens = list(range(L))
+    elif pattern == "equal":
+        tokens = [0] * L
+    else:
+        tokens = draw(st.lists(st.integers(0, 7), min_size=L, max_size=L))
+    n_types = max(tokens, default=-1) + 1
+    if draw(st.booleans()):
+        # Signed zeros and negative weights too: the reader's are >= 0, but
+        # the kernel matches the loop on any finite weights.
+        weight = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+    else:
+        weight = st.just(0.0)  # all-zero weights
+    win_by_type = draw(st.lists(weight, min_size=n_types, max_size=n_types))
+    ctx_by_type = draw(st.lists(weight, min_size=n_types, max_size=n_types))
+    return _span_case(tokens, win_by_type, ctx_by_type,
+                      max_len=draw(st.integers(1, 40)),
+                      radius=draw(st.integers(0, 20)),
+                      ctx_weight=draw(st.floats(0.0, 2.0)),
+                      penalty=draw(st.floats(0.0, 1.0)))
+
+
 class TestSpanScoreMatrix:
     @staticmethod
     def _arrays(rng, L, n_types):
@@ -100,6 +175,37 @@ class TestSpanScoreMatrix:
             expected = _reference_spans(win_w, ctx_w, tokens, 8, 4, 0.5, 0.1)
             np.testing.assert_allclose(out, expected, rtol=1e-12,
                                        atol=1e-12)
+
+    def test_against_set_semantics_reference_at_reader_defaults(self):
+        # The builtin reader's max_span_tokens / ctx_radius / ctx_weight /
+        # length_penalty, on short paragraphs and at the 384-token limit.
+        rng = np.random.default_rng(11)
+        for L in [1, 7, 29, 30, 31, 45, 384]:
+            tokens, win_w, ctx_w, prev = self._arrays(rng, L, max(4, L // 3))
+            out = np.empty((L, 30))
+            _kernels.span_score_matrix(win_w, ctx_w, prev, 30, 15, 0.5, 0.3,
+                                       out)
+            expected = _reference_spans(win_w, ctx_w, tokens, 30, 15, 0.5,
+                                        0.3)
+            np.testing.assert_allclose(out, expected, rtol=1e-12,
+                                       atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_span_cases())
+    @example(_span_case([3], [2.0, 0, 0, 1.5], [0, 0, 0, 1.0], 30, 15))
+    @example(_span_case([0, 1, 0, 2, 1], [1.0, 2.0, 0.5], [0.5, 0.0, 3.0],
+                        max_len=8, radius=20))  # L < max_len, radius >= L
+    @example(_span_case([0] * 40, [1.0], [2.0], max_len=40, radius=0))
+    def test_bit_identical_to_loop_kernel(self, case):
+        win_w, ctx_w, prev, max_len, radius, ctx_weight, penalty = case
+        L = win_w.shape[0]
+        expected = np.empty((L, max_len))
+        _loop_span_scores(win_w, ctx_w, prev, max_len, radius, ctx_weight,
+                          penalty, expected)
+        got = np.empty((L, max_len))
+        _kernels.span_score_matrix(win_w, ctx_w, prev, max_len, radius,
+                                   ctx_weight, penalty, got)
+        assert got.tobytes() == expected.tobytes()
 
     def test_empty_input(self):
         out = np.empty((0, 5))
