@@ -346,26 +346,32 @@ def run_benchmark(records: Sequence[GoldRecord], pipeline, runs: int = 5,
                   queries_per_run: int | None = None) -> LatencyReport:
     """Timing protocol: a warm-up pass, then ``runs`` timed passes over the
     same batch; the reported latency is the minimum of per-run means. It
-    never fans out, so the per-question stage times add up to the wall time."""
+    never fans out, so the per-question stage times add up to the wall time.
+    A timed run with failed questions logs their count and the first qid."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if not records:
         raise ValueError("empty question set")
-    questions = [r.question for r in records]
     if queries_per_run is not None:
-        reps = (queries_per_run + len(questions) - 1) // len(questions)
-        questions = (questions * reps)[:queries_per_run]
+        reps = (queries_per_run + len(records) - 1) // len(records)
+        records = (list(records) * reps)[:queries_per_run]
+    questions = [r.question for r in records]
 
     for question in questions:  # warm-up, untimed
         pipeline.answer_or_error(question)
 
     per_run_mean_ms: list[float] = []
     per_run_stage_times: list[dict[str, list[float]]] = []
-    for _ in range(runs):
+    for run in range(runs):
         start = time.perf_counter()
         results = [pipeline.answer_or_error(q) for q in questions]
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         per_run_mean_ms.append(elapsed_ms / len(questions))
+        failed = [r.qid for r, res in zip(records, results)
+                  if res.error is not None]
+        if failed:
+            log.warning("timed run %d: %d of %d questions failed, first %s",
+                        run + 1, len(failed), len(questions), failed[0])
         stage_times: dict[str, list[float]] = {}
         for res in results:
             for stage, dt in res.trace.times_ms.items():

@@ -1,9 +1,10 @@
 """Immutable inverted index with Okapi BM25 scoring.
 
 Lucene-style idf ``ln(1 + (N - df + 0.5)/(df + 0.5))`` over paragraph-level
-documents; defaults k1=0.9, b=0.4. Postings are stored as CSR-style numpy
-arrays so the scoring inner loop runs through the kernels in
-:mod:`mindstone._kernels`.
+documents; defaults k1=0.9, b=0.4. Only per-document term rows (CSR-style
+numpy arrays, which RM3 feedback reads) are built and saved. The per-term
+postings that the kernels in :mod:`mindstone._kernels` score, and the
+document lengths, are derived from the rows on build and on load.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .corpus import DEFAULT_STOPWORDS, Paragraph, tokenize
 from .errors import IndexBuildError, UnknownDocumentError
 
 # 2: terms are tokens of the original text lowercased one by one.
-FORMAT_VERSION = 2
-_ARRAY_NAMES = ("term_offsets", "post_doc_ids", "post_tfs", "doc_len",
-                "doc_offsets", "doc_term_ids", "doc_tfs")
+# 3: only the per-document term rows are saved; postings are derived.
+FORMAT_VERSION = 3
+_ARRAY_DTYPES = {"doc_offsets": np.int64, "doc_term_ids": np.int64,
+                 "doc_tfs": np.float64}
 
 
 @dataclass(frozen=True)
@@ -70,31 +72,38 @@ def stopword_digest(stopwords: Iterable[str]) -> str:
 class InvertedIndex:
     """Built once from a paragraph stream, then read-only."""
 
-    def __init__(self, *, params, stopwords, doc_ids, doc_len, terms,
-                 term_offsets, post_doc_ids, post_tfs, doc_offsets,
+    def __init__(self, *, params, stopwords, doc_ids, terms, doc_offsets,
                  doc_term_ids, doc_tfs):
         self.params = params
         self.stopwords = frozenset(stopwords)
         self._doc_ids = list(doc_ids)
         self._ord_of = {pid: i for i, pid in enumerate(self._doc_ids)}
-        self._doc_len = np.asarray(doc_len, dtype=np.int64)
         self._terms = list(terms)
         self._term_id = {t: i for i, t in enumerate(self._terms)}
-        self._term_offsets = np.asarray(term_offsets, dtype=np.int64)
-        self._post_doc_ids = np.asarray(post_doc_ids, dtype=np.int64)
-        self._post_tfs = np.asarray(post_tfs, dtype=np.float64)
         self._doc_offsets = np.asarray(doc_offsets, dtype=np.int64)
         self._doc_term_ids = np.asarray(doc_term_ids, dtype=np.int64)
         self._doc_tfs = np.asarray(doc_tfs, dtype=np.float64)
 
         n = len(self._doc_ids)
+        # Postings: the same counts read by term. A stable sort by term id
+        # keeps each term's documents in ascending ordinal order.
+        row_doc = np.repeat(np.arange(n, dtype=np.int64),
+                            np.diff(self._doc_offsets))
+        by_term = np.argsort(self._doc_term_ids, kind="stable")
+        self._post_doc_ids = row_doc[by_term]
+        self._post_tfs = self._doc_tfs[by_term]
+        self._term_offsets = np.zeros(len(self._terms) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._doc_term_ids, minlength=len(self._terms)),
+                  out=self._term_offsets[1:])
+        self._doc_len = np.bincount(row_doc, weights=self._doc_tfs,
+                                    minlength=n).astype(np.int64)
+
         self.doc_count = n
         self.avg_doc_len = float(self._doc_len.mean()) if n else 0.0
         # Tie-break rank: position of each para_id in lexicographic order.
-        order = sorted(range(n), key=lambda i: self._doc_ids[i])
+        order = sorted(range(n), key=self._doc_ids.__getitem__)
         self._id_rank = np.empty(n, dtype=np.int64)
-        for rank, i in enumerate(order):
-            self._id_rank[i] = rank
+        self._id_rank[order] = np.arange(n)
         # Per-term idf and per-doc BM25 length normalization.
         df = np.diff(self._term_offsets).astype(np.float64)
         self._idf = np.log(1.0 + (n - df + 0.5) / (df + 0.5))
@@ -113,33 +122,19 @@ class InvertedIndex:
               stopwords=DEFAULT_STOPWORDS) -> "InvertedIndex":
         doc_ids: list[str] = []
         seen: set[str] = set()
-        doc_len: list[int] = []
         doc_counts: list[Counter] = []
-        postings: dict[str, list[tuple[int, int]]] = {}
+        vocab: set[str] = set()
         for para in paragraphs:
             if para.para_id in seen:
                 raise IndexBuildError(f"duplicate para_id: {para.para_id!r}")
             seen.add(para.para_id)
-            ordinal = len(doc_ids)
             doc_ids.append(para.para_id)
-            terms = tokenize(para.full_text, stopwords)
-            doc_len.append(len(terms))
-            counts = Counter(terms)
+            counts = Counter(tokenize(para.full_text, stopwords))
             doc_counts.append(counts)
-            for term, tf in counts.items():
-                postings.setdefault(term, []).append((ordinal, tf))
+            vocab.update(counts)
 
-        terms = sorted(postings)
+        terms = sorted(vocab)
         term_id = {t: i for i, t in enumerate(terms)}
-        term_offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-        post_doc_ids: list[int] = []
-        post_tfs: list[float] = []
-        for i, term in enumerate(terms):
-            plist = postings[term]  # ordinal-ascending by construction
-            post_doc_ids.extend(d for d, _ in plist)
-            post_tfs.extend(tf for _, tf in plist)
-            term_offsets[i + 1] = len(post_doc_ids)
-
         doc_offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
         doc_term_ids: list[int] = []
         doc_tfs: list[float] = []
@@ -150,10 +145,8 @@ class InvertedIndex:
             doc_offsets[i + 1] = len(doc_term_ids)
 
         return cls(params=params, stopwords=stopwords, doc_ids=doc_ids,
-                   doc_len=doc_len, terms=terms, term_offsets=term_offsets,
-                   post_doc_ids=post_doc_ids, post_tfs=post_tfs,
-                   doc_offsets=doc_offsets, doc_term_ids=doc_term_ids,
-                   doc_tfs=doc_tfs)
+                   terms=terms, doc_offsets=doc_offsets,
+                   doc_term_ids=doc_term_ids, doc_tfs=doc_tfs)
 
     # -- introspection ---------------------------------------------------
 
@@ -165,14 +158,6 @@ class InvertedIndex:
             return self._ord_of[para_id]
         except KeyError:
             raise UnknownDocumentError(f"unknown para_id: {para_id!r}") from None
-
-    def para_id(self, ordinal: int) -> str:
-        self._check_ordinal(ordinal)
-        return self._doc_ids[ordinal]
-
-    def doc_len(self, ordinal: int) -> int:
-        self._check_ordinal(ordinal)
-        return int(self._doc_len[ordinal])
 
     def doc_freq(self, term: str) -> int:
         tid = self._term_id.get(term)
@@ -186,10 +171,6 @@ class InvertedIndex:
             return float(self._idf[tid])
         df = 0.0
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-
-    def term_frequency(self, term: str, doc_ordinal: int) -> int:
-        self._check_ordinal(doc_ordinal)
-        return int(self.term_frequencies(term, np.array([doc_ordinal]))[0])
 
     def term_frequencies(self, term: str, ordinals: np.ndarray) -> np.ndarray:
         """Frequency of ``term`` in each document of ``ordinals`` (valid
@@ -228,14 +209,6 @@ class InvertedIndex:
             raise UnknownDocumentError(f"doc ordinal out of range: {ordinal}")
 
     # -- scoring ---------------------------------------------------------
-
-    def bm25_score(self, term: str, doc_ordinal: int) -> float:
-        """Okapi BM25 contribution of one term to one document."""
-        tf = self.term_frequency(term, doc_ordinal)
-        if tf == 0:
-            return 0.0
-        k1 = self.params.k1
-        return self.idf(term) * (tf * (k1 + 1.0)) / (tf + self._norm[doc_ordinal])
 
     def _accumulate(self, weights: dict[str, float]) -> np.ndarray:
         """Dense score array for a term -> multiplier map (multipliers are
@@ -348,10 +321,6 @@ class InvertedIndex:
                        ensure_ascii=False) + "\n",
             encoding="utf-8")
         np.savez(directory / "arrays.npz",
-                 term_offsets=self._term_offsets,
-                 post_doc_ids=self._post_doc_ids,
-                 post_tfs=self._post_tfs,
-                 doc_len=self._doc_len,
                  doc_offsets=self._doc_offsets,
                  doc_term_ids=self._doc_term_ids,
                  doc_tfs=self._doc_tfs)
@@ -364,7 +333,8 @@ class InvertedIndex:
             raise IndexBuildError(
                 f"unsupported index format_version: {manifest.get('format_version')}")
         strings = json.loads((directory / "strings.json").read_text("utf-8"))
-        arrays = _read_arrays(directory / "arrays.npz")
+        arrays = _read_arrays(directory / "arrays.npz",
+                              len(strings["doc_ids"]), len(strings["terms"]))
         idx = cls(params=Bm25Params(k1=manifest["k1"], b=manifest["b"]),
                   stopwords=frozenset(strings["stopwords"]),
                   doc_ids=strings["doc_ids"], terms=strings["terms"],
@@ -374,17 +344,36 @@ class InvertedIndex:
         return idx
 
 
-def _read_arrays(path: Path) -> dict[str, np.ndarray]:
-    """The index arrays saved at ``path``. An unreadable or damaged archive,
-    or one that lacks an array, is an IndexBuildError naming the file."""
+def _read_arrays(path: Path, n_docs: int, n_terms: int
+                 ) -> dict[str, np.ndarray]:
+    """The document term rows saved at ``path``, for ``n_docs`` documents
+    over ``n_terms`` terms. An unreadable or damaged archive, or rows that
+    lack an array or do not fit together, is an IndexBuildError naming the
+    file: postings are derived by indexing with these values."""
     try:
         # Opened apart from the archive, so a damaged zip cannot leak it.
         with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as archive:
-            missing = [name for name in _ARRAY_NAMES if name not in archive]
+            missing = [name for name in _ARRAY_DTYPES if name not in archive]
             if missing:
                 raise IndexBuildError(
                     f"{path.name} has no array {missing[0]!r}")
-            return {name: archive[name] for name in _ARRAY_NAMES}
+            arrays = {name: archive[name] for name in _ARRAY_DTYPES}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile,
             zlib.error) as exc:
         raise IndexBuildError(f"{path.name} is unreadable: {exc}") from None
+    for name, dtype in _ARRAY_DTYPES.items():
+        if arrays[name].dtype != dtype or arrays[name].ndim != 1:
+            raise IndexBuildError(
+                f"{path.name}: {name} is not a 1-D {np.dtype(dtype)} array")
+    offsets, ids = arrays["doc_offsets"], arrays["doc_term_ids"]
+    tfs = arrays["doc_tfs"]
+    if not (len(offsets) == n_docs + 1 and offsets[0] == 0
+            and offsets[-1] == len(ids) == len(tfs)
+            and (np.diff(offsets) >= 0).all()):
+        raise IndexBuildError(
+            f"{path.name}: doc_offsets do not delimit {n_docs} rows of "
+            f"{len(ids)} doc_term_ids and {len(tfs)} doc_tfs")
+    if len(ids) and not (0 <= ids.min() and ids.max() < n_terms):
+        raise IndexBuildError(
+            f"{path.name}: doc_term_ids outside [0, {n_terms})")
+    return arrays

@@ -267,6 +267,34 @@ class TestRunBenchmark:
         assert report.reported_ms == report.per_run_mean_ms[0]
         assert report.queries_per_run == 5
 
+    def test_failed_questions_logged_once_per_timed_run(self, f2_index,
+                                                        f2_paragraphs,
+                                                        f2_records,
+                                                        trained_ranker,
+                                                        caplog):
+        from mindstone.errors import StageError
+        from mindstone.pipeline import Pipeline, PipelineConfig
+
+        records = f2_records[:4]
+        failing = {records[1].question, records[3].question}
+
+        class FailingReader:
+            def read_text(self, question, text, k):
+                if question in failing:
+                    raise StageError("read", "reader crashed")
+                return [(0, min(len(text), 5), 1.0)]
+
+        pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker,
+                        FailingReader(), PipelineConfig(n_retriever=5))
+        with caplog.at_level("WARNING", logger="mindstone"):
+            run_benchmark(records, pipe, runs=2, queries_per_run=6)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "mindstone" and r.levelname == "WARNING"]
+        # Six questions wrap to records 0-3 then 0-1: three of them fail.
+        assert warnings == [
+            f"timed run {run}: 3 of 6 questions failed, first {records[1].qid}"
+            for run in (1, 2)]
+
     def test_pool_stages_are_timed_on_the_calling_thread(self, f2_index,
                                                          f2_paragraphs,
                                                          f2_records,

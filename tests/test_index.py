@@ -5,9 +5,13 @@ from-scratch evaluator that shares no code with the index path.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BruteForceBm25, make_random_corpus
 from mindstone.corpus import Paragraph
@@ -45,6 +49,48 @@ class TestBuild:
         with pytest.raises(IndexBuildError, match="dup#0"):
             InvertedIndex.build([p, p])
 
+    def test_build_checksum_is_pinned(self, f1_index, f2_index):
+        # Recorded under format 2: the checksum hashes the same seven arrays
+        # whichever of them are saved.
+        assert f1_index.build_checksum == (
+            "0e7cec388795b32f32ad70c97534dcc590c51f7c2487dbd53be86fad4380d8c8")
+        assert f2_index.build_checksum == (
+            "ae3f1e08b794d22ebc2722f272c1e30cca87e4ae18db34b22c29bbf9f8b9ab20")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_postings_derived_from_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        paragraphs, stopwords = make_random_corpus(rng)
+        idx = InvertedIndex.build(paragraphs, stopwords=stopwords)
+        # Reference postings and lengths from per-document Counters.
+        docs = BruteForceBm25(paragraphs, 0.9, 0.4, stopwords).docs
+        counts = [docs[p.para_id] for p in paragraphs]
+        terms = sorted(set().union(*counts))
+        plists = [[(d, c[t]) for d, c in enumerate(counts) if t in c]
+                  for t in terms]
+        assert idx._term_offsets.tolist() == np.cumsum(
+            [0] + [len(pl) for pl in plists]).tolist()
+        assert idx._post_doc_ids.tolist() == [d for pl in plists
+                                              for d, _ in pl]
+        assert idx._post_tfs.tolist() == [tf for pl in plists for _, tf in pl]
+        assert idx._doc_len.tolist() == [sum(c.values()) for c in counts]
+        for arr, dtype in ((idx._term_offsets, np.int64),
+                           (idx._post_doc_ids, np.int64),
+                           (idx._post_tfs, np.float64),
+                           (idx._doc_len, np.int64)):
+            assert arr.dtype == dtype
+
+        with tempfile.TemporaryDirectory() as tmp:
+            idx.save(tmp)
+            loaded = InvertedIndex.load(tmp)
+        assert loaded.build_checksum == idx.build_checksum
+        assert all(loaded.doc_freq(t) == len(pl)
+                   for t, pl in zip(terms, plists))
+        question = " ".join(rng.choice(terms + ["zzz"], size=4))
+        assert (loaded.retrieve(question, 60).hits
+                == idx.retrieve(question, 60).hits)
+
     def test_params_validated(self):
         with pytest.raises(ValueError):
             Bm25Params(k1=0.0)
@@ -53,19 +99,31 @@ class TestBuild:
 
 
 class TestBm25Score:
+    """One term's BM25 contribution, read as single-term retrieval scores
+    and compared with the scalar oracle."""
+
     def test_absent_term_scores_zero(self):
-        idx = InvertedIndex.build(_paras("cat sat"), stopwords=frozenset())
-        assert idx.bm25_score("dog", 0) == 0.0
+        paras = _paras("cat sat")
+        idx = InvertedIndex.build(paras, stopwords=frozenset())
+        oracle = BruteForceBm25(paras, 0.9, 0.4, frozenset())
+        assert oracle.term_score("dog", "d0") == 0.0
+        assert idx.retrieve("dog", 5).hits == []
 
     def test_one_doc_identity(self):
         # tf=1, doc_len=avg_doc_len, df=N=1: score reduces to idf = ln(4/3).
-        idx = InvertedIndex.build(_paras("hello"), stopwords=frozenset())
-        assert idx.bm25_score("hello", 0) == pytest.approx(math.log(4 / 3))
+        paras = _paras("hello")
+        idx = InvertedIndex.build(paras, stopwords=frozenset())
+        oracle = BruteForceBm25(paras, 0.9, 0.4, frozenset())
+        [(pid, score)] = idx.retrieve("hello", 5).hits
+        assert pid == "d0"
+        assert score == pytest.approx(math.log(4 / 3))
+        assert score == pytest.approx(oracle.term_score("hello", "d0"),
+                                      rel=1e-12)
 
     def test_unknown_ordinal_errors(self):
         idx = InvertedIndex.build(_paras("cat"), stopwords=frozenset())
         with pytest.raises(UnknownDocumentError):
-            idx.bm25_score("cat", 5)
+            idx.matches_text(5, "cat")
 
     def test_matches_independent_scalar_oracle_on_f1(self, f1_paragraphs,
                                                      f1_index):
@@ -74,7 +132,8 @@ class TestBm25Score:
         doc7 = f1_paragraphs[7].para_id
         for term in ("cat", "river", "stone", "door", "zebra"):
             expected = oracle.term_score(term, doc7)
-            got = f1_index.bm25_score(term, f1_index.ordinal(doc7))
+            hits = dict(f1_index.retrieve(term, f1_index.doc_count).hits)
+            got = hits.get(doc7, 0.0)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_idf_never_negative(self):
@@ -248,7 +307,7 @@ class TestPersistence:
         f1_index.save(tmp_path / "idx")
         manifest = json.loads(
             (tmp_path / "idx" / "manifest.json").read_text("utf-8"))
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert manifest["k1"] == 0.9 and manifest["b"] == 0.4
         assert manifest["doc_count"] == f1_index.doc_count
         assert manifest["avg_doc_len"] == f1_index.avg_doc_len
@@ -294,6 +353,24 @@ class TestPersistence:
         with pytest.raises(IndexBuildError, match="arrays.npz.*CRC"):
             InvertedIndex.load(tmp_path / "idx")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_rows_load_identically_or_are_an_index_error(
+            self, f1_index, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            f1_index.save(tmp)
+            path = Path(tmp) / "arrays.npz"
+            with np.load(path) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            _mutate_rows(arrays, data.draw)
+            np.savez(path, **arrays)
+            try:
+                loaded = InvertedIndex.load(tmp)
+            except IndexBuildError as exc:
+                assert "arrays.npz" in str(exc) or "checksum" in str(exc)
+            else:
+                assert loaded.build_checksum == f1_index.build_checksum
+
     def test_format_version_guard(self, f1_index, tmp_path):
         import json
         f1_index.save(tmp_path / "idx")
@@ -303,3 +380,33 @@ class TestPersistence:
         mpath.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(IndexBuildError, match="format_version"):
             InvertedIndex.load(tmp_path / "idx")
+
+
+def _mutate_rows(arrays, draw):
+    """Edit one saved row array in place: set one entry (a term id or an
+    offset to any int64, so most often out of range or negative), permute
+    it, shorten it, lengthen it, or change its dtype or shape."""
+    name = draw(st.sampled_from(sorted(arrays)))
+    arr = arrays[name].copy()
+    kind = draw(st.sampled_from(["value", "shuffle", "shorten", "lengthen",
+                                 "retype", "reshape"]))
+    if kind == "value":
+        if arr.dtype == np.float64:
+            value = draw(st.floats(-1e3, 1e3))
+        else:
+            value = draw(st.one_of(st.integers(-3, int(arr.max()) + 3),
+                                   st.integers(-2**63, 2**63 - 1)))
+        arr[draw(st.integers(0, len(arr) - 1))] = value
+    elif kind == "shuffle":
+        arr = arr[draw(st.permutations(range(len(arr))))]
+    elif kind == "shorten":
+        i = draw(st.integers(0, len(arr) - 1))
+        arr = np.delete(arr, np.s_[i:draw(st.integers(i + 1, len(arr)))])
+    elif kind == "lengthen":
+        extra = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+        arr = np.append(arr, np.array(extra, dtype=arr.dtype))
+    elif kind == "retype":
+        arr = arr.astype(draw(st.sampled_from([np.int32, np.float32])))
+    else:
+        arr = arr.reshape(-1, 1)
+    arrays[name] = arr
