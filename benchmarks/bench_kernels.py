@@ -1,11 +1,15 @@
-"""Time the two numeric kernels and a BM25 retrieval batch.
+"""Time the two numeric kernels, the fusion grid search and a BM25
+retrieval batch.
 
 Times BM25 postings accumulation over synthetic postings shaped like a
 desk-scale corpus; span scoring over synthetic paragraphs of 30 tokens (an
 F2-sized paragraph) and 384 tokens (the reader's token limit), next to the
 position-at-a-time loop kernel that ``tests/test_kernels.py`` keeps as its
-oracle; and a retrieval batch over the frozen F2 fixture. Kernel times are
-the median and interquartile range over repeated calls.
+oracle; the fusion weight grid search at F2's shape (100 dev questions of 3
+candidates, 231 grid points), next to the per-point loop that
+``tests/test_fusion.py`` keeps as its oracle; and a retrieval batch over the
+frozen F2 fixture. Kernel and grid-search times are the median and
+interquartile range over repeated calls.
 
     python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 30 384]
 """
@@ -23,7 +27,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from mindstone import _kernels  # noqa: E402
+from mindstone import _kernels, fusion  # noqa: E402
+from mindstone.eval import GoldRecord  # noqa: E402
+from mindstone.pipeline import SpanCandidate  # noqa: E402
+from test_fusion import _loop_tune_weights, _StubPipeline  # noqa: E402
 from test_kernels import _loop_span_scores  # noqa: E402
 
 
@@ -94,6 +101,33 @@ def bench_spans(length: int, rng) -> dict[str, np.ndarray]:
     return {name: np.concatenate(t) for name, t in times.items()}
 
 
+def bench_tuning(rng, n_questions: int = 100, n_candidates: int = 3
+                 ) -> dict[str, np.ndarray]:
+    """Time the array grid search and the loop oracle over synthetic dev
+    questions, half of which have a gold answer among their candidates."""
+    records, by_q = [], {}
+    for i in range(n_questions):
+        question = f"question {i}"
+        texts = [f"answer {i} {j}" for j in range(n_candidates)]
+        n = [fusion.normalize_scores(rng.normal(size=n_candidates).tolist())
+             for _ in range(3)]
+        by_q[question] = [SpanCandidate(
+            para_id=f"p{i}#{j}", start_char=0, end_char=len(texts[j]),
+            text=texts[j], s_retriever=n[0][j], s_ranker=n[1][j],
+            s_reader=n[2][j], n_retriever=n[0][j], n_ranker=n[1][j],
+            n_reader=n[2][j]) for j in range(n_candidates)]
+        gold = texts[rng.integers(n_candidates)] if i % 2 else "unanswered"
+        records.append(GoldRecord(f"q{i}", question, (gold,)))
+    pipeline = _StubPipeline(by_q)
+    times = {"array": [], "loop": []}
+    for _ in range(5):  # alternate, so drift hits both searches alike
+        times["array"].append(time_fn(fusion.tune_weights, records, pipeline,
+                                      0.05, repeat=10))
+        times["loop"].append(time_fn(_loop_tune_weights, records, pipeline,
+                                     0.05, repeat=2))
+    return {name: np.concatenate(t) for name, t in times.items()}
+
+
 def bench_fixture_retrieval(n_queries: int) -> float | None:
     fixtures = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
     para_file = fixtures / "f2_paragraphs.jsonl"
@@ -134,6 +168,10 @@ def main(argv=None) -> int:
         for name, times in bench_spans(length, rng).items():
             label = f"span scores, {name} ({length} tokens x 30)"
             print(f"{label:<44} {describe(times)}")
+
+    for name, times in bench_tuning(rng).items():
+        label = f"fusion grid search, {name} (100 q x 231 pts)"
+        print(f"{label:<44} {describe(times)}")
 
     seconds = bench_fixture_retrieval(args.queries)
     if seconds is not None:

@@ -1,9 +1,17 @@
 """Score normalization, weighted-average fusion, and weight tuning.
 
 Per-query, per-stage scores are shifted into (-inf, 1] (s -> s - max + 1),
-which absorbs any constant offset a stage applies to its raw scores. The
-fused score is a weighted average of the three normalized scores; weights
-are tuned by exhaustive simplex grid search maximizing top-1 exact match.
+which absorbs any constant offset a stage applies to its raw scores: such
+an offset leaves the answer order unchanged, up to floating-point rounding
+(adding it can round two distinct scores to one, making a tie). The fused
+score is a weighted average of the three normalized scores.
+
+Weights are tuned by exhaustive simplex grid search maximizing top-1 exact
+match on a dev set. Only the top-1 answer counts, and that is the first
+candidate, in (para_id, start_char) order, with the largest fused score. So
+the search fuses all grid points for a question in one array broadcast and
+takes each point's argmax, instead of sorting and deduplicating the answer
+list once per grid point.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .eval import GoldRecord, exact_match
 
@@ -71,30 +81,41 @@ def tune_weights(dev_records: Sequence[GoldRecord], pipeline,
                  ) -> tuple[FusionWeights, list[GridPoint]]:
     """Exhaustive grid search for the EM-maximizing fusion weights.
 
-    Per-stage scores are computed once per question (the expensive part);
-    only the fusion/sort/dedup step re-runs per grid point. Ties prefer
-    larger w_reader, then larger w_ranker.
+    Per-stage scores are collected once per question (the expensive part).
+    The answer list ranks candidates by fused score descending, ties by
+    para_id then start_char, then collection order (a stable sort), and
+    deduplication never drops its first entry. So a point's top-1 answer is
+    the first maximum of the fused scores once the candidates are stably
+    sorted by (para_id, start_char). Per question, the fused scores of all
+    grid points are one (points x candidates) array, built with the
+    operations of :func:`fuse` in its order, and its row-wise argmax picks
+    every point's top-1 answer exactly, as long as no fused score is NaN
+    (the ranker and reader stages reject non-finite scores). A question
+    without candidates answers "". Ties prefer larger w_reader, then larger
+    w_ranker.
     """
     if not dev_records:
         raise ValueError("empty dev set")
-    cached = [(record, pipeline.collect_candidates(record.question))
-              for record in dev_records]
+    grid = simplex_grid(grid_step)
+    w = np.array([weights.as_tuple() for weights in grid])
+    hits = np.zeros(len(grid), dtype=np.int64)
+    for record in dev_records:
+        candidates = sorted(pipeline.collect_candidates(record.question),
+                            key=lambda c: (c.para_id, c.start_char))
+        if not candidates:
+            hits += exact_match("", record.gold_answers)
+            continue
+        n = np.array([(c.n_retriever, c.n_ranker, c.n_reader)
+                      for c in candidates])
+        em = np.array([exact_match(c.text, record.gold_answers)
+                       for c in candidates])
+        fused = w[:, 0:1] * n[:, 0] + w[:, 1:2] * n[:, 1] + w[:, 2:3] * n[:, 2]
+        hits += em[fused.argmax(axis=1)]
 
-    report: list[GridPoint] = []
-    best: GridPoint | None = None
-    for weights in simplex_grid(grid_step):
-        hits = 0
-        for record, candidates in cached:
-            answers = pipeline.fuse_candidates(candidates, weights)
-            top = answers[0].answer_text if answers else ""
-            hits += exact_match(top, record.gold_answers)
-        point = GridPoint(weights, hits / len(cached))
-        report.append(point)
-        if best is None or point.em > best.em or (
-                point.em == best.em
-                and (weights.w_reader, weights.w_ranker)
-                > (best.weights.w_reader, best.weights.w_ranker)):
-            best = point
+    report = [GridPoint(weights, int(h) / len(dev_records))
+              for weights, h in zip(grid, hits)]
+    best = max(report, key=lambda p: (p.em, p.weights.w_reader,
+                                      p.weights.w_ranker))
     return best.weights, report
 
 

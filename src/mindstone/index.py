@@ -30,6 +30,9 @@ from .errors import IndexBuildError, UnknownDocumentError
 FORMAT_VERSION = 3
 _ARRAY_DTYPES = {"doc_offsets": np.int64, "doc_term_ids": np.int64,
                  "doc_tfs": np.float64}
+_MANIFEST_FIELDS = {"format_version": int, "k1": (int, float),
+                    "b": (int, float), "build_checksum": str}
+_STRINGS_FIELDS = {"terms": list, "doc_ids": list, "stopwords": list}
 
 
 @dataclass(frozen=True)
@@ -328,20 +331,45 @@ class InvertedIndex:
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text("utf-8"))
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise IndexBuildError(
-                f"unsupported index format_version: {manifest.get('format_version')}")
-        strings = json.loads((directory / "strings.json").read_text("utf-8"))
+        manifest = _read_json(directory / "manifest.json", _MANIFEST_FIELDS)
+        if manifest["format_version"] != FORMAT_VERSION:
+            raise IndexBuildError("manifest.json: unsupported index "
+                                  f"format_version {manifest['format_version']}")
+        strings = _read_json(directory / "strings.json", _STRINGS_FIELDS)
         arrays = _read_arrays(directory / "arrays.npz",
                               len(strings["doc_ids"]), len(strings["terms"]))
-        idx = cls(params=Bm25Params(k1=manifest["k1"], b=manifest["b"]),
-                  stopwords=frozenset(strings["stopwords"]),
+        try:
+            params = Bm25Params(k1=manifest["k1"], b=manifest["b"])
+        except ValueError as exc:
+            raise IndexBuildError(f"manifest.json: {exc}") from None
+        idx = cls(params=params, stopwords=frozenset(strings["stopwords"]),
                   doc_ids=strings["doc_ids"], terms=strings["terms"],
                   **arrays)
         if idx.build_checksum != manifest["build_checksum"]:
             raise IndexBuildError("index payload does not match manifest checksum")
         return idx
+
+
+def _read_json(path: Path, fields: dict) -> dict:
+    """The JSON object saved at ``path``, holding each of ``fields`` with a
+    value of its type; a list field must hold only strings. Unreadable or
+    invalid JSON, or a missing or mistyped field, is an IndexBuildError
+    naming the file."""
+    try:
+        obj = json.loads(path.read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise IndexBuildError(f"{path.name} is unreadable: {exc}") from None
+    if not isinstance(obj, dict):
+        raise IndexBuildError(f"{path.name} does not hold a JSON object")
+    for name, kind in fields.items():
+        if name not in obj:
+            raise IndexBuildError(f"{path.name} has no field {name!r}")
+        value = obj[name]
+        if not isinstance(value, kind) or (
+                kind is list and not all(isinstance(v, str) for v in value)):
+            raise IndexBuildError(
+                f"{path.name}: field {name!r} has the wrong type")
+    return obj
 
 
 def _read_arrays(path: Path, n_docs: int, n_terms: int

@@ -10,11 +10,13 @@ truncated to ``max_tokens``. A reader exposes
 character offsets into the provided text. The module-level :func:`rank`
 (one call per candidate pool) and :func:`read` (one call per paragraph)
 apply the truncation contract, so scorer output never depends on content
-beyond the truncation limits.
+beyond the truncation limits, and reject NaN and infinite scores, which
+fusion cannot order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,11 +88,17 @@ def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
     with ``rank_text``."""
     max_tokens = limits.ranker_para_tokens
     if hasattr(scorer, "rank_pool"):
-        return scorer.rank_pool(question, paragraphs, max_tokens)
-    return np.array([
-        float(scorer.rank_text(question,
-                               truncate_to_tokens(p.full_text, max_tokens)))
-        for p in paragraphs], dtype=np.float64)
+        scores = scorer.rank_pool(question, paragraphs, max_tokens)
+    else:
+        scores = np.array([float(scorer.rank_text(
+            question, truncate_to_tokens(p.full_text, max_tokens)))
+            for p in paragraphs], dtype=np.float64)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise StageError("ranker", f"non-finite score {float(scores[i])} "
+                                   f"for {paragraphs[i].para_id}")
+    return scores
 
 
 def read(scorer, question: str, paragraph: Paragraph, k: int,
@@ -116,9 +124,13 @@ def read(scorer, question: str, paragraph: Paragraph, k: int,
         if not 0 <= start < end <= len(text):
             raise StageError("reader", f"span [{start}, {end}) outside "
                                        f"truncated text of {paragraph.para_id}")
+        score = float(score)
+        if not math.isfinite(score):
+            raise StageError("reader", f"non-finite score {score} "
+                                       f"for {paragraph.para_id}")
         spans.append(AnswerSpan(para_id=paragraph.para_id, start_char=start,
                                 end_char=end, text=text[start:end],
-                                s_reader=float(score)))
+                                s_reader=score))
     spans.sort(key=lambda s: (-s.s_reader, s.start_char, s.end_char))
     return spans
 

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mindstone import _kernels, cli
+from mindstone import _kernels, cli, fusion
 from mindstone.cli import build_parser, main
 from mindstone.errors import StageError
 from mindstone.index import InvertedIndex
 from mindstone.pipeline import Pipeline, PipelineConfig
+from test_fusion import _loop_tune_weights
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -229,6 +230,24 @@ class TestEvalAndBench:
         manifest = json.loads(
             (out_dir / "run_manifest.json").read_text("utf-8"))
         assert manifest["config"] == tuned
+
+    @pytest.mark.parametrize("grid_step", ["0.05", "0.1"])
+    def test_tune_weights_outputs_equal_loop_oracle(self, workdir, tmp_path,
+                                                    monkeypatch, grid_step):
+        outputs = []
+        for name, tuner in (("array", fusion.tune_weights),
+                            ("loop", _loop_tune_weights)):
+            monkeypatch.setattr(fusion, "tune_weights", tuner)
+            report = tmp_path / f"{name}.csv"
+            out_config = tmp_path / f"{name}.json"
+            assert main(["tune-weights", "--index", str(workdir / "idx"),
+                         "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                         "--ranker-model", str(workdir / "model.json"),
+                         "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                         "--grid-step", grid_step, "--report", str(report),
+                         "--out-config", str(out_config)]) == 0
+            outputs.append((report.read_bytes(), out_config.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestConfigPrecedence:

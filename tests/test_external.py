@@ -95,6 +95,17 @@ class TestFailureModes:
             with pytest.raises(StageError, match="model exploded"):
                 scorer.rank_text("q", "t")
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_is_stage_error(self, f2_paragraphs, score):
+        # The reply carries NaN or Infinity, which json.loads accepts.
+        para = next(iter(f2_paragraphs.values()))
+        with ExternalScorer(ECHO + [f"--rank-score={score}"],
+                            "rank") as ranker:
+            with pytest.raises(StageError, match=rf"\[ranker\] non-finite "
+                                                 rf"score {score} for "
+                                                 rf"{para.para_id}"):
+                rank(ranker, "q", [para])
+
     def test_id_mismatch_is_malformed(self):
         script = py_script(
             "import sys, json\n"

@@ -4,11 +4,41 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mindstone.eval import GoldRecord
-from mindstone.fusion import (FusionWeights, fuse, normalize_scores,
-                              simplex_grid, tune_weights, write_tuning_csv)
+from mindstone.eval import GoldRecord, exact_match
+from mindstone.fusion import (FusionWeights, GridPoint, fuse,
+                              normalize_scores, simplex_grid, tune_weights,
+                              write_tuning_csv)
 from mindstone.pipeline import Pipeline, SpanCandidate
+
+
+def _loop_tune_weights(dev_records, pipeline, grid_step=0.05):
+    """Grid search with one full fuse/sort/dedupe per (grid point,
+    question): the oracle that the array search in ``tune_weights`` must
+    equal."""
+    if not dev_records:
+        raise ValueError("empty dev set")
+    cached = [(record, pipeline.collect_candidates(record.question))
+              for record in dev_records]
+
+    report = []
+    best = None
+    for weights in simplex_grid(grid_step):
+        hits = 0
+        for record, candidates in cached:
+            answers = pipeline.fuse_candidates(candidates, weights)
+            top = answers[0].answer_text if answers else ""
+            hits += exact_match(top, record.gold_answers)
+        point = GridPoint(weights, hits / len(cached))
+        report.append(point)
+        if best is None or point.em > best.em or (
+                point.em == best.em
+                and (weights.w_reader, weights.w_ranker)
+                > (best.weights.w_reader, best.weights.w_ranker)):
+            best = point
+    return best.weights, report
 
 
 class TestNormalizeScores:
@@ -145,3 +175,80 @@ class TestTuneWeights:
             rows = list(csv.reader(fh))
         assert rows[0] == ["w_retriever", "w_ranker", "w_reader", "em"]
         assert len(rows) == 1 + len(report)
+
+
+# Texts that collide under normalize_answer, and scores that make fused
+# sums tie exactly or miss a tie by an ulp.
+_TEXTS = ["cat", "The Cat", "cat.", "a cat", "dog", "Dog!", "", "x"]
+_SCORES = st.one_of(
+    st.sampled_from([1.0, 0.0, -0.0, 0.1, 0.2, 0.3, 0.30000000000000004,
+                     0.7, 0.7000000000000001, -1.0]),
+    st.integers(-40, 20).map(lambda i: i * 0.05),
+    st.floats(-4.0, 1.0))
+
+
+@st.composite
+def _dev_set(draw):
+    """Dev records and their candidates, including questions without
+    candidates and spans sharing (para_id, start_char) with different
+    ends."""
+    records, by_q = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        question = f"question {i}"
+        golds = draw(st.lists(st.sampled_from(_TEXTS), min_size=1,
+                              max_size=2))
+        records.append(GoldRecord(f"q{i}", question, tuple(golds)))
+        by_q[question] = []
+        for _ in range(draw(st.integers(0, 6))):
+            start = draw(st.integers(0, 2))
+            n = [draw(_SCORES) for _ in range(3)]
+            by_q[question].append(SpanCandidate(
+                para_id=draw(st.sampled_from(["a#0", "a#1", "b#0"])),
+                start_char=start, end_char=start + draw(st.integers(1, 3)),
+                text=draw(st.sampled_from(_TEXTS)), s_retriever=n[0],
+                s_ranker=n[1], s_reader=n[2], n_retriever=n[0],
+                n_ranker=n[1], n_reader=n[2]))
+    return records, by_q
+
+
+class TestTuneWeightsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_dev_set(), st.sampled_from([0.05, 0.1, 0.25, 0.5]))
+    def test_array_search_equals_loop(self, dev, grid_step):
+        records, by_q = dev
+        assert (tune_weights(records, _StubPipeline(by_q), grid_step)
+                == _loop_tune_weights(records, _StubPipeline(by_q),
+                                      grid_step))
+
+
+# Multiples of 2^-10 of magnitude <= 2^20: a score plus a shift, and the
+# difference of two shifted scores, are exact in float64.
+_EXACT = st.one_of(st.integers(-8, 8), st.integers(-2**30, 2**30)).map(
+    lambda i: i * 2.0 ** -10)
+
+
+class TestShiftInvariance:
+    @staticmethod
+    def _order(rows, shift, weights):
+        columns = [normalize_scores([row[2][j] + shift[j] for row in rows])
+                   for j in range(3)]
+        candidates = [SpanCandidate(
+            para_id=pid, start_char=0, end_char=len(text), text=text,
+            s_retriever=raw[0], s_ranker=raw[1], s_reader=raw[2],
+            n_retriever=columns[0][i], n_ranker=columns[1][i],
+            n_reader=columns[2][i])
+            for i, (pid, text, raw) in enumerate(rows)]
+        return [(a.para_id, a.start_char, a.end_char, a.answer_text)
+                for a in Pipeline.fuse_candidates(candidates, weights)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a#0", "a#1", "b#0"]),
+                              st.sampled_from(_TEXTS),
+                              st.tuples(_EXACT, _EXACT, _EXACT)),
+                    min_size=1, max_size=8),
+           st.tuples(_EXACT, _EXACT, _EXACT),
+           st.sampled_from(simplex_grid(0.1)))
+    def test_stage_offsets_leave_answer_order_unchanged(self, rows, shift,
+                                                        weights):
+        assert (self._order(rows, shift, weights)
+                == self._order(rows, (0.0, 0.0, 0.0), weights))

@@ -4,6 +4,7 @@ Retrieval answers are checked against BruteForceBm25 — an exhaustive
 from-scratch evaluator that shares no code with the index path.
 """
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -355,19 +356,27 @@ class TestPersistence:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_mutated_rows_load_identically_or_are_an_index_error(
+    def test_mutated_payload_loads_identically_or_is_an_index_error(
             self, f1_index, data):
         with tempfile.TemporaryDirectory() as tmp:
             f1_index.save(tmp)
-            path = Path(tmp) / "arrays.npz"
-            with np.load(path) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-            _mutate_rows(arrays, data.draw)
-            np.savez(path, **arrays)
+            name = data.draw(st.sampled_from(["arrays.npz", "manifest.json",
+                                              "strings.json"]))
+            path = Path(tmp) / name
+            if name == "arrays.npz":
+                with np.load(path) as archive:
+                    arrays = {key: archive[key] for key in archive.files}
+                _mutate_rows(arrays, data.draw)
+                np.savez(path, **arrays)
+            else:
+                path.write_bytes(_mutate_json(path.read_bytes(), data.draw))
             try:
                 loaded = InvertedIndex.load(tmp)
             except IndexBuildError as exc:
-                assert "arrays.npz" in str(exc) or "checksum" in str(exc)
+                # A file can pass its own checks and disagree with another.
+                assert any(part in str(exc) for part in (
+                    "arrays.npz", "manifest.json", "strings.json",
+                    "checksum"))
             else:
                 assert loaded.build_checksum == f1_index.build_checksum
 
@@ -410,3 +419,30 @@ def _mutate_rows(arrays, draw):
     else:
         arr = arr.reshape(-1, 1)
     arrays[name] = arr
+
+
+_JSON_VALUES = st.sampled_from([None, True, 0, 3, -1.5, 0.4, float("nan"),
+                                "", "x", [], ["x"], [1], {}, {"a": 1}])
+
+
+def _mutate_json(payload, draw):
+    """Edit one saved JSON file: cut its bytes short, make it another JSON
+    value, drop a field, give a field another value, or change one entry
+    of a list field."""
+    kind = draw(st.sampled_from(["cut", "replace", "drop", "value",
+                                 "entry"]))
+    if kind == "cut":
+        return payload[:draw(st.integers(0, len(payload) - 1))]
+    if kind == "replace":
+        return json.dumps(draw(_JSON_VALUES)).encode("utf-8")
+    obj = json.loads(payload)
+    field = draw(st.sampled_from(sorted(obj)))
+    if kind == "drop":
+        del obj[field]
+    elif kind == "value" or not isinstance(obj[field], list) \
+            or not obj[field]:
+        obj[field] = draw(_JSON_VALUES)
+    else:
+        obj[field][draw(st.integers(0, len(obj[field]) - 1))] = draw(
+            _JSON_VALUES)
+    return json.dumps(obj).encode("utf-8")

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindstone.corpus import Paragraph, segment, token_spans
+from mindstone.errors import StageError
 from mindstone.eval import f1 as f1_score
 from mindstone.index import InvertedIndex
 from mindstone.scorers import (BuiltinRanker, BuiltinRankerModel,
@@ -284,6 +285,49 @@ class TestRead:
             top = read(f2_reader, record.question, gold, k=1)[0]
             good += f1_score(top.text, list(record.gold_answers)) >= 0.5
         assert good / len(f2_records) >= 0.70
+
+
+class TestNonFiniteScores:
+    """NaN and infinite stage scores are a StageError naming the stage and
+    the paragraph: normalization and fusion cannot order them."""
+
+    PARAS = [Paragraph("p#0", "a", "", "first body", 0),
+             Paragraph("p#1", "a", "", "second body", 1)]
+
+    class PoolScorer:
+        def __init__(self, scores):
+            self.scores = scores
+
+        def rank_pool(self, question, paragraphs, max_tokens):
+            return np.array(self.scores)
+
+    class SpanScorer:
+        def __init__(self, score):
+            self.score = score
+
+        def read_text(self, question, text, k):
+            return [(0, 5, 1.0), (6, len(text), self.score)]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rank_text_score_rejected(self, value):
+        with pytest.raises(StageError,
+                           match=rf"\[ranker\] non-finite score {value} "
+                                 rf"for p#0"):
+            rank(ConstantScorer(value), "q", self.PARAS)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rank_pool_score_rejected(self, value):
+        with pytest.raises(StageError,
+                           match=rf"\[ranker\] non-finite score {value} "
+                                 rf"for p#1"):
+            rank(self.PoolScorer([0.5, value]), "q", self.PARAS)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_read_score_rejected(self, value):
+        with pytest.raises(StageError,
+                           match=rf"\[reader\] non-finite score {value} "
+                                 rf"for p#1"):
+            read(self.SpanScorer(value), "q", self.PARAS[1], k=2)
 
 
 class TestTraining:
