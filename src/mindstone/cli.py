@@ -52,26 +52,33 @@ def _load_config(args) -> PipelineConfig:
     return PipelineConfig.from_dict(data, overrides=vars(args))
 
 
+def _build_ranker(args, index: InvertedIndex):
+    """The ranker that --external-ranker or --ranker-model names (else the
+    all-zeros builtin model), and its description for the manifest."""
+    if args.external_ranker:
+        return (ScorerPool(args.external_ranker, "rank"),
+                f"external:{args.external_ranker}")
+    if args.ranker_model:
+        model = BuiltinRankerModel.load(args.ranker_model)
+        digest = hashlib.sha256(
+            Path(args.ranker_model).read_bytes()).hexdigest()[:16]
+        return BuiltinRanker(model, index), f"builtin:{digest}"
+    return BuiltinRanker(BuiltinRankerModel.zeros(), index), "builtin:zeros"
+
+
+def _read_questions(path: str) -> tuple[list[eval_mod.GoldRecord], int]:
+    records, skipped = eval_mod.read_questions(path)
+    if skipped:
+        log.warning("skipped %d malformed question records", skipped)
+    return records, skipped
+
+
 def _build_pipeline(args, config: PipelineConfig):
     index = InvertedIndex.load(args.index)
     paragraphs = load_paragraph_map(args.paragraphs)
+    ranker, ranker_desc = _build_ranker(args, index)
 
-    if getattr(args, "external_ranker", None):
-        ranker = ScorerPool(args.external_ranker, "rank")
-        ranker_desc = f"external:{args.external_ranker}"
-    else:
-        model_path = getattr(args, "ranker_model", None)
-        if model_path:
-            model = BuiltinRankerModel.load(model_path)
-            digest = hashlib.sha256(
-                Path(model_path).read_bytes()).hexdigest()[:16]
-            ranker_desc = f"builtin:{digest}"
-        else:
-            model = BuiltinRankerModel.zeros()
-            ranker_desc = "builtin:zeros"
-        ranker = BuiltinRanker(model, index)
-
-    if getattr(args, "external_reader", None):
+    if args.external_reader:
         reader = ScorerPool(args.external_reader, "read")
         reader_desc = f"external:{args.external_reader}"
     else:
@@ -146,9 +153,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_build_dataset(args) -> int:
-    records, skipped = eval_mod.read_questions(args.questions)
-    if skipped:
-        log.warning("skipped %d malformed question records", skipped)
+    records, _ = _read_questions(args.questions)
     paragraphs = load_paragraph_map(args.paragraphs)
     if args.method == "finetune":
         examples = build_dataset_finetune(records, paragraphs.values())
@@ -160,13 +165,7 @@ def cmd_build_dataset(args) -> int:
             examples = build_dataset_aug1(records, index, paragraphs,
                                           n=args.n)
         else:
-            if args.external_ranker:
-                ranker = ScorerPool(args.external_ranker, "rank")
-            else:
-                model = (BuiltinRankerModel.load(args.ranker_model)
-                         if args.ranker_model
-                         else BuiltinRankerModel.zeros())
-                ranker = BuiltinRanker(model, index)
+            ranker, _ = _build_ranker(args, index)
             examples = build_dataset_aug2(records, index, paragraphs,
                                           ranker, m=args.m, n=args.n)
     n = write_rank_examples(examples, args.out)
@@ -225,9 +224,7 @@ def cmd_answer(args) -> int:
 def cmd_tune_weights(args) -> int:
     config = _load_config(args)
     pipeline, _ = _build_pipeline(args, config)
-    records, skipped = eval_mod.read_questions(args.questions)
-    if skipped:
-        log.warning("skipped %d malformed question records", skipped)
+    records, _ = _read_questions(args.questions)
     best, report = fusion.tune_weights(records, pipeline,
                                        grid_step=args.grid_step)
     fusion.write_tuning_csv(report, args.report)
@@ -246,7 +243,7 @@ def cmd_tune_weights(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args)
     pipeline, scorer_descs = _build_pipeline(args, config)
-    records, skipped = eval_mod.read_questions(args.questions)
+    records, skipped = _read_questions(args.questions)
     n_grid = [int(n) for n in args.n_grid.split(",")]
     report, curves = eval_mod.run_eval(records, pipeline, n_grid,
                                        tau=args.tau, malformed_skipped=skipped)
@@ -265,7 +262,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     config = _load_config(args)
     pipeline, scorer_descs = _build_pipeline(args, config)
-    records, _ = eval_mod.read_questions(args.questions)
+    records, _ = _read_questions(args.questions)
     latency = eval_mod.run_benchmark(records, pipeline, runs=args.runs,
                                      queries_per_run=args.queries_per_run)
     out_dir = Path(args.out_dir)

@@ -3,7 +3,9 @@
 EM/F1 follow the SQuAD v1.1 answer normalization: lowercase, strip
 punctuation, drop the articles a/an/the, collapse whitespace. Lenient
 recall checks normalized answer-string containment; strict recall checks
-token-set Jaccard similarity against the annotated source paragraph.
+token-set Jaccard similarity against the annotated source paragraph. A
+curve keeps each question's first-hit position in its list (answers, for
+top-N EM), so its value at a cutoff n >= 1 is the share of positions < n.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,12 +75,6 @@ def contains_answer(text: str, golds: Sequence[str]) -> bool:
     return False
 
 
-def recall_at(candidate_texts: Sequence[str], golds: Sequence[str],
-              n: int) -> int:
-    """1 iff any of the first n candidate texts contains a gold answer."""
-    return int(any(contains_answer(t, golds) for t in candidate_texts[:n]))
-
-
 def jaccard(a: str, b: str) -> float:
     """Token-set Jaccard similarity (stopwords kept)."""
     sa, sb = set(segment(a)), set(segment(b))
@@ -88,17 +84,14 @@ def jaccard(a: str, b: str) -> float:
     return len(sa & sb) / union if union else 0.0
 
 
-def strict_recall_at(candidate_texts: Sequence[str], gold_paragraph: str,
-                     n: int, tau: float = 0.5) -> int:
-    """1 iff any of the first n candidates is (near-)identical to the
-    annotated source paragraph: token-set Jaccard >= tau."""
-    return int(any(jaccard(t, gold_paragraph) >= tau
-                   for t in candidate_texts[:n]))
-
-
-def topn_em(answer_texts: Sequence[str], golds: Sequence[str], n: int) -> int:
-    """1 iff any of the first n (deduplicated) answers is an exact match."""
-    return int(any(exact_match(a, golds) for a in answer_texts[:n]))
+def first_hit(items: Sequence[str], hit: Callable[[str], bool],
+              limit: int) -> int:
+    """Position of the first of ``items[:limit]`` that passes ``hit``, else
+    ``limit``: for 1 <= n <= limit, the first n items hold a hit iff < n."""
+    for pos, item in enumerate(items[:limit]):
+        if hit(item):
+            return pos
+    return limit
 
 
 # -- question records ------------------------------------------------------
@@ -251,10 +244,8 @@ def write_curves_csv(points: Sequence[CurvePoint], path: str | Path):
         writer = csv.writer(fh)
         writer.writerow(CURVE_COLUMNS)
         for p in points:
-            writer.writerow([p.n, repr(p.retriever_recall),
-                             repr(p.ranker_recall),
-                             repr(p.strict_retriever_recall),
-                             repr(p.strict_ranker_recall), repr(p.topn_em)])
+            writer.writerow([p.n] + [repr(getattr(p, column))
+                                     for column in CURVE_COLUMNS[1:]])
 
 
 def write_report_json(report: EvalReport, path: str | Path):
@@ -285,60 +276,48 @@ def run_eval(records: Sequence[GoldRecord], pipeline, n_grid: Sequence[int],
     """
     if not records:
         raise ValueError("empty question set")
+    bad = [n for n in n_grid if int(n) < 1]
+    if bad:
+        raise ValueError(f"recall cutoff {bad[0]} is below 1")
     n_grid = sorted(set(int(n) for n in n_grid))
+    limit = max(n_grid, default=0)
     results = pipeline.answer_batch([r.question for r in records])
     log_failed_questions([r.qid for r in records], results)
     paragraphs = pipeline.paragraphs
 
     em_vals, f1_vals = [], []
-    retr_hits = {n: [] for n in n_grid}
-    rank_hits = {n: [] for n in n_grid}
-    strict_retr_hits = {n: [] for n in n_grid}
-    strict_rank_hits = {n: [] for n in n_grid}
-    topn_hits = {n: [] for n in n_grid}
-    strict_excluded = 0
-
+    first_hits = {column: [] for column in CURVE_COLUMNS[1:]}
     for record, result in zip(records, results):
-        golds = list(record.gold_answers)
+        golds, gold_para = record.gold_answers, record.gold_paragraph
         top_pred = result.answers[0].answer_text if result.answers else ""
         em_vals.append(exact_match(top_pred, golds))
         f1_vals.append(f1(top_pred, golds))
 
-        retrieved_texts = [paragraphs[pid].full_text
-                           for pid, _ in result.retrieved]
-        ranked_texts = [paragraphs[pid].full_text for pid, _ in result.ranked]
-        answer_texts = [a.answer_text for a in result.answers]
-        has_gold_para = record.gold_paragraph is not None
-        if not has_gold_para:
-            strict_excluded += 1
-        for n in n_grid:
-            retr_hits[n].append(recall_at(retrieved_texts, golds, n))
-            rank_hits[n].append(recall_at(ranked_texts, golds, n))
-            topn_hits[n].append(topn_em(answer_texts, golds, n))
-            if has_gold_para:
-                strict_retr_hits[n].append(strict_recall_at(
-                    retrieved_texts, record.gold_paragraph, n, tau))
-                strict_rank_hits[n].append(strict_recall_at(
-                    ranked_texts, record.gold_paragraph, n, tau))
+        for stage, hits in (("retriever", result.retrieved),
+                            ("ranker", result.ranked)):
+            texts = [paragraphs[pid].full_text for pid, _ in hits[:limit]]
+            first_hits[f"{stage}_recall"].append(first_hit(
+                texts, lambda t: contains_answer(t, golds), limit))
+            if gold_para is not None:
+                first_hits[f"strict_{stage}_recall"].append(first_hit(
+                    texts, lambda t: jaccard(t, gold_para) >= tau, limit))
+        first_hits["topn_em"].append(first_hit(
+            [a.answer_text for a in result.answers],
+            lambda a: exact_match(a, golds), limit))
 
+    curves = [CurvePoint(n, **{column: _mean([int(pos < n) for pos in hits])
+                               for column, hits in first_hits.items()})
+              for n in n_grid]
     report = EvalReport(
         em=_mean(em_vals),
         f1=_mean(f1_vals),
-        recall_at={n: _mean(retr_hits[n]) for n in n_grid},
-        strict_recall_at={n: _mean(strict_retr_hits[n]) for n in n_grid},
-        topn_em={n: _mean(topn_hits[n]) for n in n_grid},
+        recall_at={p.n: p.retriever_recall for p in curves},
+        strict_recall_at={p.n: p.strict_retriever_recall for p in curves},
+        topn_em={p.n: p.topn_em for p in curves},
         n_questions=len(records),
-        strict_excluded=strict_excluded,
+        strict_excluded=sum(r.gold_paragraph is None for r in records),
         malformed_skipped=malformed_skipped,
     )
-    curves = [CurvePoint(
-        n=n,
-        retriever_recall=_mean(retr_hits[n]),
-        ranker_recall=_mean(rank_hits[n]),
-        strict_retriever_recall=_mean(strict_retr_hits[n]),
-        strict_ranker_recall=_mean(strict_rank_hits[n]),
-        topn_em=_mean(topn_hits[n]),
-    ) for n in n_grid]
     return report, curves
 
 

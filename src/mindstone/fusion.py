@@ -17,6 +17,7 @@ list once per grid point.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -44,11 +45,16 @@ class FusionWeights:
 
 
 def normalize_scores(scores: Sequence[float]) -> list[float]:
-    """Shift scores so the maximum is exactly 1; order-preserving."""
+    """Shift scores so the maximum is exactly 1; order-preserving. Scores
+    too far apart to shift in float64 raise ValueError."""
     if not scores:
         return []
     top = max(scores)
-    return [s - top + 1.0 for s in scores]
+    shifted = [s - top + 1.0 for s in scores]
+    if not math.isfinite(min(shifted)):
+        raise ValueError(f"scores {min(scores)!r} and {top!r} are too far "
+                         f"apart to normalize")
+    return shifted
 
 
 def fuse(normalized: tuple[float, float, float], weights: FusionWeights) -> float:

@@ -298,9 +298,12 @@ class Pipeline:
         trace.counts["spans"] = len(raw)
 
         t0 = time.perf_counter()
-        n_ret = normalize_scores([c.s_retriever for c, _ in raw])
-        n_rank = normalize_scores([c.s_ranker for c, _ in raw])
-        n_read = normalize_scores([s.s_reader for _, s in raw])
+        try:
+            n_ret = normalize_scores([c.s_retriever for c, _ in raw])
+            n_rank = normalize_scores([c.s_ranker for c, _ in raw])
+            n_read = normalize_scores([s.s_reader for _, s in raw])
+        except ValueError as exc:
+            raise StageError("fuse", str(exc))
         candidates = [SpanCandidate(
             para_id=cand.para_id, start_char=span.start_char,
             end_char=span.end_char, text=span.text,

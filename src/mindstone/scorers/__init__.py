@@ -96,8 +96,8 @@ def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
     finite = np.isfinite(scores)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise StageError("ranker", f"non-finite score {float(scores[i])} "
-                                   f"for {paragraphs[i].para_id}")
+        raise StageError("rank", f"non-finite score {float(scores[i])} "
+                                 f"for {paragraphs[i].para_id}")
     return scores
 
 
@@ -117,17 +117,17 @@ def read(scorer, question: str, paragraph: Paragraph, k: int,
     text = truncate_to_tokens(paragraph.full_text, max(1, budget - q_count))
     raw = scorer.read_text(question, text, k)
     if not raw:
-        raise StageError("reader", f"scorer returned no spans for "
-                                   f"{paragraph.para_id}")
+        raise StageError("read", f"scorer returned no spans for "
+                                 f"{paragraph.para_id}")
     spans = []
     for start, end, score in raw[:k]:
         if not 0 <= start < end <= len(text):
-            raise StageError("reader", f"span [{start}, {end}) outside "
-                                       f"truncated text of {paragraph.para_id}")
+            raise StageError("read", f"span [{start}, {end}) outside "
+                                     f"truncated text of {paragraph.para_id}")
         score = float(score)
         if not math.isfinite(score):
-            raise StageError("reader", f"non-finite score {score} "
-                                       f"for {paragraph.para_id}")
+            raise StageError("read", f"non-finite score {score} "
+                                     f"for {paragraph.para_id}")
         spans.append(AnswerSpan(para_id=paragraph.para_id, start_char=start,
                                 end_char=end, text=text[start:end],
                                 s_reader=score))

@@ -3,7 +3,9 @@
 The scorer speaks first: ``{"type":"hello","protocol":1,"roles":[...]}``.
 The host then sends one request per line and reads one response per line;
 ids are echoed verbatim. Each handle is a serial channel; a batch fans out
-over threads only through a :class:`ScorerPool` of them.
+over threads only through a :class:`ScorerPool` of them. A protocol fault
+(a timeout, a malformed or mismatched reply, or an exited scorer) kills the
+scorer and closes its handle; a pool then spawns a fresh one.
 """
 
 from __future__ import annotations
@@ -94,8 +96,7 @@ class ExternalScorer:
                 line)
         return hello
 
-    @staticmethod
-    def _parse(line: str, expected_type: str | None = None) -> dict:
+    def _parse(self, line: str, expected_type: str | None = None) -> dict:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:
@@ -103,7 +104,7 @@ class ExternalScorer:
         if not isinstance(obj, dict) or "type" not in obj:
             raise MalformedResponseError("response has no 'type' field", line)
         if obj["type"] == "error":
-            raise StageError("scorer", str(obj.get("message", "")))
+            raise StageError(self.role, str(obj.get("message", "")))
         if expected_type is not None and obj["type"] != expected_type:
             raise MalformedResponseError(
                 f"expected type {expected_type!r}", line)
@@ -117,22 +118,29 @@ class ExternalScorer:
             self._next_id += 1
             payload = dict(payload, id=request_id)
             try:
-                self._proc.stdin.write(json.dumps(payload) + "\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError):
-                code = self._proc.poll()
-                raise ScorerExitError(
-                    f"scorer {self.command!r} pipe closed (exit code {code})")
-            try:
-                line = self._next_line(self.timeout)
-            except TimeoutError:
-                raise ScorerProtocolError(
-                    f"no response from scorer within {self.timeout}s")
-            obj = self._parse(line, expected_type=expected_type)
-            if obj.get("id") != request_id:
-                raise MalformedResponseError(
-                    f"response id {obj.get('id')!r} does not match request "
-                    f"id {request_id!r}", line)
+                try:
+                    self._proc.stdin.write(json.dumps(payload) + "\n")
+                    self._proc.stdin.flush()
+                except (BrokenPipeError, OSError):
+                    code = self._proc.poll()
+                    raise ScorerExitError(f"scorer {self.command!r} pipe "
+                                          f"closed (exit code {code})")
+                try:
+                    line = self._next_line(self.timeout)
+                except TimeoutError:
+                    raise ScorerProtocolError(
+                        f"no response from scorer within {self.timeout}s")
+                obj = self._parse(line, expected_type=expected_type)
+                if obj.get("id") != request_id:
+                    raise MalformedResponseError(
+                        f"response id {obj.get('id')!r} does not match "
+                        f"request id {request_id!r}", line)
+            except ScorerProtocolError:
+                # A late or stray reply would answer the next request, and
+                # a dead scorer answers none: no request may use this handle.
+                self._proc.kill()
+                self.close()
+                raise
             return obj
 
     def rank_text(self, question: str, text: str) -> float:
@@ -214,7 +222,10 @@ class ScorerPool:
             yield handle
         finally:
             with self._lock:
-                self._idle.append(handle)
+                if not handle._closed:
+                    self._idle.append(handle)
+                elif handle in self._handles:  # closed by a protocol fault
+                    self._handles.remove(handle)
 
     def rank_text(self, question: str, text: str) -> float:
         with self._handle() as handle:

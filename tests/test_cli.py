@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from mindstone import _kernels, cli, fusion
+from mindstone import eval as eval_mod
 from mindstone.cli import build_parser, main
 from mindstone.errors import StageError
 from mindstone.index import InvertedIndex
 from mindstone.pipeline import Pipeline, PipelineConfig
+from test_eval import _loop_run_eval
 from test_fusion import _loop_tune_weights
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -162,6 +164,40 @@ class TestEvalAndBench:
             values = [float(r[col]) for r in rows[1:]]
             assert values == sorted(values), f"column {col} not monotone"
 
+    @pytest.mark.parametrize("grid, rm3", [
+        ("1,5,20,100", "--no-rm3"),
+        ("1,2,3,5,20,100,150,500", "--rm3")])
+    def test_eval_outputs_equal_loop_oracle(self, workdir, tmp_path,
+                                            monkeypatch, grid, rm3):
+        outputs = []
+        for name, run_eval in (("first-hit", eval_mod.run_eval),
+                               ("loop", _loop_run_eval)):
+            monkeypatch.setattr(eval_mod, "run_eval", run_eval)
+            out_dir = tmp_path / name
+            assert main(["eval", "--index", str(workdir / "idx"),
+                         "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                         "--ranker-model", str(workdir / "model.json"),
+                         "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                         "--n-grid", grid, rm3,
+                         "--out-dir", str(out_dir)]) == 0
+            outputs.append([(out_dir / f).read_bytes()
+                            for f in ("report.json", "curves.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("grid, bad", [("-1", "-1"), ("0", "0"),
+                                           ("5,0,-1", "0")])
+    def test_eval_cutoff_below_one_exits_one_naming_it(self, workdir,
+                                                       tmp_path, capsys,
+                                                       grid, bad):
+        code = main(["eval", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                     "--n-retriever", "5", "--n-grid", grid,
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 1
+        assert f"recall cutoff {bad} is below 1" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
     def test_manifest_provenance_is_not_hashed(self, workdir, monkeypatch):
         args = (PipelineConfig(), InvertedIndex.load(workdir / "idx"),
                 {"ranker": "builtin:zeros", "reader": "builtin:heuristic-v1"},
@@ -199,6 +235,25 @@ class TestEvalAndBench:
         assert latency["reported_ms"] == min(latency["per_run_mean_ms"])
         assert (set(latency["stage_spread_ms"])
                 == set(latency["stage_breakdown_ms"]))
+
+    def test_bench_logs_malformed_question_count(self, workdir, tmp_path,
+                                                 caplog):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(
+            (FIXTURES / "f2_questions.jsonl").read_text("utf-8")
+            + "not json\n" + '{"qid": "x", "question": "q"}\n',
+            encoding="utf-8")
+        with caplog.at_level("WARNING", logger="mindstone"):
+            code = main(["bench", "--index", str(workdir / "idx"),
+                         "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                         "--questions", str(questions),
+                         "--n-retriever", "5", "--runs", "1",
+                         "--queries-per-run", "5",
+                         "--out-dir", str(tmp_path / "bench")])
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "mindstone"] == [
+            "skipped 2 malformed question records"]
 
     def test_tune_weights(self, workdir, tmp_path):
         report = tmp_path / "tuning.csv"

@@ -6,12 +6,97 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mindstone.eval import (GoldRecord, contains_answer, convert_squad_v11,
-                            exact_match, f1, jaccard, normalize_answer,
-                            read_questions, recall_at, run_benchmark,
-                            run_eval, strict_recall_at, topn_em,
-                            write_questions)
+from mindstone.corpus import Paragraph
+from mindstone.eval import (CurvePoint, EvalReport, GoldRecord, _mean,
+                            contains_answer, convert_squad_v11, exact_match,
+                            f1, first_hit, jaccard, log_failed_questions,
+                            normalize_answer, read_questions, run_benchmark,
+                            run_eval, write_questions)
+from mindstone.pipeline import PipelineResult, RankedAnswer, StageTrace
+
+
+# -- per-cutoff definitions: the oracle of run_eval's first-hit positions --
+
+def recall_at(candidate_texts, golds, n):
+    """1 iff any of the first n candidate texts contains a gold answer."""
+    return int(any(contains_answer(t, golds) for t in candidate_texts[:n]))
+
+
+def strict_recall_at(candidate_texts, gold_paragraph, n, tau=0.5):
+    """1 iff any of the first n candidates is (near-)identical to the
+    annotated source paragraph: token-set Jaccard >= tau."""
+    return int(any(jaccard(t, gold_paragraph) >= tau
+                   for t in candidate_texts[:n]))
+
+
+def topn_em(answer_texts, golds, n):
+    """1 iff any of the first n (deduplicated) answers is an exact match."""
+    return int(any(exact_match(a, golds) for a in answer_texts[:n]))
+
+
+def _loop_run_eval(records, pipeline, n_grid, tau=0.5, malformed_skipped=0):
+    """run_eval with one prefix rescan per (list, cutoff) through the three
+    helpers above: the oracle that the first-hit version must equal."""
+    if not records:
+        raise ValueError("empty question set")
+    n_grid = sorted(set(int(n) for n in n_grid))
+    results = pipeline.answer_batch([r.question for r in records])
+    log_failed_questions([r.qid for r in records], results)
+    paragraphs = pipeline.paragraphs
+
+    em_vals, f1_vals = [], []
+    retr_hits = {n: [] for n in n_grid}
+    rank_hits = {n: [] for n in n_grid}
+    strict_retr_hits = {n: [] for n in n_grid}
+    strict_rank_hits = {n: [] for n in n_grid}
+    topn_hits = {n: [] for n in n_grid}
+    strict_excluded = 0
+
+    for record, result in zip(records, results):
+        golds = list(record.gold_answers)
+        top_pred = result.answers[0].answer_text if result.answers else ""
+        em_vals.append(exact_match(top_pred, golds))
+        f1_vals.append(f1(top_pred, golds))
+
+        retrieved_texts = [paragraphs[pid].full_text
+                           for pid, _ in result.retrieved]
+        ranked_texts = [paragraphs[pid].full_text for pid, _ in result.ranked]
+        answer_texts = [a.answer_text for a in result.answers]
+        has_gold_para = record.gold_paragraph is not None
+        if not has_gold_para:
+            strict_excluded += 1
+        for n in n_grid:
+            retr_hits[n].append(recall_at(retrieved_texts, golds, n))
+            rank_hits[n].append(recall_at(ranked_texts, golds, n))
+            topn_hits[n].append(topn_em(answer_texts, golds, n))
+            if has_gold_para:
+                strict_retr_hits[n].append(strict_recall_at(
+                    retrieved_texts, record.gold_paragraph, n, tau))
+                strict_rank_hits[n].append(strict_recall_at(
+                    ranked_texts, record.gold_paragraph, n, tau))
+
+    report = EvalReport(
+        em=_mean(em_vals),
+        f1=_mean(f1_vals),
+        recall_at={n: _mean(retr_hits[n]) for n in n_grid},
+        strict_recall_at={n: _mean(strict_retr_hits[n]) for n in n_grid},
+        topn_em={n: _mean(topn_hits[n]) for n in n_grid},
+        n_questions=len(records),
+        strict_excluded=strict_excluded,
+        malformed_skipped=malformed_skipped,
+    )
+    curves = [CurvePoint(
+        n=n,
+        retriever_recall=_mean(retr_hits[n]),
+        ranker_recall=_mean(rank_hits[n]),
+        strict_retriever_recall=_mean(strict_retr_hits[n]),
+        strict_ranker_recall=_mean(strict_rank_hits[n]),
+        topn_em=_mean(topn_hits[n]),
+    ) for n in n_grid]
+    return report, curves
 
 
 class TestNormalizeAnswer:
@@ -157,6 +242,93 @@ class TestQuestionFiles:
         assert records[0].gold_answers == ("1774",)  # deduplicated
         assert records[0].gold_paragraph == "Oxygen was discovered in 1774."
         assert records[0].gold_article_id == "Oxygen"
+
+
+class _StubPipeline:
+    """Hands run_eval a fixed result list and paragraph store."""
+
+    def __init__(self, paragraphs, results):
+        self.paragraphs = paragraphs
+        self.results = results
+
+    def answer_batch(self, questions):
+        assert len(questions) == len(self.results)
+        return self.results
+
+
+_WORDS = ["paris", "rome", "the", "x", "y"]
+_PHRASES = st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join)
+
+
+@st.composite
+def _eval_case(draw):
+    """Records, a stub pipeline, a cutoff grid and tau. Texts come from five
+    words so containment, Jaccard and exact-match hits land anywhere in a
+    list; grids repeat cutoffs and reach past every list."""
+    texts = draw(st.lists(_PHRASES, min_size=1, max_size=6))
+    paragraphs = {f"p{i}": Paragraph(f"p{i}", "a", "", text, i)
+                  for i, text in enumerate(texts)}
+    pids = st.sampled_from(sorted(paragraphs))
+    hits = st.lists(st.tuples(pids, st.floats(-5, 5)), max_size=8)
+    records, results = [], []
+    for i in range(draw(st.integers(1, 6))):
+        gold_para = draw(st.none() | st.sampled_from(texts) | _PHRASES)
+        records.append(GoldRecord(
+            f"q{i}", f"question {i}",
+            tuple(draw(st.lists(_PHRASES, min_size=1, max_size=2))),
+            gold_paragraph=gold_para))
+        if draw(st.integers(0, 3)) == 0:  # a failed question
+            results.append(PipelineResult([], StageTrace(), [], [],
+                                          error="[read] failed"))
+            continue
+        answers = [RankedAnswer(text, "p0", 0, 1, 0.0, 0.0, 0.0, 0.0)
+                   for text in draw(st.lists(_PHRASES, max_size=6))]
+        results.append(PipelineResult(answers, StageTrace(), draw(hits),
+                                      draw(hits)))
+    grid = draw(st.lists(st.integers(1, 12), max_size=6))
+    tau = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return records, _StubPipeline(paragraphs, results), grid, tau
+
+
+class TestFirstHitOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_eval_case())
+    def test_first_hit_curves_equal_per_cutoff_loop(self, case):
+        records, pipeline, grid, tau = case
+        report, curves = run_eval(records, pipeline, grid, tau=tau,
+                                  malformed_skipped=2)
+        want_report, want_curves = _loop_run_eval(records, pipeline, grid,
+                                                  tau=tau,
+                                                  malformed_skipped=2)
+        assert report.to_dict() == want_report.to_dict()
+        assert curves == want_curves
+
+    def test_first_hit_examples(self):
+        def is_paris(t):
+            return t == "paris"
+
+        assert first_hit(["x", "paris", "paris"], is_paris, 5) == 1
+        assert first_hit(["x", "paris"], is_paris, 1) == 1  # scan stops
+        assert first_hit(["x"], is_paris, 5) == 5
+        assert first_hit([], is_paris, 0) == 0
+
+    @pytest.mark.parametrize("grid", [[-1], [0], [5, 0, -1]])
+    def test_cutoff_below_one_rejected(self, grid):
+        # texts[:-1] would read "all but the last": a cutoff < 1 is refused.
+        records = [GoldRecord("q0", "q", ("paris",))]
+        pipeline = _StubPipeline({}, [PipelineResult([], StageTrace(), [],
+                                                     [])])
+        bad = next(n for n in grid if n < 1)
+        with pytest.raises(ValueError, match=f"cutoff {bad} "):
+            run_eval(records, pipeline, grid)
+
+    def test_empty_grid_gives_empty_curves(self):
+        records = [GoldRecord("q0", "q", ("paris",))]
+        pipeline = _StubPipeline({}, [PipelineResult([], StageTrace(), [],
+                                                     [])])
+        report, curves = run_eval(records, pipeline, [])
+        assert curves == []
+        assert report.recall_at == report.topn_em == {}
 
 
 class TestRunEval:

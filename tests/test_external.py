@@ -9,7 +9,8 @@ import threading
 import pytest
 
 from mindstone.errors import (HandshakeTimeoutError, MalformedResponseError,
-                              ScorerExitError, StageError)
+                              ScorerExitError, ScorerProtocolError,
+                              StageError)
 from mindstone.scorers import rank, read
 from mindstone.scorers.external import ExternalScorer, ScorerPool
 
@@ -92,8 +93,11 @@ class TestFailureModes:
             "    print(json.dumps({'type':'error','id':req['id'],"
             "'message':'model exploded'}), flush=True)\n")
         with ExternalScorer(script, "rank") as scorer:
-            with pytest.raises(StageError, match="model exploded"):
-                scorer.rank_text("q", "t")
+            # The stage is the handle's role, and the handle stays usable.
+            for _ in range(2):
+                with pytest.raises(StageError,
+                                   match=r"^\[rank\] model exploded$"):
+                    scorer.rank_text("q", "t")
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_score_is_stage_error(self, f2_paragraphs, score):
@@ -101,7 +105,7 @@ class TestFailureModes:
         para = next(iter(f2_paragraphs.values()))
         with ExternalScorer(ECHO + [f"--rank-score={score}"],
                             "rank") as ranker:
-            with pytest.raises(StageError, match=rf"\[ranker\] non-finite "
+            with pytest.raises(StageError, match=rf"\[rank\] non-finite "
                                                  rf"score {score} for "
                                                  rf"{para.para_id}"):
                 rank(ranker, "q", [para])
@@ -116,6 +120,10 @@ class TestFailureModes:
             "'score':1.0}), flush=True)\n")
         with ExternalScorer(script, "rank") as scorer:
             with pytest.raises(MalformedResponseError, match="bogus"):
+                scorer.rank_text("q", "t")
+            # The channel is out of step: the scorer is killed and closed.
+            assert scorer._proc.returncode is not None
+            with pytest.raises(ScorerProtocolError, match="closed"):
                 scorer.rank_text("q", "t")
 
     def test_wrong_protocol_version(self):
@@ -169,6 +177,29 @@ class ThreadRecordingPool(ScorerPool):
 
 
 class TestScorerPool:
+    def test_timed_out_handle_is_replaced(self, spawned, tmp_path):
+        # Only the first request of all sleeps past the timeout; the score
+        # is the text's length, so a late reply to it would show.
+        flag = str(tmp_path / "slept")
+        script = py_script(
+            "import json, os, sys, time\n"
+            "print(json.dumps({'type':'hello','protocol':1,"
+            "'roles':['rank']}), flush=True)\n"
+            "for line in sys.stdin:\n"
+            "    req = json.loads(line)\n"
+            f"    if not os.path.exists({flag!r}):\n"
+            f"        open({flag!r}, 'w').close()\n"
+            "        time.sleep(3)\n"
+            "    print(json.dumps({'type':'rank_result','id':req['id'],"
+            "'score':len(req['text'])}), flush=True)\n")
+        with ScorerPool(script, "rank", timeout=1.0) as pool:
+            with pytest.raises(ScorerProtocolError, match="no response"):
+                pool.rank_text("q", "slow")
+            assert spawned[0].returncode is not None
+            assert pool.rank_text("q", "second text") == len("second text")
+            assert pool.rank_text("q", "third") == len("third")
+            assert len(spawned) == 2
+
     def test_parallel_batch_through_pool(self, f2_index, f2_paragraphs,
                                          f2_records, f2_reader):
         from mindstone.pipeline import (Pipeline, PipelineConfig,

@@ -47,6 +47,13 @@ class TestNormalizeScores:
         assert normalize_scores([-5]) == [1]
         assert normalize_scores([]) == []
 
+    def test_overflowing_shift_rejected(self):
+        # 1e308 apart still shifts; 2e308 apart would give -inf, and fusing
+        # -inf with a zero weight gives nan.
+        assert normalize_scores([1e308, 0.0]) == [1.0, -1e308]
+        with pytest.raises(ValueError, match="too far apart"):
+            normalize_scores([1e308, -1e308])
+
     def test_max_is_exactly_one(self):
         rng = np.random.default_rng(31)
         for _ in range(300):

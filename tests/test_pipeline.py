@@ -1,7 +1,9 @@
 """Cascade orchestration: stage flow, cutoffs, fusion ordering, batching."""
 
+import contextlib
 import json
 import re
+import sys
 import threading
 
 import pytest
@@ -14,6 +16,7 @@ from mindstone.index import InvertedIndex
 from mindstone.pipeline import (Pipeline, PipelineConfig, answer_record,
                                 dump_answer_line)
 from mindstone.scorers import TruncationLimits
+from mindstone.scorers.external import ExternalScorer
 
 
 class ConstantRanker:
@@ -271,6 +274,47 @@ class TestStageErrors:
         assert len(results) == 3
         assert all(r.error and "[rank]" in r.error for r in results)
         assert all(r.answers == [] for r in results)
+
+    class NanReader:
+        def read_text(self, question, text, k):
+            return [(0, 1, float("nan"))]
+
+    class FarApartRanker:
+        def rank_text(self, question, text):
+            return 1e308 if "4821" in text else -1e308
+
+    ERROR_REPLY = (
+        "import sys, json\n"
+        "print(json.dumps({'type':'hello','protocol':1,"
+        "'roles':['rank','read']}), flush=True)\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    print(json.dumps({'type':'error','id':req['id'],"
+        "'message':'model exploded'}), flush=True)\n")
+
+    @pytest.mark.parametrize("fault, stage", [
+        ("nan ranker", "rank"), ("nan reader", "read"),
+        ("error reply", "rank"), ("error reply", "read"),
+        ("missing paragraph", "rank"), ("far-apart ranker", "fuse")])
+    def test_error_starts_with_pipeline_stage(self, fault, stage):
+        index, paras = TestAnswer._gold_corpus()
+        stages = {"rank": ConstantRanker(), "read": GoldSpanReader("4821")}
+        with contextlib.ExitStack() as stack:
+            if fault == "nan ranker":
+                stages["rank"] = ConstantRanker(float("nan"))
+            elif fault == "nan reader":
+                stages["read"] = self.NanReader()
+            elif fault == "error reply":
+                stages[stage] = stack.enter_context(ExternalScorer(
+                    [sys.executable, "-c", self.ERROR_REPLY], stage))
+            elif fault == "missing paragraph":
+                del paras["g#0"]
+            else:
+                stages["rank"] = self.FarApartRanker()
+            pipe = Pipeline(index, paras, stages["rank"], stages["read"],
+                            PipelineConfig(n_retriever=3, n_reader=3))
+            result = pipe.answer_or_error("secret number filler body")
+        assert result.error.startswith(f"[{stage}] "), result.error
 
     def test_missing_paragraph_text(self, f2_index, f2_paragraphs,
                                     trained_ranker, f2_reader, f2_records):

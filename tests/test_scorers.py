@@ -311,21 +311,21 @@ class TestNonFiniteScores:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rank_text_score_rejected(self, value):
         with pytest.raises(StageError,
-                           match=rf"\[ranker\] non-finite score {value} "
+                           match=rf"\[rank\] non-finite score {value} "
                                  rf"for p#0"):
             rank(ConstantScorer(value), "q", self.PARAS)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rank_pool_score_rejected(self, value):
         with pytest.raises(StageError,
-                           match=rf"\[ranker\] non-finite score {value} "
+                           match=rf"\[rank\] non-finite score {value} "
                                  rf"for p#1"):
             rank(self.PoolScorer([0.5, value]), "q", self.PARAS)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_read_score_rejected(self, value):
         with pytest.raises(StageError,
-                           match=rf"\[reader\] non-finite score {value} "
+                           match=rf"\[read\] non-finite score {value} "
                                  rf"for p#1"):
             read(self.SpanScorer(value), "q", self.PARAS[1], k=2)
 
