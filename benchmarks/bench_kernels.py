@@ -134,11 +134,11 @@ def bench_fixture_retrieval(n_queries: int) -> float | None:
     q_file = fixtures / "f2_questions.jsonl"
     if not para_file.exists():
         return None
-    from mindstone.corpus import read_paragraphs
+    from mindstone.corpus import Paragraph, read_records
     from mindstone.eval import read_questions
     from mindstone.index import InvertedIndex
 
-    index = InvertedIndex.build(read_paragraphs(para_file))
+    index = InvertedIndex.build(read_records(Paragraph, para_file))
     records, _ = read_questions(q_file)
     questions = [r.question for r in records]
     questions = (questions * ((n_queries // len(questions)) + 1))[:n_queries]

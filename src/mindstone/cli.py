@@ -22,16 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels, eval as eval_mod, fusion
-from .corpus import (DEFAULT_STOPWORDS, load_paragraph_map, load_stopwords,
-                     read_articles, read_paragraphs, split_article,
-                     write_paragraphs)
+from .corpus import (DEFAULT_STOPWORDS, Article, Paragraph, load_json_object,
+                     load_paragraph_map, load_stopwords, read_json_lines,
+                     read_records, split_article, write_records)
 from .errors import MindstoneError
 from .index import Bm25Params, InvertedIndex
 from .pipeline import Pipeline, PipelineConfig, dump_answer_line
 from .scorers import (BuiltinRanker, BuiltinRankerModel, BuiltinReader,
-                      TrainConfig, build_dataset_aug1, build_dataset_aug2,
-                      build_dataset_finetune, read_rank_examples,
-                      train_ranker_phases, write_rank_examples)
+                      RankExample, TrainConfig, build_dataset_aug1,
+                      build_dataset_aug2, build_dataset_finetune,
+                      train_ranker_phases)
 from .scorers.external import ScorerPool
 
 log = logging.getLogger("mindstone")
@@ -48,7 +48,7 @@ def _configure_logging():
 def _load_config(args) -> PipelineConfig:
     data = {}
     if getattr(args, "config", None):
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        data = load_json_object(args.config)
     return PipelineConfig.from_dict(data, overrides=vars(args))
 
 
@@ -132,9 +132,9 @@ def cmd_ingest(args) -> int:
             eval_mod.write_questions(records, args.out_questions)
             log.info("wrote %d question records", len(records))
     else:
-        articles = read_articles(args.articles)
+        articles = read_records(Article, args.articles)
     paragraphs = (p for a in articles for p in split_article(a))
-    n = write_paragraphs(paragraphs, out)
+    n = write_records(paragraphs, out)
     print(f"wrote {n} paragraphs to {out}")
     return 0
 
@@ -143,7 +143,7 @@ def cmd_index(args) -> int:
     stopwords = (load_stopwords(args.stopwords) if args.stopwords
                  else DEFAULT_STOPWORDS)
     index = InvertedIndex.build(
-        read_paragraphs(args.paragraphs),
+        read_records(Paragraph, args.paragraphs),
         params=Bm25Params(k1=args.k1, b=args.b),
         stopwords=stopwords)
     index.save(args.out)
@@ -168,7 +168,7 @@ def cmd_build_dataset(args) -> int:
             ranker, _ = _build_ranker(args, index)
             examples = build_dataset_aug2(records, index, paragraphs,
                                           ranker, m=args.m, n=args.n)
-    n = write_rank_examples(examples, args.out)
+    n = write_records(examples, args.out)
     positives = sum(ex.label for ex in examples)
     print(f"wrote {n} examples ({positives} positive) to {args.out}")
     return 0
@@ -176,7 +176,7 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_train_ranker(args) -> int:
     index = InvertedIndex.load(args.index)
-    datasets = [read_rank_examples(p) for p in args.dataset]
+    datasets = [read_records(RankExample, p) for p in args.dataset]
     config = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
                          l2=args.l2, holdout_fraction=args.holdout,
                          seed=args.seed)
@@ -192,13 +192,10 @@ def cmd_train_ranker(args) -> int:
 
 def _read_batch_questions(path: str) -> list[tuple[str, str]]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            out.append((str(rec.get("qid", f"q{i}")), rec["question"]))
+    for lineno, rec in read_json_lines(path):
+        if not isinstance(rec.get("question"), str):
+            raise ValueError(f"{path}:{lineno}: no string field 'question'")
+        out.append((str(rec.get("qid", f"q{lineno - 1}")), rec["question"]))
     return out
 
 
@@ -268,7 +265,7 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _run_manifest(config, pipeline.index, scorer_descs, args.seed)
-    payload = latency.to_dict()
+    payload = dataclasses.asdict(latency)
     payload["manifest_key"] = manifest["manifest_key"]
     (out_dir / "latency.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -415,10 +412,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MindstoneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (MindstoneError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,14 +3,16 @@
 Articles are split into paragraphs on blank lines; each paragraph's
 ``full_text`` carries the article title prepended on its own line so that
 downstream stages (indexing, ranking, reading) all see one canonical text
-with unambiguous character offsets.
+with unambiguous character offsets. Record files (articles, paragraphs,
+ranker datasets) are JSONL keyed by their dataclass's field names.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -112,40 +114,58 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(terms)
 
 
-def read_articles(path: str | Path) -> Iterator[Article]:
-    """Stream articles from a UTF-8 JSONL file."""
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) per non-blank line of a UTF-8 JSONL file;
+    a line holding anything else is a ValueError naming its file:line."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            yield Article(article_id=rec["article_id"], title=rec["title"],
-                          body=rec["body"])
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.msg} "
+                                 f"(column {exc.colno})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            yield lineno, obj
 
 
-def read_paragraphs(path: str | Path) -> Iterator[Paragraph]:
-    """Stream paragraphs from a UTF-8 JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            yield Paragraph(para_id=rec["para_id"], article_id=rec["article_id"],
-                            title=rec["title"], body=rec["body"],
-                            position=rec["position"])
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object in a UTF-8 file; else a ValueError naming the file."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg} "
+                         f"(column {exc.colno})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return obj
 
 
-def write_paragraphs(paragraphs: Iterable[Paragraph], path: str | Path) -> int:
-    """Write paragraphs as JSONL; returns the number written."""
+def read_records(cls, path: str | Path) -> Iterator:
+    """Stream records of the dataclass ``cls`` (two or more fields) from a
+    JSONL file keyed by its field names, ignoring other keys. A malformed
+    line or a rejected record is a ValueError naming its file:line."""
+    values = itemgetter(*(f.name for f in fields(cls)))
+    for lineno, rec in read_json_lines(path):
+        try:
+            record = cls(*values(rec))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        yield record
+
+
+def write_records(records: Iterable, path: str | Path) -> int:
+    """Write dataclass records as JSONL in field order; return the count."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for p in paragraphs:
-            fh.write(json.dumps({
-                "para_id": p.para_id, "article_id": p.article_id,
-                "title": p.title, "body": p.body, "position": p.position,
-            }, ensure_ascii=False) + "\n")
+        for record in records:
+            rec = {f.name: getattr(record, f.name) for f in fields(record)}
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
             n += 1
     return n
 
@@ -153,7 +173,7 @@ def write_paragraphs(paragraphs: Iterable[Paragraph], path: str | Path) -> int:
 def load_paragraph_map(path: str | Path) -> dict[str, Paragraph]:
     """Load a paragraphs JSONL file into a para_id -> Paragraph mapping."""
     out: dict[str, Paragraph] = {}
-    for p in read_paragraphs(path):
+    for p in read_records(Paragraph, path):
         if p.para_id in out:
             raise ValueError(f"duplicate para_id in paragraph file: {p.para_id}")
         out[p.para_id] = p

@@ -17,7 +17,7 @@ import re
 import string
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -185,16 +185,6 @@ class LatencyReport:
     # Per stage, p50/p95/max over the reported run's questions.
     stage_spread_ms: dict[str, dict[str, float]]
 
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "queries_per_run": self.queries_per_run,
-            "per_run_mean_ms": self.per_run_mean_ms,
-            "reported_ms": self.reported_ms,
-            "stage_breakdown_ms": self.stage_breakdown_ms,
-            "stage_spread_ms": self.stage_spread_ms,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -210,19 +200,11 @@ class EvalReport:
     manifest_key: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "em": self.em,
-            "f1": self.f1,
-            "recall_at": {str(k): v for k, v in self.recall_at.items()},
-            "strict_recall_at": {str(k): v
-                                 for k, v in self.strict_recall_at.items()},
-            "topn_em": {str(k): v for k, v in self.topn_em.items()},
-            "n_questions": self.n_questions,
-            "strict_excluded": self.strict_excluded,
-            "malformed_skipped": self.malformed_skipped,
-            "latency": self.latency.to_dict() if self.latency else None,
-            "manifest_key": self.manifest_key,
-        }
+        # String cutoff keys: sort_keys orders them as text ("1", "100", "5").
+        out = asdict(self)
+        for name in ("recall_at", "strict_recall_at", "topn_em"):
+            out[name] = {str(k): v for k, v in out[name].items()}
+        return out
 
 
 @dataclass

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .eval import GoldRecord, exact_match
+from .eval import GoldRecord, exact_match, log_failed_questions
 
 
 @dataclass(frozen=True)
@@ -87,26 +87,29 @@ def tune_weights(dev_records: Sequence[GoldRecord], pipeline,
                  ) -> tuple[FusionWeights, list[GridPoint]]:
     """Exhaustive grid search for the EM-maximizing fusion weights.
 
-    Per-stage scores are collected once per question (the expensive part).
-    The answer list ranks candidates by fused score descending, ties by
-    para_id then start_char, then collection order (a stable sort), and
-    deduplication never drops its first entry. So a point's top-1 answer is
-    the first maximum of the fused scores once the candidates are stably
-    sorted by (para_id, start_char). Per question, the fused scores of all
+    Per-stage scores are collected once per question (the expensive part),
+    by one ``pipeline.answer_batch`` call; a failed question is logged and,
+    having no candidates, answers "". The answer list ranks candidates by
+    fused score descending, ties by para_id then start_char, then
+    collection order (a stable sort), and deduplication never drops its
+    first entry. So a point's top-1 answer is the first maximum of the
+    fused scores once the candidates are stably sorted by (para_id,
+    start_char). Per question, the fused scores of all
     grid points are one (points x candidates) array, built with the
     operations of :func:`fuse` in its order, and its row-wise argmax picks
     every point's top-1 answer exactly, as long as no fused score is NaN
-    (the ranker and reader stages reject non-finite scores). A question
-    without candidates answers "". Ties prefer larger w_reader, then larger
-    w_ranker.
+    (the ranker and reader stages reject non-finite scores). Ties prefer
+    larger w_reader, then larger w_ranker.
     """
     if not dev_records:
         raise ValueError("empty dev set")
     grid = simplex_grid(grid_step)
     w = np.array([weights.as_tuple() for weights in grid])
     hits = np.zeros(len(grid), dtype=np.int64)
-    for record in dev_records:
-        candidates = sorted(pipeline.collect_candidates(record.question),
+    results = pipeline.answer_batch([r.question for r in dev_records])
+    log_failed_questions([r.qid for r in dev_records], results)
+    for record, result in zip(dev_records, results):
+        candidates = sorted(result.candidates,
                             key=lambda c: (c.para_id, c.start_char))
         if not candidates:
             hits += exact_match("", record.gold_answers)

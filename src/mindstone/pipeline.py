@@ -3,7 +3,9 @@ the top ranked slice, fuse the three stage scores, and emit sorted answers.
 
 All stages are pure over an immutable index and paragraph store, so a batch
 gives the same results on any thread; it fans out only when a stage waits on
-external-scorer subprocesses (see ``Pipeline.answer_batch``).
+external-scorer subprocesses (see ``Pipeline.answer_batch``). Any failure
+in the rank or read stage, an external scorer's protocol fault included,
+is a StageError naming that stage.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ class Pipeline:
         try:
             scores = scorers.rank(self.ranker, question, paras,
                                   self.config.limits)
-        except MindstoneError:
+        except StageError:
             raise
         except Exception as exc:
             raise StageError("rank", str(exc))
@@ -289,7 +291,7 @@ class Pipeline:
             try:
                 spans = scorers.read(self.reader, question, para,
                                      cfg.k_spans_per_paragraph, cfg.limits)
-            except MindstoneError:
+            except StageError:
                 raise
             except Exception as exc:
                 raise StageError("read", f"{cand.para_id}: {exc}")
@@ -319,10 +321,6 @@ class Pipeline:
             answers=answers, trace=trace, retrieved=list(retrieval.hits),
             ranked=[(c.para_id, c.s_ranker) for c in pool],
             candidates=candidates)
-
-    def collect_candidates(self, question: str) -> list[SpanCandidate]:
-        """Stage scores for weight tuning: everything except fusion."""
-        return self.answer(question).candidates
 
     @staticmethod
     def fuse_candidates(candidates: Sequence[SpanCandidate],

@@ -48,7 +48,7 @@ class RankExample:
 
     def __post_init__(self):
         if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,6 @@ from .builtin import (  # noqa: E402
 )
 from .datasets import (  # noqa: E402
     build_dataset_aug1, build_dataset_aug2, build_dataset_finetune,
-    read_rank_examples, write_rank_examples,
 )
 from .external import ExternalScorer  # noqa: E402
 
@@ -149,7 +148,6 @@ __all__ = [
     "AnswerSpan", "BuiltinRanker", "BuiltinRankerModel", "BuiltinReader",
     "ExternalScorer", "RankExample", "TrainConfig", "TrainReport",
     "TruncationLimits", "build_dataset_aug1", "build_dataset_aug2",
-    "build_dataset_finetune", "rank", "read", "read_rank_examples",
-    "train_builtin_ranker", "train_ranker_phases", "truncate_to_tokens",
-    "write_rank_examples",
+    "build_dataset_finetune", "rank", "read", "train_builtin_ranker",
+    "train_ranker_phases", "truncate_to_tokens",
 ]

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .. import _kernels
-from ..corpus import Paragraph, token_spans, tokenize
+from ..corpus import Paragraph, load_json_object, token_spans, tokenize
 from ..index import InvertedIndex
 from . import truncate_to_tokens, within_token_limit
 
@@ -28,6 +28,13 @@ FEATURE_NAMES = [
     "bm25", "overlap_count", "idf_overlap", "question_coverage",
     "log_length", "title_overlap",
 ]
+
+# BuiltinReader's span scoring (see its docstring).
+MAX_SPAN_TOKENS = 30
+CTX_RADIUS = 15
+CTX_WEIGHT = 0.5
+LENGTH_PENALTY = 0.3
+IDF_FLOOR = 2.0
 
 
 def _first_line_title(text: str) -> str:
@@ -80,18 +87,21 @@ class BuiltinRankerModel:
         return cls(feature_weights=(0.0,) * len(FEATURE_NAMES), bias=0.0)
 
     def save(self, path: str | Path):
-        Path(path).write_text(json.dumps({
-            "feature_weights": list(self.feature_weights),
-            "bias": self.bias,
-            "feature_spec_version": self.feature_spec_version,
-        }, indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n",
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "BuiltinRankerModel":
-        rec = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(feature_weights=tuple(rec["feature_weights"]),
-                   bias=rec["bias"],
-                   feature_spec_version=rec["feature_spec_version"])
+        """The model saved at ``path``; else a ValueError naming the file."""
+        rec = load_json_object(path)
+        try:
+            return cls(feature_weights=tuple(rec["feature_weights"]),
+                       bias=rec["bias"],
+                       feature_spec_version=rec["feature_spec_version"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class BuiltinRanker:
@@ -307,15 +317,8 @@ class BuiltinReader:
     which returns the whole text when it equals the answer.
     """
 
-    def __init__(self, index: InvertedIndex, max_span_tokens: int = 30,
-                 ctx_radius: int = 15, ctx_weight: float = 0.5,
-                 length_penalty: float = 0.3, idf_floor: float = 2.0):
+    def __init__(self, index: InvertedIndex):
         self.index = index
-        self.max_span_tokens = max_span_tokens
-        self.ctx_radius = ctx_radius
-        self.ctx_weight = ctx_weight
-        self.length_penalty = length_penalty
-        self.idf_floor = idf_floor
 
     def _indexed_idf(self, token: str) -> float:
         # Unindexed tokens (stopwords, unseen words) carry no signal.
@@ -336,16 +339,16 @@ class BuiltinReader:
             if tok in q_terms:
                 q_idf[i] = self._indexed_idf(tok)
             else:
-                novelty[i] = max(self._indexed_idf(tok) - self.idf_floor, 0.0)
+                novelty[i] = max(self._indexed_idf(tok) - IDF_FLOOR, 0.0)
             if tok in last_seen:
                 prev[i] = last_seen[tok]
             last_seen[tok] = i
         win_w = novelty if novelty.any() else q_idf
 
-        scores = np.empty((n, self.max_span_tokens))
-        _kernels.span_score_matrix(win_w, q_idf, prev, self.max_span_tokens,
-                                   self.ctx_radius, self.ctx_weight,
-                                   self.length_penalty, scores)
+        scores = np.empty((n, MAX_SPAN_TOKENS))
+        _kernels.span_score_matrix(win_w, q_idf, prev, MAX_SPAN_TOKENS,
+                                   CTX_RADIUS, CTX_WEIGHT, LENGTH_PENALTY,
+                                   scores)
         starts, lens = np.nonzero(np.isfinite(scores))
         order = np.lexsort((lens, starts, -scores[starts, lens]))[:k]
         return [(spans[starts[i]][1],

@@ -8,8 +8,6 @@ come from case-insensitive containment of a normalized gold answer string.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..corpus import Paragraph
@@ -104,31 +102,4 @@ def build_dataset_aug2(records: Sequence[GoldRecord], index: InvertedIndex,
             examples.append(RankExample(question=record.question,
                                         para_id=para_id, text=text,
                                         label=label))
-    return examples
-
-
-def write_rank_examples(examples: Iterable[RankExample],
-                        path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps({"question": ex.question,
-                                 "para_id": ex.para_id, "text": ex.text,
-                                 "label": ex.label}, ensure_ascii=False) + "\n")
-            n += 1
-    return n
-
-
-def read_rank_examples(path: str | Path) -> list[RankExample]:
-    examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            examples.append(RankExample(question=rec["question"],
-                                        para_id=rec["para_id"],
-                                        text=rec["text"],
-                                        label=int(rec["label"])))
     return examples

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mindstone.corpus import Paragraph, read_paragraphs
+from mindstone.corpus import Paragraph, read_records
 from mindstone.eval import GoldRecord, contains_answer, read_questions
 from mindstone.index import InvertedIndex
 from mindstone.scorers import BuiltinRanker, BuiltinReader
@@ -24,7 +24,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 @pytest.fixture(scope="session")
 def f1_paragraphs() -> list[Paragraph]:
-    return list(read_paragraphs(FIXTURES / "f1_paragraphs.jsonl"))
+    return list(read_records(Paragraph, FIXTURES / "f1_paragraphs.jsonl"))
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +35,8 @@ def f1_index(f1_paragraphs) -> InvertedIndex:
 @pytest.fixture(scope="session")
 def f2_paragraphs() -> dict[str, Paragraph]:
     return {p.para_id: p
-            for p in read_paragraphs(FIXTURES / "f2_paragraphs.jsonl")}
+            for p in read_records(Paragraph,
+                                  FIXTURES / "f2_paragraphs.jsonl")}
 
 
 @pytest.fixture(scope="session")

@@ -361,6 +361,71 @@ class TestConfigPrecedence:
         assert lines[0].startswith("error: ") and "n_retriever" in lines[0]
 
 
+_PARAGRAPH = ('{"para_id": "a#0", "article_id": "a", "title": "T", '
+              '"body": "x", "position": 0}\n')
+_EXAMPLE = '{"question": "q", "para_id": "a#0", "text": "x", "label": 1}\n'
+_QUESTION = "What was the height of mount ardenfell?"
+_PIPELINE = ["--index", "{idx}", "--paragraphs", "{paras}"]
+
+
+class TestMalformedInputs:
+    """A malformed input file exits 1 with one error line naming the file
+    (and the line, where there is one), never with a traceback."""
+
+    @pytest.mark.parametrize("content, argv, where", [
+        (_PARAGRAPH + '{"para_id": "a#1", "title": "T", "body": "y", '
+         '"position": 1}\n',
+         ["index", "--in", "{bad}", "--out", "{out}"],
+         ":2: missing field 'article_id'"),
+        (_PARAGRAPH + '{"para_id": "a#1", "article_id"\n',
+         ["index", "--in", "{bad}", "--out", "{out}"],
+         ":2: Expecting ':' delimiter"),
+        ('\n"an article"\n',
+         ["ingest", "--articles", "{bad}", "--out", "{out}"],
+         ":2: not a JSON object"),
+        (_EXAMPLE + '["q", "a#0", "x", 1]\n',
+         ["train-ranker", "--dataset", "{bad}", "--index", "{idx}",
+          "--out", "{out}"], ":2: not a JSON object"),
+        (_EXAMPLE.replace('"label": 1', '"label": 2'),
+         ["train-ranker", "--dataset", "{bad}", "--index", "{idx}",
+          "--out", "{out}"], ":1: label must be 0 or 1"),
+        ('["q0", "a question"]\n',
+         ["answer", *_PIPELINE, "--batch", "{bad}"], ":1: not a JSON object"),
+        ('{"qid": "q0", "question": "x"}\n{"qid": "q1"}\n',
+         ["answer", *_PIPELINE, "--batch", "{bad}"],
+         ":2: no string field 'question'"),
+        ('{"qid": "q0", "question": 5}\n',
+         ["answer", *_PIPELINE, "--batch", "{bad}"],
+         ":1: no string field 'question'"),
+        ("[1]", ["answer", *_PIPELINE, "--ranker-model", "{bad}",
+                 "--question", _QUESTION], ": not a JSON object"),
+        ('{"bias": 0.0, "feature_spec_version": 1}',
+         ["answer", *_PIPELINE, "--ranker-model", "{bad}",
+          "--question", _QUESTION], ": missing field 'feature_weights'"),
+        ('{"feature_weights": 1, "bias": 0.0, "feature_spec_version": 1}',
+         ["answer", *_PIPELINE, "--ranker-model", "{bad}",
+          "--question", _QUESTION], ": "),
+        ('{\n  "n_retriever": 20,\n  "n_reader" 2\n}',
+         ["answer", *_PIPELINE, "--config", "{bad}", "--question", _QUESTION],
+         ":3: Expecting ':' delimiter"),
+        ('[]', ["answer", *_PIPELINE, "--config", "{bad}",
+                "--question", _QUESTION], ": not a JSON object"),
+    ])
+    def test_error_names_file_and_line(self, workdir, tmp_path, capsys,
+                                       content, argv, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content, encoding="utf-8")
+        paths = {"bad": bad, "out": tmp_path / "out", "idx": workdir / "idx",
+                 "paras": workdir / "paragraphs.jsonl"}
+        code = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {bad}{where}")
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,8 @@
 """Article splitting, tokenization, and corpus file formats."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +10,9 @@ from hypothesis import strategies as st
 
 from mindstone.corpus import (DEFAULT_STOPWORDS, Article, Paragraph,
                               load_paragraph_map, load_stopwords,
-                              read_articles, read_paragraphs, segment,
-                              split_article, token_spans, tokenize,
-                              write_paragraphs)
+                              read_records, segment, split_article,
+                              token_spans, tokenize, write_records)
+from mindstone.scorers import RankExample
 
 
 def _unicode_text():
@@ -133,8 +136,8 @@ class TestParagraphFiles:
     def test_roundtrip(self, tmp_path):
         paras = split_article(Article("a1", "Title", "one two\n\nthree"))
         path = tmp_path / "p.jsonl"
-        assert write_paragraphs(paras, path) == 2
-        assert list(read_paragraphs(path)) == paras
+        assert write_records(paras, path) == 2
+        assert list(read_records(Paragraph, path)) == paras
 
     def test_article_jsonl(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -142,8 +145,33 @@ class TestParagraphFiles:
             '{"article_id": "a", "title": "T", "body": "x"}\n\n'
             '{"article_id": "b", "title": "", "body": "y"}\n',
             encoding="utf-8")
-        arts = list(read_articles(path))
+        arts = list(read_records(Article, path))
         assert [a.article_id for a in arts] == ["a", "b"]
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"article_id": "a", "title": "T"', "Expecting ',' delimiter"),
+        ('["a", "T", "x"]', "not a JSON object"),
+        ('"a"', "not a JSON object"),
+        ('{"article_id": "a", "body": "x"}', "missing field 'title'"),
+        ('{"article_id": "", "title": "T", "body": "x"}',
+         "article_id must be non-empty"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line,
+                                                message):
+        path = tmp_path / "a.jsonl"
+        path.write_text('{"article_id": "a", "title": "T", "body": "x"}\n'
+                        f"\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            list(read_records(Article, path))
+        assert str(info.value).startswith(f"{path}:3: {message}")
+
+    def test_rejected_label_names_file_and_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"question": "q", "para_id": "p#0", "text": "t", '
+                        '"label": 2}\n', encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=f"^{path}:1: label must be 0 or 1, got 2$"):
+            list(read_records(RankExample, path))
 
     def test_duplicate_para_id_rejected(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -158,3 +186,109 @@ class TestParagraphFiles:
         assert p.full_text == "Title\nbody text"
         q = Paragraph("a#1", "a", "", "body text", 1)
         assert q.full_text == "body text"
+
+
+# -- record files: round trip and malformed lines ----------------------------
+
+def _hand_written_line(record) -> str:
+    """The JSONL line the hand-written writers produced (paragraphs, ranker
+    datasets; articles, which had none, in their style): the oracle of the
+    bytes ``write_records`` must keep."""
+    if isinstance(record, Paragraph):
+        rec = {"para_id": record.para_id, "article_id": record.article_id,
+               "title": record.title, "body": record.body,
+               "position": record.position}
+    elif isinstance(record, RankExample):
+        rec = {"question": record.question, "para_id": record.para_id,
+               "text": record.text, "label": record.label}
+    else:
+        rec = {"article_id": record.article_id, "title": record.title,
+               "body": record.body}
+    return json.dumps(rec, ensure_ascii=False)
+
+
+# Empty, long, and non-ASCII text, including characters JSON escapes and a
+# line separator that JSON writes raw but the file reader must not split on.
+_TEXT = st.one_of(
+    st.text(),
+    st.text(min_size=1, max_size=8).map(lambda t: t * 500),
+    st.sampled_from(["", "\u0130stanbul", "\u65e5\u672c\u8a9e", "a\nb\r\nc",
+                     "\u2028\u2029\x85\x0b", '"\\', "\x00\x1f"]))
+_RECORDS = {
+    Article: st.builds(Article, st.text(min_size=1), _TEXT, _TEXT),
+    Paragraph: st.builds(Paragraph, _TEXT, _TEXT, _TEXT, _TEXT,
+                         st.integers()),
+    RankExample: st.builds(RankExample, _TEXT, _TEXT, _TEXT,
+                           st.sampled_from([0, 1])),
+}
+
+
+@st.composite
+def _record_file(draw):
+    """A record type and one or more records of it."""
+    cls = draw(st.sampled_from(list(_RECORDS)))
+    return cls, draw(st.lists(_RECORDS[cls], min_size=1, max_size=4))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8)
+
+
+class TestRecordFiles:
+    @settings(max_examples=250, deadline=None)
+    @given(_record_file())
+    def test_roundtrip_keeps_records_and_bytes(self, tmp_path_factory,
+                                               typed):
+        cls, records = typed
+        path = tmp_path_factory.mktemp("records") / "r.jsonl"
+        assert write_records(records, path) == len(records)
+        assert path.read_bytes() == "".join(
+            _hand_written_line(r) + "\n" for r in records).encode("utf-8")
+        assert list(read_records(cls, path)) == records
+
+    @settings(max_examples=400, deadline=None)
+    @given(_record_file(), st.data())
+    def test_mutated_line_reads_same_or_names_it(self, tmp_path_factory,
+                                                 typed, data):
+        """One non-blank line replaced by arbitrary text, a JSON value
+        that is not an object, the record without one field, or the record
+        with extra keys in any order: reading gives the same records or a
+        ValueError naming that line, never another exception."""
+        cls, records = typed
+        names = [f.name for f in dataclasses.fields(cls)]
+        i = data.draw(st.integers(0, len(records) - 1))
+        rec = json.loads(_hand_written_line(records[i]))
+        mutation = data.draw(st.sampled_from(
+            ["text", "non-object", "missing", "extra"]))
+        if mutation == "text":
+            chars = st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\r\n")
+            line = data.draw(st.text(chars).filter(str.strip))
+        elif mutation == "non-object":
+            value = data.draw(_JSON_VALUES.filter(
+                lambda v: not isinstance(v, dict)))
+            line = json.dumps(value, ensure_ascii=data.draw(st.booleans()))
+        elif mutation == "missing":
+            del rec[data.draw(st.sampled_from(names))]
+            line = json.dumps(rec, ensure_ascii=False)
+        else:
+            extra = data.draw(st.dictionaries(
+                st.text().filter(lambda k: k not in names), _JSON_VALUES,
+                min_size=1, max_size=3))
+            items = data.draw(st.permutations(list({**rec, **extra}.items())))
+            line = json.dumps(dict(items), ensure_ascii=False)
+        lines = [_hand_written_line(r) for r in records]
+        lines[i] = line
+        path = tmp_path_factory.mktemp("records") / "r.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            got = list(read_records(cls, path))
+        except ValueError as exc:
+            assert mutation != "extra"
+            assert str(exc).startswith(f"{path}:{i + 1}: ")
+        else:
+            assert mutation in ("text", "extra")
+            assert got == records

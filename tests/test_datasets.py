@@ -7,14 +7,12 @@ import string
 
 import pytest
 
-from mindstone.corpus import Paragraph
+from mindstone.corpus import Paragraph, read_records, write_records
 from mindstone.eval import GoldRecord
 from mindstone.scorers import RankExample
 from mindstone.scorers.datasets import (build_dataset_aug1,
                                         build_dataset_aug2,
-                                        build_dataset_finetune,
-                                        read_rank_examples,
-                                        write_rank_examples)
+                                        build_dataset_finetune)
 
 
 def independent_contains(text: str, answers) -> bool:
@@ -183,8 +181,8 @@ class TestDatasetFile:
         examples = [RankExample("q?", "p#0", "some text", 1),
                     RankExample("q?", "p#1", "more text", 0)]
         path = tmp_path / "data.jsonl"
-        assert write_rank_examples(examples, path) == 2
-        assert read_rank_examples(path) == examples
+        assert write_records(examples, path) == 2
+        assert list(read_records(RankExample, path)) == examples
 
     def test_label_validated(self):
         with pytest.raises(ValueError):

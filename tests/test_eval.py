@@ -1,6 +1,7 @@
 """Answer metrics, recall definitions, question files, and the timing
 protocol."""
 
+import dataclasses
 import json
 import threading
 
@@ -428,7 +429,8 @@ class TestRunBenchmark:
             assert 0.0 <= spread["p50"] <= spread["p95"] <= spread["max"]
             # The breakdown is the same run's mean over the same questions.
             assert report.stage_breakdown_ms[stage] <= spread["max"]
-        assert report.to_dict()["stage_spread_ms"] == report.stage_spread_ms
+        assert (dataclasses.asdict(report)["stage_spread_ms"]
+                == report.stage_spread_ms)
 
     def test_single_run(self, f2_index, f2_paragraphs, f2_records,
                         trained_ranker, f2_reader):
@@ -492,7 +494,7 @@ class TestRunBenchmark:
         report = run_benchmark(f2_records[:8], pipe, runs=2)
         assert pool.threads == {threading.get_ident()}
         assert report.queries_per_run == 8
-        assert "workers" not in report.to_dict()
+        assert "workers" not in dataclasses.asdict(report)
 
     def test_rejects_bad_args(self, f2_index, f2_paragraphs, trained_ranker,
                               f2_reader):

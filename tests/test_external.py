@@ -110,6 +110,27 @@ class TestFailureModes:
                                                  rf"{para.para_id}"):
                 rank(ranker, "q", [para])
 
+    @pytest.mark.parametrize("role", ["rank", "read"])
+    def test_protocol_fault_in_pipeline_names_stage(self, role, f2_index,
+                                                    f2_paragraphs, f2_records,
+                                                    trained_ranker,
+                                                    f2_reader):
+        from mindstone.pipeline import Pipeline, PipelineConfig
+        script = py_script(
+            "import sys, json\n"
+            "print(json.dumps({'type':'hello','protocol':1,"
+            f"'roles':['{role}']}}), flush=True)\n"
+            "for line in sys.stdin:\n"
+            "    print('not json', flush=True)\n")
+        with ScorerPool(script, role, timeout=10) as pool:
+            ranker, reader = ((pool, f2_reader) if role == "rank"
+                              else (trained_ranker, pool))
+            pipe = Pipeline(f2_index, f2_paragraphs, ranker, reader,
+                            PipelineConfig(n_retriever=5))
+            result = pipe.answer_or_error(f2_records[0].question)
+        assert result.error.startswith(f"[{role}] ")
+        assert "response is not valid JSON: 'not json" in result.error
+
     def test_id_mismatch_is_malformed(self):
         script = py_script(
             "import sys, json\n"

@@ -11,7 +11,8 @@ from mindstone.eval import GoldRecord, exact_match
 from mindstone.fusion import (FusionWeights, GridPoint, fuse,
                               normalize_scores, simplex_grid, tune_weights,
                               write_tuning_csv)
-from mindstone.pipeline import Pipeline, SpanCandidate
+from mindstone.pipeline import (Pipeline, PipelineConfig, PipelineResult,
+                                SpanCandidate, StageTrace)
 
 
 def _loop_tune_weights(dev_records, pipeline, grid_step=0.05):
@@ -20,8 +21,9 @@ def _loop_tune_weights(dev_records, pipeline, grid_step=0.05):
     equal."""
     if not dev_records:
         raise ValueError("empty dev set")
-    cached = [(record, pipeline.collect_candidates(record.question))
-              for record in dev_records]
+    results = pipeline.answer_batch([r.question for r in dev_records])
+    cached = [(record, result.candidates)
+              for record, result in zip(dev_records, results)]
 
     report = []
     best = None
@@ -121,11 +123,13 @@ class _StubPipeline:
 
     def __init__(self, candidates_by_question):
         self.by_question = candidates_by_question
-        self.collect_calls = 0
+        self.batches = []
 
-    def collect_candidates(self, question):
-        self.collect_calls += 1
-        return self.by_question[question]
+    def answer_batch(self, questions):
+        self.batches.append(list(questions))
+        return [PipelineResult(answers=[], trace=StageTrace(), retrieved=[],
+                               ranked=[], candidates=self.by_question[q])
+                for q in questions]
 
     fuse_candidates = staticmethod(Pipeline.fuse_candidates)
 
@@ -166,7 +170,33 @@ class TestTuneWeights:
                               for i in range(4)})
         _, report = tune_weights(records, pipe, grid_step=0.05)
         assert len(report) == 231
-        assert pipe.collect_calls == 4
+        assert pipe.batches == [[f"q{i}" for i in range(4)]]
+
+    def test_failed_question_answers_empty_and_is_logged(
+            self, f2_index, f2_paragraphs, f2_records, trained_ranker,
+            f2_reader, caplog):
+        records = f2_records[:2]
+
+        class FailingReader:
+            def read_text(self, question, text, k):
+                if question == records[0].question:
+                    raise RuntimeError("reader crashed")
+                return f2_reader.read_text(question, text, k)
+
+        pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker,
+                        FailingReader(), PipelineConfig(n_retriever=20))
+        with caplog.at_level("WARNING", logger="mindstone"):
+            _, report = tune_weights(records, pipe, grid_step=0.25)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "mindstone" and r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(
+            f"question {records[0].qid} failed: [read] ")
+        assert warnings[0].endswith(": reader crashed")
+        # The failed question scores exact_match("", golds) = 0 everywhere.
+        _, alone = tune_weights(records[1:], pipe, grid_step=0.25)
+        assert [p.em for p in report] == [p.em / 2 for p in alone]
+        assert max(p.em for p in alone) == 1.0
 
     def test_empty_dev_set_rejected(self):
         with pytest.raises(ValueError):

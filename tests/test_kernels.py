@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindstone import _kernels
+from mindstone.scorers import builtin
 
 
 def _random_postings(rng, n_docs, n_terms):
@@ -177,16 +178,16 @@ class TestSpanScoreMatrix:
                                        atol=1e-12)
 
     def test_against_set_semantics_reference_at_reader_defaults(self):
-        # The builtin reader's max_span_tokens / ctx_radius / ctx_weight /
-        # length_penalty, on short paragraphs and at the 384-token limit.
+        # The builtin reader's span constants, on short paragraphs and at
+        # the 384-token limit.
+        reader = (builtin.MAX_SPAN_TOKENS, builtin.CTX_RADIUS,
+                  builtin.CTX_WEIGHT, builtin.LENGTH_PENALTY)
         rng = np.random.default_rng(11)
         for L in [1, 7, 29, 30, 31, 45, 384]:
             tokens, win_w, ctx_w, prev = self._arrays(rng, L, max(4, L // 3))
-            out = np.empty((L, 30))
-            _kernels.span_score_matrix(win_w, ctx_w, prev, 30, 15, 0.5, 0.3,
-                                       out)
-            expected = _reference_spans(win_w, ctx_w, tokens, 30, 15, 0.5,
-                                        0.3)
+            out = np.empty((L, builtin.MAX_SPAN_TOKENS))
+            _kernels.span_score_matrix(win_w, ctx_w, prev, *reader, out)
+            expected = _reference_spans(win_w, ctx_w, tokens, *reader)
             np.testing.assert_allclose(out, expected, rtol=1e-12,
                                        atol=1e-12)
 
