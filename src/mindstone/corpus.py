@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_type_hints
 
 # Classic Lucene English stopword list (33 terms).
 DEFAULT_STOPWORDS = frozenset([
@@ -106,7 +106,7 @@ def tokenize(text: str, stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: one term per line, '#' comments ignored."""
     terms = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read_utf8(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -114,28 +114,51 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(terms)
 
 
+def _read_utf8(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path``; a byte that is not UTF-8 is a
+    ValueError naming its file:line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = 1 + data.count(b"\n", 0, exc.start)
+        raise ValueError(f"{path}:{lineno}: not valid UTF-8 (byte "
+                         f"0x{data[exc.start]:02x}: {exc.reason})") from None
+
+
+def read_text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) per non-blank line of a UTF-8 file;
+    bytes that are not UTF-8 are a ValueError naming their file:line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError:
+        # The text layer decodes in blocks, so its error has no line.
+        _read_utf8(path)
+        raise
+
+
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) per non-blank line of a UTF-8 JSONL file;
     a line holding anything else is a ValueError naming its file:line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc.msg} "
-                                 f"(column {exc.colno})") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: not a JSON object")
-            yield lineno, obj
+    for lineno, line in read_text_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc.msg} "
+                             f"(column {exc.colno})") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: not a JSON object")
+        yield lineno, obj
 
 
 def load_json_object(path: str | Path) -> dict:
     """The JSON object in a UTF-8 file; else a ValueError naming the file."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(_read_utf8(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg} "
                          f"(column {exc.colno})") from None
@@ -145,15 +168,28 @@ def load_json_object(path: str | Path) -> dict:
 
 
 def read_records(cls, path: str | Path) -> Iterator:
-    """Stream records of the dataclass ``cls`` (two or more fields) from a
-    JSONL file keyed by its field names, ignoring other keys. A malformed
-    line or a rejected record is a ValueError naming its file:line."""
-    values = itemgetter(*(f.name for f in fields(cls)))
+    """Stream records of the dataclass ``cls`` (two or more fields, each a
+    ``str`` or an ``int``) from a JSONL file keyed by its field names,
+    ignoring other keys. A malformed line, a value of another JSON type
+    (``true`` is not an int) or a rejected record is a ValueError naming
+    its file:line."""
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    kinds = tuple(hints[name] for name in names)
+    values = itemgetter(*names)
     for lineno, rec in read_json_lines(path):
         try:
-            record = cls(*values(rec))
+            args = values(rec)
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+        if tuple(map(type, args)) != kinds:
+            for name, kind, value in zip(names, kinds, args):
+                if type(value) is not kind:
+                    raise ValueError(
+                        f"{path}:{lineno}: field {name!r} must be "
+                        f"{kind.__name__}, got {type(value).__name__}")
+        try:
+            record = cls(*args)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         yield record

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Article, segment
+from .corpus import Article, load_json_object, read_text_lines, segment
 
 log = logging.getLogger("mindstone")
 
@@ -113,22 +113,18 @@ def read_questions(path: str | Path) -> tuple[list[GoldRecord], int]:
     """Load questions JSONL; malformed records are skipped and counted."""
     records: list[GoldRecord] = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                records.append(GoldRecord(
-                    qid=str(rec["qid"]),
-                    question=rec["question"],
-                    gold_answers=tuple(rec["answers"]),
-                    gold_article_id=rec.get("gold_article_id"),
-                    gold_paragraph=rec.get("gold_paragraph"),
-                ))
-            except (ValueError, KeyError, TypeError):
-                skipped += 1
+    for _, line in read_text_lines(path):
+        try:
+            rec = json.loads(line)
+            records.append(GoldRecord(
+                qid=str(rec["qid"]),
+                question=rec["question"],
+                gold_answers=tuple(rec["answers"]),
+                gold_article_id=rec.get("gold_article_id"),
+                gold_paragraph=rec.get("gold_paragraph"),
+            ))
+        except (ValueError, KeyError, TypeError):
+            skipped += 1
     return records, skipped
 
 
@@ -147,27 +143,65 @@ def write_questions(records: Iterable[GoldRecord], path: str | Path) -> int:
     return n
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _squad_field(path, node: dict, where: str, key: str, kinds: tuple):
+    """``node[key]`` when its JSON type is one of ``kinds``; else a
+    ValueError naming the file and the field's JSON path."""
+    at = f"{where}.{key}" if where else key
+    if key not in node:
+        raise ValueError(f"{path}: {at}: missing")
+    if type(node[key]) not in kinds:
+        raise ValueError(f"{path}: {at}: expected {_JSON_TYPES[kinds[0]]}, "
+                         f"got {_JSON_TYPES[type(node[key])]}")
+    return node[key]
+
+
+def _squad_objects(path, node: dict, where: str, key: str):
+    """(JSON path, object) for each item of the array ``node[key]``; an
+    item that is not an object is a ValueError naming its JSON path."""
+    items = _squad_field(path, node, where, key, (list,))
+    at = f"{where}.{key}" if where else key
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise ValueError(f"{path}: {at}[{i}]: expected an object, "
+                             f"got {_JSON_TYPES[type(item)]}")
+        yield f"{at}[{i}]", item
+
+
 def convert_squad_v11(path: str | Path) -> tuple[list[Article], list[GoldRecord]]:
-    """Convert a SQuAD v1.1 JSON file into articles + question records."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))["data"]
+    """Convert a SQuAD v1.1 JSON file into articles + question records. A
+    node of the wrong shape is a ValueError naming the file and the node's
+    JSON path (``data[0].paragraphs[2].qas[1].answers``)."""
+    root = load_json_object(path)
     articles: list[Article] = []
     records: list[GoldRecord] = []
-    for entry in data:
-        title = entry.get("title", "")
+    for at, entry in _squad_objects(path, root, "", "data"):
+        title = (_squad_field(path, entry, at, "title", (str,))
+                 if "title" in entry else "")
         article_id = title or f"article{len(articles)}"
         contexts = []
-        for para in entry["paragraphs"]:
-            context = para["context"]
+        for at_para, para in _squad_objects(path, entry, at, "paragraphs"):
+            context = _squad_field(path, para, at_para, "context", (str,))
             contexts.append(context)
-            for qa in para["qas"]:
+            for at_qa, qa in _squad_objects(path, para, at_para, "qas"):
                 answers = []
-                for ans in qa["answers"]:
-                    if ans["text"] not in answers:
-                        answers.append(ans["text"])
-                records.append(GoldRecord(
-                    qid=str(qa["id"]), question=qa["question"],
-                    gold_answers=tuple(answers),
-                    gold_article_id=article_id, gold_paragraph=context))
+                for at_ans, ans in _squad_objects(path, qa, at_qa, "answers"):
+                    text = _squad_field(path, ans, at_ans, "text", (str,))
+                    if text not in answers:
+                        answers.append(text)
+                qid = str(_squad_field(path, qa, at_qa, "id", (str, int)))
+                question = _squad_field(path, qa, at_qa, "question", (str,))
+                try:
+                    records.append(GoldRecord(
+                        qid=qid, question=question,
+                        gold_answers=tuple(answers),
+                        gold_article_id=article_id, gold_paragraph=context))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {at_qa}: {exc}") from None
         articles.append(Article(article_id=article_id, title=title,
                                 body="\n\n".join(contexts)))
     return articles, records

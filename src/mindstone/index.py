@@ -5,6 +5,12 @@ documents; defaults k1=0.9, b=0.4. Only per-document term rows (CSR-style
 numpy arrays, which RM3 feedback reads) are built and saved. The per-term
 postings that the kernels in :mod:`mindstone._kernels` score, and the
 document lengths, are derived from the rows on build and on load.
+
+The build counts with arrays, not per-document Counters: each raw token
+gets an id in first-seen order as it is tokenized, each distinct raw token
+is lowercased and stopword-checked once (the same terms as lowering every
+token), and one ``np.unique`` over ``doc * n_terms + term_id`` keys gives
+the rows, by document and then by term, with their counts.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import json
 import math
 import zipfile
 import zlib
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -22,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .corpus import DEFAULT_STOPWORDS, Paragraph, tokenize
+from .corpus import _TOKEN_RE, DEFAULT_STOPWORDS, Paragraph, tokenize
 from .errors import IndexBuildError, UnknownDocumentError
 
 # 2: terms are tokens of the original text lowercased one by one.
@@ -125,31 +132,51 @@ class InvertedIndex:
               stopwords=DEFAULT_STOPWORDS) -> "InvertedIndex":
         doc_ids: list[str] = []
         seen: set[str] = set()
-        doc_counts: list[Counter] = []
-        vocab: set[str] = set()
+        # Raw token -> id in first-seen order, assigned without per-token
+        # Python code: a missing key's id is the dict's size.
+        raw: defaultdict[str, int] = defaultdict()
+        raw.default_factory = raw.__len__
+        token_ids = array("q")
+        token_counts = array("q")
         for para in paragraphs:
             if para.para_id in seen:
                 raise IndexBuildError(f"duplicate para_id: {para.para_id!r}")
             seen.add(para.para_id)
             doc_ids.append(para.para_id)
-            counts = Counter(tokenize(para.full_text, stopwords))
-            doc_counts.append(counts)
-            vocab.update(counts)
+            before = len(token_ids)
+            token_ids.extend(map(raw.__getitem__,
+                                 _TOKEN_RE.findall(para.full_text)))
+            token_counts.append(len(token_ids) - before)
+        # The factory refers back to the dict: break that cycle, so the raw
+        # tokens are freed when the build returns, not at the next GC pass.
+        raw.default_factory = None
 
-        terms = sorted(vocab)
+        # Each distinct raw token is lowercased (and stopword-checked) once;
+        # tokens sharing a lowercase form share its term id.
+        lowered = [token.lower() for token in raw]
+        terms = sorted({t for t in lowered if t not in stopwords})
         term_id = {t: i for i, t in enumerate(terms)}
+        remap = np.array([term_id.get(t, -1) for t in lowered], dtype=np.int64)
+        tids = remap[np.frombuffer(token_ids, dtype=np.int64)]
+        del token_ids
+        kept = tids >= 0
+        # One (doc, term) key per kept token, made in place to bound the
+        # peak: the sorted unique keys are the rows, by document and then
+        # by term id, which is the order of ``terms``.
+        keys = np.repeat(np.arange(len(doc_ids), dtype=np.int64),
+                         np.frombuffer(token_counts, dtype=np.int64))[kept]
+        keys *= len(terms)
+        keys += tids[kept]
+        del tids, kept
+        keys, tfs = np.unique(keys, return_counts=True)
+        row_docs, doc_term_ids = np.divmod(keys, max(len(terms), 1))
         doc_offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
-        doc_term_ids: list[int] = []
-        doc_tfs: list[float] = []
-        for i, counts in enumerate(doc_counts):
-            for term in sorted(counts):
-                doc_term_ids.append(term_id[term])
-                doc_tfs.append(counts[term])
-            doc_offsets[i + 1] = len(doc_term_ids)
+        np.cumsum(np.bincount(row_docs, minlength=len(doc_ids)),
+                  out=doc_offsets[1:])
 
         return cls(params=params, stopwords=stopwords, doc_ids=doc_ids,
                    terms=terms, doc_offsets=doc_offsets,
-                   doc_term_ids=doc_term_ids, doc_tfs=doc_tfs)
+                   doc_term_ids=doc_term_ids, doc_tfs=tfs)
 
     # -- introspection ---------------------------------------------------
 

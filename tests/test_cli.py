@@ -410,11 +410,58 @@ class TestMalformedInputs:
          ":3: Expecting ':' delimiter"),
         ('[]', ["answer", *_PIPELINE, "--config", "{bad}",
                 "--question", _QUESTION], ": not a JSON object"),
+        # Record values of the wrong JSON type.
+        (_PARAGRAPH.replace('"body": "x"', '"body": 5'),
+         ["index", "--in", "{bad}", "--out", "{out}"],
+         ":1: field 'body' must be str, got int"),
+        (_PARAGRAPH.replace('"title": "T", "body": "x"',
+                            '"title": "", "body": 5'),
+         ["index", "--in", "{bad}", "--out", "{out}"],
+         ":1: field 'body' must be str, got int"),
+        (_EXAMPLE.replace('"label": 1', '"label": true'),
+         ["train-ranker", "--dataset", "{bad}", "--index", "{idx}",
+          "--out", "{out}"], ":1: field 'label' must be int, got bool"),
+        # Bytes that are not UTF-8.
+        (b"\xff\xfe" + _PARAGRAPH.encode("utf-16-le"),
+         ["index", "--in", "{bad}", "--out", "{out}"],
+         ":1: not valid UTF-8 (byte 0xff"),
+        (b'{"qid": "q0", "question": "x"}\n{"qid": "q1", "question": '
+         b'"caf\xe9"}\n', ["answer", *_PIPELINE, "--batch", "{bad}"],
+         ":2: not valid UTF-8 (byte 0xe9"),
+        (b'{"qid": "q0", "question": "x", "answers": ["y"]}\n\n'
+         b'{"qid": "q1", "question": "\xc3", "answers": ["y"]}\n',
+         ["build-dataset", "--method", "finetune", "--questions", "{bad}",
+          "--paragraphs", "{paras}", "--out", "{out}"],
+         ":3: not valid UTF-8 (byte 0xc3"),
+        (b'{\n  "n_retriever": "\x80"\n}',
+         ["answer", *_PIPELINE, "--config", "{bad}", "--question", _QUESTION],
+         ":2: not valid UTF-8 (byte 0x80"),
+        # SQuAD files of the wrong shape.
+        ('{"version": "1.1"}', ["ingest", "--squad", "{bad}",
+                                 "--out", "{out}"], ": data: missing"),
+        ('{"data": [1]}', ["ingest", "--squad", "{bad}", "--out", "{out}"],
+         ": data[0]: expected an object, got a number"),
+        (json.dumps({"data": [{"title": "T", "paragraphs": [
+            {"context": "c", "qas": []},
+            {"context": "c", "qas": [
+                {"id": "1", "question": "q?", "answers": [{"text": "c"}]},
+                {"id": "2", "question": "q?", "answers": "c"}]}]}]}),
+         ["ingest", "--squad", "{bad}", "--out", "{out}"],
+         ": data[0].paragraphs[1].qas[1].answers: expected an array, "
+         "got a string"),
+        (json.dumps({"data": [{"paragraphs": [{"context": "c", "qas": [
+            {"id": 7, "question": "q?", "answers": []}]}]}]}),
+         ["ingest", "--squad", "{bad}", "--out", "{out}"],
+         ": data[0].paragraphs[0].qas[0]: question '7' has no gold answers"),
+        (json.dumps({"data": [{"paragraphs": [{"context": None}]}]}),
+         ["ingest", "--squad", "{bad}", "--out", "{out}"],
+         ": data[0].paragraphs[0].context: expected a string, got null"),
     ])
     def test_error_names_file_and_line(self, workdir, tmp_path, capsys,
                                        content, argv, where):
         bad = tmp_path / "bad.json"
-        bad.write_text(content, encoding="utf-8")
+        bad.write_bytes(content if isinstance(content, bytes)
+                        else content.encode("utf-8"))
         paths = {"bad": bad, "out": tmp_path / "out", "idx": workdir / "idx",
                  "paras": workdir / "paragraphs.jsonl"}
         code = main([arg.format(**paths) for arg in argv])

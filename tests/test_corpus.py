@@ -9,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindstone.corpus import (DEFAULT_STOPWORDS, Article, Paragraph,
-                              load_paragraph_map, load_stopwords,
-                              read_records, segment, split_article,
-                              token_spans, tokenize, write_records)
+                              load_json_object, load_paragraph_map,
+                              load_stopwords, read_json_lines, read_records,
+                              segment, split_article, token_spans, tokenize,
+                              write_records)
+from mindstone.eval import read_questions
 from mindstone.scorers import RankExample
 
 
@@ -122,6 +124,31 @@ class TestTokenize:
             assert text[start:end].lower() == token
 
 
+class TestUtf8Errors:
+    """Bytes that are not UTF-8 are a ValueError naming the file and the
+    line of the first bad byte, whichever reader meets them."""
+
+    @pytest.mark.parametrize("read", [
+        lambda path: list(read_json_lines(path)),
+        lambda path: read_questions(path),
+        load_json_object,
+        load_stopwords,
+    ])
+    def test_bad_byte_names_file_and_line(self, tmp_path, read):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n{"a": "\xc3\xa9\xff"}\n')
+        with pytest.raises(ValueError, match=(
+                f"^{path}:3: not valid UTF-8 \\(byte 0xff: invalid start "
+                "byte\\)$")):
+            read(path)
+
+    def test_utf16_file_fails_on_its_first_line(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes('{"a": 1}\n'.encode("utf-16"))
+        with pytest.raises(ValueError, match=f"^{path}:1: not valid UTF-8"):
+            list(read_json_lines(path))
+
+
 class TestStopwordFile:
     def test_load_with_comments_and_blanks(self, tmp_path):
         path = tmp_path / "stop.txt"
@@ -172,6 +199,32 @@ class TestParagraphFiles:
         with pytest.raises(ValueError,
                            match=f"^{path}:1: label must be 0 or 1, got 2$"):
             list(read_records(RankExample, path))
+
+    @pytest.mark.parametrize("cls, line, message", [
+        (Paragraph, '{"para_id": "p#0", "article_id": "a", "title": "", '
+         '"body": 5, "position": 0}', "field 'body' must be str, got int"),
+        (Paragraph, '{"para_id": "p#0", "article_id": "a", "title": null, '
+         '"body": "x", "position": 0}',
+         "field 'title' must be str, got NoneType"),
+        (Paragraph, '{"para_id": "p#0", "article_id": "a", "title": "", '
+         '"body": "x", "position": 0.0}',
+         "field 'position' must be int, got float"),
+        (Paragraph, '{"para_id": ["p#0"], "article_id": "a", "title": "", '
+         '"body": "x", "position": true}',
+         "field 'para_id' must be str, got list"),
+        (Article, '{"article_id": {}, "title": "T", "body": "x"}',
+         "field 'article_id' must be str, got dict"),
+        (RankExample, '{"question": "q", "para_id": "p#0", "text": "t", '
+         '"label": true}', "field 'label' must be int, got bool"),
+        (RankExample, '{"question": "q", "para_id": "p#0", "text": "t", '
+         '"label": "1"}', "field 'label' must be int, got str"),
+    ])
+    def test_value_of_another_type_names_file_and_line(self, tmp_path, cls,
+                                                       line, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text(f"\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{path}:2: {message}$"):
+            list(read_records(cls, path))
 
     def test_duplicate_para_id_rejected(self, tmp_path):
         path = tmp_path / "p.jsonl"

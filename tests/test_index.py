@@ -7,6 +7,7 @@ from-scratch evaluator that shares no code with the index path.
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BruteForceBm25, make_random_corpus
-from mindstone.corpus import Paragraph
+from mindstone.corpus import DEFAULT_STOPWORDS, Paragraph, tokenize
 from mindstone.errors import IndexBuildError, UnknownDocumentError
 from mindstone.index import Bm25Params, InvertedIndex, QueryVector
 
@@ -23,6 +24,56 @@ from mindstone.index import Bm25Params, InvertedIndex, QueryVector
 def _paras(*bodies, title=""):
     return [Paragraph(f"d{i}", f"a{i}", title, b, 0)
             for i, b in enumerate(bodies)]
+
+
+def _counter_build(paragraphs, params=Bm25Params(),
+                   stopwords=DEFAULT_STOPWORDS):
+    """The per-paragraph Counter build that ``InvertedIndex.build`` replaced:
+    the oracle of its array build."""
+    doc_ids = []
+    seen = set()
+    doc_counts = []
+    vocab = set()
+    for para in paragraphs:
+        if para.para_id in seen:
+            raise IndexBuildError(f"duplicate para_id: {para.para_id!r}")
+        seen.add(para.para_id)
+        doc_ids.append(para.para_id)
+        counts = Counter(tokenize(para.full_text, stopwords))
+        doc_counts.append(counts)
+        vocab.update(counts)
+
+    terms = sorted(vocab)
+    term_id = {t: i for i, t in enumerate(terms)}
+    doc_offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
+    doc_term_ids = []
+    doc_tfs = []
+    for i, counts in enumerate(doc_counts):
+        for term in sorted(counts):
+            doc_term_ids.append(term_id[term])
+            doc_tfs.append(counts[term])
+        doc_offsets[i + 1] = len(doc_term_ids)
+
+    return InvertedIndex(params=params, stopwords=stopwords, doc_ids=doc_ids,
+                         terms=terms, doc_offsets=doc_offsets,
+                         doc_term_ids=doc_term_ids, doc_tfs=doc_tfs)
+
+
+# Words whose raw forms share a lowercase form, capitalised stopwords, and
+# characters whose lowercase differs in length or category: "İ" lowers to
+# "i" plus a combining dot, "ẞ" to "ß", titlecase "ǅ" to "ǆ"; combining
+# marks, digits and fullwidth letters are token characters.
+_WORDS = ["Cat", "CAT", "cat", "cAt", "The", "THE", "the", "AND", "And",
+          "İstanbul", "istanbul", "İ", "i\u0307", "ẞ", "ß", "SS", "ǅemal",
+          "ǆemal", "Ǆemal", "e\u0301", "é", "É", "x1", "42", "٤٢", "ｃａｔ",
+          "ＣＡＴ", "Σ", "σ", "ς", "ﬁne", "Ⅻ"]
+_SEPARATORS = [" ", "  ", "\n", "_", "__", ", ", "-", "\u00a0", "\t", "."]
+_TEXT = (st.lists(st.tuples(st.sampled_from(_WORDS),
+                            st.sampled_from(_SEPARATORS)), max_size=25)
+         .map(lambda pairs: "".join(w + sep for w, sep in pairs))
+         | st.text(max_size=40))
+_STOPWORDS = st.sampled_from([DEFAULT_STOPWORDS, frozenset(),
+                              frozenset({"cat", "i\u0307", "ß", "é", "σ"})])
 
 
 class TestBuild:
@@ -91,6 +142,24 @@ class TestBuild:
         question = " ".join(rng.choice(terms + ["zzz"], size=4))
         assert (loaded.retrieve(question, 60).hits
                 == idx.retrieve(question, 60).hits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["", "The", "Cat", "AND the"]),
+                              _TEXT | st.sampled_from(["", "the AND Of",
+                                                       "_ - ,"])),
+                    max_size=8),
+           _STOPWORDS)
+    def test_build_equals_counter_oracle(self, texts, stopwords):
+        paragraphs = [Paragraph(f"d{i}", "a", title, body, i)
+                      for i, (title, body) in enumerate(texts)]
+        idx = InvertedIndex.build(paragraphs, stopwords=stopwords)
+        oracle = _counter_build(paragraphs, stopwords=stopwords)
+        assert idx.build_checksum == oracle.build_checksum
+        assert idx._terms == oracle._terms
+        for name in ("_doc_offsets", "_doc_term_ids", "_doc_tfs"):
+            got, want = getattr(idx, name), getattr(oracle, name)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist(), name
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
