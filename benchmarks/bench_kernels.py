@@ -1,5 +1,5 @@
-"""Time the two numeric kernels, the fusion grid search and a BM25
-retrieval batch.
+"""Time the two numeric kernels, the fusion grid search, the ranker's
+feature path and a BM25 retrieval batch.
 
 Times BM25 postings accumulation over synthetic postings shaped like a
 desk-scale corpus; span scoring over synthetic paragraphs of 30 tokens (an
@@ -7,9 +7,12 @@ F2-sized paragraph) and 384 tokens (the reader's token limit), next to the
 position-at-a-time loop kernel that ``tests/test_kernels.py`` keeps as its
 oracle; the fusion weight grid search at F2's shape (100 dev questions of 3
 candidates, 231 grid points), next to the per-point loop that
-``tests/test_fusion.py`` keeps as its oracle; and a retrieval batch over the
-frozen F2 fixture. Kernel and grid-search times are the median and
-interquartile range over repeated calls.
+``tests/test_fusion.py`` keeps as its oracle; the ranker's training
+features over F2's paired-paragraph and retrieve-rerank (m=100, n=5)
+examples, next to the per-pair loop that ``tests/test_scorers.py`` keeps as
+its oracle; and a retrieval batch over the frozen F2 fixture. Kernel,
+grid-search and feature times are the median and interquartile range over
+repeated calls.
 
     python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 30 384]
 """
@@ -32,6 +35,9 @@ from mindstone.eval import GoldRecord  # noqa: E402
 from mindstone.pipeline import SpanCandidate  # noqa: E402
 from test_fusion import _loop_tune_weights, _StubPipeline  # noqa: E402
 from test_kernels import _loop_span_scores  # noqa: E402
+from test_scorers import _loop_features  # noqa: E402
+
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def time_fn(fn, *args, repeat: int) -> np.ndarray:
@@ -128,10 +134,44 @@ def bench_tuning(rng, n_questions: int = 100, n_candidates: int = 3
     return {name: np.concatenate(t) for name, t in times.items()}
 
 
+def bench_features() -> dict[str, np.ndarray]:
+    """Time the ranker's training feature matrix over F2's finetune and
+    aug2 examples, one phase at a time as training builds it: the array
+    path (one call per question) and the per-pair loop oracle."""
+    from mindstone.corpus import Paragraph, read_records
+    from mindstone.eval import read_questions
+    from mindstone.index import InvertedIndex
+    from mindstone.scorers import BuiltinRanker, train_builtin_ranker
+    from mindstone.scorers.builtin import _example_features
+    from mindstone.scorers.datasets import (build_dataset_aug2,
+                                            build_dataset_finetune)
+
+    paragraphs = {p.para_id: p for p in
+                  read_records(Paragraph, FIXTURES / "f2_paragraphs.jsonl")}
+    records, _ = read_questions(FIXTURES / "f2_questions.jsonl")
+    index = InvertedIndex.build(paragraphs.values())
+    finetune = build_dataset_finetune(records, paragraphs.values())
+    phase1, _ = train_builtin_ranker(finetune, index)
+    aug2 = build_dataset_aug2(records, index, paragraphs,
+                              BuiltinRanker(phase1, index), m=100, n=5)
+
+    def loop(examples, index):
+        return np.array([_loop_features(ex.question, ex.text, index)
+                         for ex in examples])
+
+    times: dict[str, list] = {}
+    for _ in range(5):  # alternate, so drift hits both paths alike
+        for phase, examples in (("finetune", finetune), ("aug2", aug2)):
+            label = f"{phase} ({len(examples)} F2 examples)"
+            for name, fn in (("array", _example_features), ("loop", loop)):
+                times.setdefault(f"{name}, {label}", []).append(
+                    time_fn(fn, examples, index, repeat=4))
+    return {label: np.concatenate(t) for label, t in times.items()}
+
+
 def bench_fixture_retrieval(n_queries: int) -> float | None:
-    fixtures = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
-    para_file = fixtures / "f2_paragraphs.jsonl"
-    q_file = fixtures / "f2_questions.jsonl"
+    para_file = FIXTURES / "f2_paragraphs.jsonl"
+    q_file = FIXTURES / "f2_questions.jsonl"
     if not para_file.exists():
         return None
     from mindstone.corpus import Paragraph, read_records
@@ -171,6 +211,10 @@ def main(argv=None) -> int:
 
     for name, times in bench_tuning(rng).items():
         label = f"fusion grid search, {name} (100 q x 231 pts)"
+        print(f"{label:<44} {describe(times)}")
+
+    for name, times in bench_features().items():
+        label = f"ranker features, {name}"
         print(f"{label:<44} {describe(times)}")
 
     seconds = bench_fixture_retrieval(args.queries)

@@ -110,19 +110,26 @@ class GoldRecord:
 
 
 def read_questions(path: str | Path) -> tuple[list[GoldRecord], int]:
-    """Load questions JSONL; malformed records are skipped and counted."""
+    """Load questions JSONL; malformed records are skipped and counted. A
+    record is a JSON object with a string ``question``, a non-empty array
+    of string ``answers``, a string or integer ``qid`` (an integer is read
+    as its ``str``) and, optionally, a string or null ``gold_article_id``
+    and ``gold_paragraph``."""
     records: list[GoldRecord] = []
     skipped = 0
     for _, line in read_text_lines(path):
         try:
             rec = json.loads(line)
-            records.append(GoldRecord(
-                qid=str(rec["qid"]),
-                question=rec["question"],
-                gold_answers=tuple(rec["answers"]),
-                gold_article_id=rec.get("gold_article_id"),
-                gold_paragraph=rec.get("gold_paragraph"),
-            ))
+            qid, question = rec["qid"], rec["question"]
+            answers = rec["answers"]
+            gold = (rec.get("gold_article_id"), rec.get("gold_paragraph"))
+            if not (type(qid) in (str, int) and type(question) is str
+                    and type(answers) is list
+                    and all(type(a) is str for a in answers)
+                    and all(g is None or type(g) is str for g in gold)):
+                raise TypeError
+            records.append(GoldRecord(str(qid), question, tuple(answers),
+                                      *gold))
         except (ValueError, KeyError, TypeError):
             skipped += 1
     return records, skipped

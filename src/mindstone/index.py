@@ -117,11 +117,7 @@ class InvertedIndex:
         # Per-term idf and per-doc BM25 length normalization.
         df = np.diff(self._term_offsets).astype(np.float64)
         self._idf = np.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        if n and self.avg_doc_len > 0:
-            rel_len = self._doc_len / self.avg_doc_len
-        else:
-            rel_len = np.zeros(n)
-        self._norm = params.k1 * (1.0 - params.b + params.b * rel_len)
+        self._norm = self.bm25_norms(self._doc_len)
         self.build_checksum = self._checksum()
 
     # -- construction ----------------------------------------------------
@@ -217,10 +213,15 @@ class InvertedIndex:
         """Indexed token counts of the documents ``ordinals``."""
         return self._doc_len[ordinals]
 
-    def bm25_norms(self, ordinals: np.ndarray) -> np.ndarray:
+    def bm25_norms(self, lengths: np.ndarray) -> np.ndarray:
         """BM25 length normalizers ``k1 * (1 - b + b * len / avg_len)`` of
-        the documents ``ordinals``."""
-        return self._norm[ordinals]
+        texts of ``lengths`` indexed tokens (``len / avg_len`` is 0 over an
+        empty index)."""
+        if self.avg_doc_len > 0:
+            rel_len = lengths / self.avg_doc_len
+        else:
+            rel_len = np.zeros(len(lengths))
+        return self.params.k1 * (1.0 - self.params.b + self.params.b * rel_len)
 
     def matches_text(self, ordinal: int, text: str) -> bool:
         """True when ``text`` tokenizes to exactly the term counts indexed

@@ -2,9 +2,13 @@
 
 The ranker is a logistic-loss linear model over six cheap lexical features
 (feature_spec_version 1); it exercises the same training pipeline a neural
-ranker would attach to. The reader scores every token window up to 30
-tokens by idf-weighted question-term overlap (in-window, plus half-weight
-overlap in a +/-15-token context) minus a mild length penalty.
+ranker would attach to. Pools (``rank_pool``), single pairs
+(``rank_text``) and training (``train_builtin_ranker``) compute features
+through one path, :func:`feature_rows`: an indexed paragraph whose text is
+the indexed text is read from its postings, any other text from its own
+tokens. The reader scores every token window up to 30 tokens by
+idf-weighted question-term overlap (in-window, plus half-weight overlap
+in a +/-15-token context) minus a mild length penalty.
 """
 
 from __future__ import annotations
@@ -36,39 +40,74 @@ CTX_WEIGHT = 0.5
 LENGTH_PENALTY = 0.3
 IDF_FLOOR = 2.0
 
+# A text to score: (its index ordinal and None when it is the indexed text
+# of a document, else -1 and its term counts; its title terms).
+Candidate = tuple[int, Counter | None, frozenset[str]]
 
-def _first_line_title(text: str) -> str:
+
+def _title_terms(text: str, stopwords: frozenset[str]) -> frozenset[str]:
     # full_text is "<title>\n<body>" when the article has a title.
     head, sep, _ = text.partition("\n")
-    return head if sep else ""
+    return frozenset(tokenize(head, stopwords) if sep else ())
 
 
-def extract_features(question: str, text: str, index: InvertedIndex) -> np.ndarray:
-    """Feature vector for one (question, paragraph-text) pair."""
+def _candidate(index: InvertedIndex, para_id: str | None,
+               text: str) -> Candidate:
+    """The candidate of ``text``, read from the index when it is the
+    indexed text of ``para_id``."""
+    title_terms = _title_terms(text, index.stopwords)
+    if para_id in index:
+        ordinal = index.ordinal(para_id)
+        if index.matches_text(ordinal, text):
+            return ordinal, None, title_terms
+    return -1, Counter(tokenize(text, index.stopwords)), title_terms
+
+
+def feature_rows(index: InvertedIndex, question: str,
+                 candidates: Sequence[Candidate]) -> np.ndarray:
+    """Feature vectors of ``candidates`` (see :func:`_candidate`), one row
+    each: an indexed document's tf and length come from the index, a
+    text's from its term counts. Question terms are added in sorted order,
+    each as one array op over the rows, so a row is the same bit for bit
+    whatever else is scored with it."""
     q_counts = Counter(tokenize(question, index.stopwords))
-    t_terms = tokenize(text, index.stopwords)
-    t_counts = Counter(t_terms)
-    doc_len = len(t_terms)
-    k1, b = index.params.k1, index.params.b
-    avg = index.avg_doc_len
-    norm = k1 * (1.0 - b + b * (doc_len / avg if avg > 0 else 0.0))
+    ordinals = np.array([c[0] for c in candidates], dtype=np.int64)
+    at_text = ordinals < 0
+    texts = [c[1] for c in candidates if c[0] < 0] if at_text.any() else []
+    if texts:
+        ordinals = ordinals[~at_text]
 
-    bm25 = 0.0
-    idf_overlap = 0.0
-    overlap = 0
+    def rows(indexed: np.ndarray, text_values: list) -> np.ndarray:
+        # Indexed values and text values, in candidate order.
+        if not texts:
+            return indexed
+        out = np.empty(len(candidates))
+        out[~at_text], out[at_text] = indexed, text_values
+        return out
+
+    lengths = rows(index.doc_lengths(ordinals), [c.total() for c in texts])
+    norm = index.bm25_norms(lengths)
+    k1 = index.params.k1
+    bm25, idf_overlap, overlap = np.zeros((3, len(candidates)))
     for term in sorted(q_counts):
-        tf = t_counts.get(term, 0)
-        if tf == 0:
+        tf = rows(index.term_frequencies(term, ordinals),
+                  [c[term] for c in texts])
+        hit = tf > 0
+        if not hit.any():
             continue
         idf = index.idf(term)
-        bm25 += q_counts[term] * idf * (tf * (k1 + 1.0)) / (tf + norm)
-        idf_overlap += idf
-        overlap += 1
-    coverage = overlap / len(q_counts) if q_counts else 0.0
-    title_terms = set(tokenize(_first_line_title(text), index.stopwords))
-    title_overlap = sum(1 for t in q_counts if t in title_terms)
-    return np.array([bm25, float(overlap), idf_overlap, coverage,
-                     math.log1p(doc_len), float(title_overlap)])
+        # Rows without the term add +0.0, which leaves their sums (all
+        # >= +0.0) unchanged, as skipping them would.
+        bm25 += np.divide(q_counts[term] * idf * (tf * (k1 + 1.0)),
+                          tf + norm, out=np.zeros(len(tf)), where=hit)
+        idf_overlap += hit * idf
+        overlap += hit
+    coverage = overlap / max(len(q_counts), 1)
+    log_length = [math.log1p(n) for n in lengths.tolist()]
+    q_terms = set(q_counts)
+    title_overlap = [float(len(q_terms & c[2])) for c in candidates]
+    return np.column_stack([bm25, overlap, idf_overlap, coverage,
+                            log_length, title_overlap])
 
 
 @dataclass(frozen=True)
@@ -79,8 +118,12 @@ class BuiltinRankerModel:
 
     def __post_init__(self):
         values = list(self.feature_weights) + [self.bias]
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("model parameters must be finite")
+        if not all(type(v) is not bool and math.isfinite(v) for v in values):
+            raise ValueError("model parameters must be finite numbers")
+        version = self.feature_spec_version
+        if type(version) is not int or version != FEATURE_SPEC_VERSION:
+            raise ValueError(f"feature_spec_version must be "
+                             f"{FEATURE_SPEC_VERSION}, got {version!r}")
 
     @classmethod
     def zeros(cls) -> "BuiltinRankerModel":
@@ -115,89 +158,40 @@ class BuiltinRanker:
         self.model = model
         self.index = index
         self._w = np.array(model.feature_weights)
-        # Paragraph -> (index ordinal, or -1 when its text is not the
-        # indexed text; title terms), filled on first use.
-        self._memo: dict[Paragraph, tuple[int, frozenset[str]]] = {}
+        # Paragraph -> its _candidate, filled on first use.
+        self._memo: dict[Paragraph, Candidate] = {}
 
     def rank_text(self, question: str, text: str) -> float:
-        x = extract_features(question, text, self.index)
+        x = feature_rows(self.index, question,
+                         [_candidate(self.index, None, text)])[0]
         return float(x @ self._w + self.model.bias)
 
     def rank_pool(self, question: str, paragraphs: Sequence[Paragraph],
                   max_tokens: int) -> np.ndarray:
         """Scores of a candidate pool, equal bit for bit to ``rank_text`` on
-        each paragraph truncated to ``max_tokens``.
+        each paragraph truncated to ``max_tokens``, from one
+        :func:`feature_rows` call.
 
         A text within the token limit (:func:`within_token_limit`) is never
         truncated; when it is also the indexed text of its paragraph, its
         features come from the index's postings instead of from tokenizing
         it.
         """
-        x = np.empty((len(paragraphs), len(FEATURE_NAMES)))
-        rows, ordinals, titles = [], [], []
-        for i, para in enumerate(paragraphs):
+        candidates = []
+        for para in paragraphs:
             text = para.full_text
-            if within_token_limit(text, max_tokens):
-                ordinal, title_terms = self._indexed(para, text)
-                if ordinal >= 0:
-                    rows.append(i)
-                    ordinals.append(ordinal)
-                    titles.append(title_terms)
-                    continue
-            x[i] = extract_features(
-                question, truncate_to_tokens(text, max_tokens), self.index)
-        if rows:
-            x[rows] = self._indexed_features(question, np.array(ordinals),
-                                             titles)
+            if not within_token_limit(text, max_tokens):
+                found = _candidate(self.index, None,
+                                   truncate_to_tokens(text, max_tokens))
+            elif (found := self._memo.get(para)) is None:
+                found = self._memo[para] = _candidate(self.index,
+                                                      para.para_id, text)
+            candidates.append(found)
+        x = feature_rows(self.index, question, candidates)
         # One 6-element dot per row: a whole-matrix product may sum in
         # another order and differ from rank_text in the last bit.
         bias = self.model.bias
         return np.array([float(row @ self._w) + bias for row in x])
-
-    def _indexed(self, para: Paragraph,
-                 text: str) -> tuple[int, frozenset[str]]:
-        memo = self._memo.get(para)
-        if memo is None:
-            index = self.index
-            ordinal = -1
-            if para.para_id in index:
-                candidate = index.ordinal(para.para_id)
-                if index.matches_text(candidate, text):
-                    ordinal = candidate
-            title_terms = frozenset(tokenize(_first_line_title(text),
-                                             index.stopwords))
-            memo = self._memo[para] = (ordinal, title_terms)
-        return memo
-
-    def _indexed_features(self, question: str, ordinals: np.ndarray,
-                          titles: list[frozenset[str]]) -> np.ndarray:
-        """extract_features for indexed texts, as array ops over the
-        candidates in the same per-term order of float operations."""
-        index = self.index
-        q_counts = Counter(tokenize(question, index.stopwords))
-        k1 = index.params.k1
-        norm = index.bm25_norms(ordinals)
-        bm25 = np.zeros(len(ordinals))
-        idf_overlap = np.zeros(len(ordinals))
-        overlap = np.zeros(len(ordinals))
-        for term in sorted(q_counts):
-            tf = index.term_frequencies(term, ordinals)
-            hit = tf > 0
-            if not hit.any():
-                continue
-            tf = tf[hit]
-            idf = index.idf(term)
-            bm25[hit] += (q_counts[term] * idf * (tf * (k1 + 1.0))
-                          / (tf + norm[hit]))
-            idf_overlap[hit] += idf
-            overlap[hit] += 1.0
-        coverage = overlap / max(len(q_counts), 1)
-        log_length = [math.log1p(n) for n in
-                      index.doc_lengths(ordinals).tolist()]
-        q_terms = set(q_counts)
-        title_overlap = [float(len(q_terms & t)) for t in titles]
-        return np.column_stack([bm25, overlap, idf_overlap, coverage,
-                                log_length, title_overlap])
 
 
 @dataclass(frozen=True)
@@ -214,6 +208,24 @@ class TrainReport:
     n_train: int
     n_holdout: int
     holdout_accuracy: float
+
+
+def _example_features(examples: Sequence, index: InvertedIndex
+                      ) -> np.ndarray:
+    """Feature rows of ranker examples, one :func:`feature_rows` call per
+    distinct question; each distinct (para_id, text) is resolved once."""
+    by_question: dict[str, list[int]] = {}
+    for i, ex in enumerate(examples):
+        by_question.setdefault(ex.question, []).append(i)
+    found: dict[tuple[str, str], Candidate] = {}
+    x = np.empty((len(examples), len(FEATURE_NAMES)))
+    for question, at in by_question.items():
+        keys = [(examples[i].para_id, examples[i].text) for i in at]
+        for key in keys:
+            if key not in found:
+                found[key] = _candidate(index, *key)
+        x[at] = feature_rows(index, question, [found[key] for key in keys])
+    return x
 
 
 def train_builtin_ranker(dataset, index: InvertedIndex,
@@ -233,8 +245,7 @@ def train_builtin_ranker(dataset, index: InvertedIndex,
     if labels.min() == labels.max():
         raise ValueError("training dataset contains a single label")
 
-    x = np.stack([extract_features(ex.question, ex.text, index)
-                  for ex in examples])
+    x = _example_features(examples, index)
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(examples))
     n_holdout = max(1, int(round(config.holdout_fraction * len(examples))))

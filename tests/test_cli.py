@@ -405,6 +405,28 @@ class TestMalformedInputs:
         ('{"feature_weights": 1, "bias": 0.0, "feature_spec_version": 1}',
          ["answer", *_PIPELINE, "--ranker-model", "{bad}",
           "--question", _QUESTION], ": "),
+        ('{"feature_weights": [0, 0, 0, 0, 0, 0], "bias": true, '
+         '"feature_spec_version": 1}',
+         ["answer", *_PIPELINE, "--ranker-model", "{bad}",
+          "--question", _QUESTION], ": model parameters must be finite"),
+        ('{"feature_weights": [0, 0, 0, 0, false, 0], "bias": 0.0, '
+         '"feature_spec_version": 1}',
+         ["answer", *_PIPELINE, "--ranker-model", "{bad}",
+          "--question", _QUESTION], ": model parameters must be finite"),
+        ('{"feature_weights": [0, 0, 0, 0, 0, 0], "bias": 0.0, '
+         '"feature_spec_version": "seven"}',
+         ["answer", *_PIPELINE, "--ranker-model", "{bad}",
+          "--question", _QUESTION],
+         ": feature_spec_version must be 1, got 'seven'"),
+        ('{"feature_weights": [0, 0, 0, 0, 0, 0], "bias": 0.0, '
+         '"feature_spec_version": 2}',
+         ["answer", *_PIPELINE, "--ranker-model", "{bad}",
+          "--question", _QUESTION], ": feature_spec_version must be 1, got 2"),
+        ('{"feature_weights": [0, 0, 0, 0, 0, 0], "bias": 0.0, '
+         '"feature_spec_version": true}',
+         ["answer", *_PIPELINE, "--ranker-model", "{bad}",
+          "--question", _QUESTION],
+         ": feature_spec_version must be 1, got True"),
         ('{\n  "n_retriever": 20,\n  "n_reader" 2\n}',
          ["answer", *_PIPELINE, "--config", "{bad}", "--question", _QUESTION],
          ":3: Expecting ':' delimiter"),

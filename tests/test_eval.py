@@ -197,6 +197,26 @@ class TestTopnEm:
         assert topn_em([], ["paris"], 3) == 0
 
 
+_QUESTION_RECORDS = st.builds(
+    GoldRecord, st.text(), st.text(),
+    st.lists(st.text(), min_size=1, max_size=3).map(tuple),
+    st.none() | st.text(), st.none() | st.text())
+# The JSON types a question record's fields may hold.
+_QUESTION_FIELD_TYPES = {
+    "qid": lambda v: type(v) in (str, int),
+    "question": lambda v: type(v) is str,
+    "answers": lambda v: (type(v) is list and len(v) > 0
+                          and all(type(a) is str for a in v)),
+    "gold_article_id": lambda v: v is None or type(v) is str,
+    "gold_paragraph": lambda v: v is None or type(v) is str,
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8)
+
+
 class TestQuestionFiles:
     def test_roundtrip_and_malformed_skipping(self, tmp_path):
         path = tmp_path / "q.jsonl"
@@ -216,6 +236,63 @@ class TestQuestionFiles:
         write_questions(records, out)
         again, skipped2 = read_questions(out)
         assert again == records and skipped2 == 0
+
+    def test_mistyped_records_are_skipped(self, tmp_path):
+        good = {"qid": "q", "question": "q?", "answers": ["a"]}
+        lines = [{**good, "qid": 7}] + [{**good, **bad} for bad in [
+            {"question": 5}, {"answers": "abc"}, {"answers": ["a", 1]},
+            {"gold_paragraph": 7}, {"gold_article_id": ["art"]},
+            {"qid": True}, {"qid": 1.5}, {"qid": None}]]
+        path = tmp_path / "q.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines),
+                        encoding="utf-8")
+        assert read_questions(path) == ([GoldRecord("7", "q?", ("a",))], 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_QUESTION_RECORDS, min_size=1, max_size=4), st.data())
+    def test_mutated_line_reads_same_or_is_skipped(self, tmp_path_factory,
+                                                   records, data):
+        """One line replaced by arbitrary text, a JSON value that is not
+        an object, the record without a required field or with a field of
+        the wrong JSON type, or the record with extra keys in any order:
+        the other records read back the same, and the mutated one reads
+        back the same (extra keys) or is counted as skipped."""
+        path = tmp_path_factory.mktemp("questions") / "q.jsonl"
+        write_questions(records, path)
+        lines = path.read_text("utf-8").split("\n")[:-1]
+        i = data.draw(st.integers(0, len(records) - 1))
+        rec = json.loads(lines[i])
+        mutation = data.draw(st.sampled_from(
+            ["text", "non-object", "missing", "retyped", "extra"]))
+        if mutation == "text":
+            chars = st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\r\n")
+            lines[i] = data.draw(st.text(chars).filter(
+                lambda t: t.strip() and not t.strip().startswith("{")))
+        elif mutation == "non-object":
+            lines[i] = json.dumps(data.draw(_JSON_VALUES.filter(
+                lambda v: not isinstance(v, dict))))
+        elif mutation == "missing":
+            del rec[data.draw(st.sampled_from(["qid", "question",
+                                               "answers"]))]
+            lines[i] = json.dumps(rec, ensure_ascii=False)
+        elif mutation == "retyped":
+            name = data.draw(st.sampled_from(list(_QUESTION_FIELD_TYPES)))
+            rec[name] = data.draw(_JSON_VALUES.filter(
+                lambda v: not _QUESTION_FIELD_TYPES[name](v)))
+            lines[i] = json.dumps(rec, ensure_ascii=False)
+        else:
+            extra = data.draw(st.dictionaries(
+                st.text().filter(lambda k: k not in _QUESTION_FIELD_TYPES),
+                _JSON_VALUES, min_size=1, max_size=3))
+            items = data.draw(st.permutations(list({**rec, **extra}.items())))
+            lines[i] = json.dumps(dict(items), ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got, skipped = read_questions(path)
+        if mutation == "extra":
+            assert (got, skipped) == (records, 0)
+        else:
+            assert (got, skipped) == (records[:i] + records[i + 1:], 1)
 
     def test_gold_answers_required(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Builtin ranker and reader stages: truncation contract, training, and
 span extraction quality on the frozen fixture."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mindstone.corpus import Paragraph, segment, token_spans
+from mindstone.corpus import Paragraph, segment, token_spans, tokenize
 from mindstone.errors import StageError
 from mindstone.eval import f1 as f1_score
 from mindstone.index import InvertedIndex
@@ -14,10 +17,41 @@ from mindstone.scorers import (BuiltinRanker, BuiltinRankerModel,
                                BuiltinReader, RankExample, TrainConfig,
                                TruncationLimits, rank, read,
                                truncate_to_tokens)
-from mindstone.scorers.builtin import (FEATURE_NAMES, extract_features,
+from mindstone.scorers.builtin import (FEATURE_NAMES, _example_features,
                                        train_builtin_ranker,
                                        train_ranker_phases)
 from mindstone.scorers.datasets import _by_article, resolve_gold_paragraph
+
+
+def _loop_features(question, text, index):
+    """The ranker's features for one (question, text) pair, one question
+    term at a time over the text's own tokens: the oracle of the array
+    path, which must give the same floats bit for bit."""
+    q_counts = Counter(tokenize(question, index.stopwords))
+    t_terms = tokenize(text, index.stopwords)
+    t_counts = Counter(t_terms)
+    doc_len = len(t_terms)
+    k1, b = index.params.k1, index.params.b
+    avg = index.avg_doc_len
+    norm = k1 * (1.0 - b + b * (doc_len / avg if avg > 0 else 0.0))
+
+    bm25 = 0.0
+    idf_overlap = 0.0
+    overlap = 0
+    for term in sorted(q_counts):
+        tf = t_counts.get(term, 0)
+        if tf == 0:
+            continue
+        idf = index.idf(term)
+        bm25 += q_counts[term] * idf * (tf * (k1 + 1.0)) / (tf + norm)
+        idf_overlap += idf
+        overlap += 1
+    coverage = overlap / len(q_counts) if q_counts else 0.0
+    head, sep, _ = text.partition("\n")
+    title_terms = set(tokenize(head if sep else "", index.stopwords))
+    title_overlap = sum(1 for t in q_counts if t in title_terms)
+    return np.array([bm25, float(overlap), idf_overlap, coverage,
+                     math.log1p(doc_len), float(title_overlap)])
 
 
 class ConstantScorer:
@@ -213,22 +247,92 @@ def _rank_pool_case(draw):
     return limit, indexed, pool, question, weights, bias
 
 
+def _bm25_only_case(question, bodies):
+    """A pool scored by bm25 alone: the first paragraph under its indexed
+    para_id and under an unindexed one."""
+    indexed = [Paragraph(f"p{i}", "a", "", body, i)
+               for i, body in enumerate(bodies)]
+    pool = [indexed[0], Paragraph("new0", "a", "", bodies[0], 0)]
+    return 30, indexed, pool, question, [1.0] + [0.0] * 5, 0.0
+
+
 class TestRankPool:
     @settings(max_examples=300, deadline=None)
     @given(_rank_pool_case())
+    # Sums that change in the last bit when the question terms are summed
+    # in another order, or q * idf is not multiplied first.
+    @example(_bm25_only_case("dog x cat stone cat", [
+        "cat y hill cat hill x y stone", "y y stone dog", "x cat"]))
+    @example(_bm25_only_case("hill hill hill x", [
+        "hill cat", "stone x cat dog cat stone hill y",
+        "dog stone cat x stone x x hill"]))
     def test_equals_per_pair_features_bit_for_bit(self, case):
         limit, indexed, pool, question, weights, bias = case
         index = InvertedIndex.build(indexed)
         ranker = BuiltinRanker(BuiltinRankerModel(tuple(weights), bias),
                                index)
         w = np.array(weights)
-        expected = [float(extract_features(
+        expected = [float(_loop_features(
             question, truncate_to_tokens(p.full_text, limit), index) @ w
             + bias).hex() for p in pool]
         limits = TruncationLimits(ranker_para_tokens=limit)
         for _ in range(2):  # first use fills the memo, the second reads it
             got = rank(ranker, question, pool, limits)
             assert [s.hex() for s in got.tolist()] == expected
+
+
+@st.composite
+def _training_case(draw):
+    """Indexed paragraphs and ranker examples over them: indexed texts,
+    other texts under an indexed para_id (one with the same term counts but
+    another first line), unindexed para_ids and duplicate pairs, under
+    repeated questions (one empty) in shuffled order."""
+    indexed, pairs = [], []
+    for i in range(draw(st.integers(1, 5))):
+        title = draw(st.sampled_from(["", "", "cat", "Stone hill", "x y"]))
+        body = "\n".join(draw(st.lists(_line(), min_size=1, max_size=3)))
+        para = Paragraph(f"p{i}", "a", title, body, i)
+        indexed.append(para)
+        variant = draw(st.sampled_from(["other text", "same terms",
+                                        "unindexed"]))
+        if variant == "other text":
+            text = Paragraph(para.para_id, "a", title, body + " dog",
+                             i).full_text
+        elif variant == "same terms":
+            body = " ".join(reversed(segment(body))) + "\nx"
+            text = Paragraph(para.para_id, "a", title, body, i).full_text
+            indexed[-1] = Paragraph(para.para_id, "a", title,
+                                    body.replace("\n", " "), i)
+        else:
+            text = para.full_text
+        pairs.append((para.para_id, indexed[-1].full_text))
+        pairs.append((f"new{i}" if variant == "unindexed" else para.para_id,
+                      text))
+    questions = [""] + draw(st.lists(
+        st.lists(st.sampled_from(_WORDS + ["zzz"]), max_size=6).map(" ".join),
+        min_size=1, max_size=3))
+    drawn = draw(st.lists(st.tuples(st.sampled_from(questions),
+                                    st.sampled_from(pairs),
+                                    st.sampled_from([0, 1])),
+                          min_size=1, max_size=16))
+    examples = [RankExample(q, pid, text, label)
+                for q, (pid, text), label in drawn]
+    return indexed, draw(st.permutations(examples))
+
+
+class TestTrainingFeatures:
+    @settings(max_examples=300, deadline=None)
+    @given(_training_case())
+    def test_equals_per_pair_features_bit_for_bit(self, case):
+        """The feature matrix train_builtin_ranker fits equals the loop
+        oracle's, example by example, in every bit."""
+        indexed, examples = case
+        index = InvertedIndex.build(indexed)
+        expected = np.array([_loop_features(ex.question, ex.text, index)
+                             for ex in examples])
+        got = _example_features(examples, index)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestRead:
