@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels, eval as eval_mod, fusion
-from .corpus import (DEFAULT_STOPWORDS, Article, Paragraph, load_json_object,
+from .corpus import (DEFAULT_STOPWORDS, STRING, STRING_OR_INTEGER, Article,
+                     Paragraph, json_field, json_value, load_json_object,
                      load_paragraph_map, load_stopwords, read_json_lines,
                      read_records, split_article, write_records)
 from .errors import MindstoneError
@@ -46,10 +47,9 @@ def _configure_logging():
 # -- config & manifest -----------------------------------------------------
 
 def _load_config(args) -> PipelineConfig:
-    data = {}
-    if getattr(args, "config", None):
-        data = load_json_object(args.config)
-    return PipelineConfig.from_dict(data, overrides=vars(args))
+    def config(data: dict) -> PipelineConfig:
+        return PipelineConfig.from_dict(data, overrides=vars(args))
+    return load_json_object(args.config, config) if args.config else config({})
 
 
 def _build_ranker(args, index: InvertedIndex):
@@ -193,9 +193,12 @@ def cmd_train_ranker(args) -> int:
 def _read_batch_questions(path: str) -> list[tuple[str, str]]:
     out = []
     for lineno, rec in read_json_lines(path):
-        if not isinstance(rec.get("question"), str):
-            raise ValueError(f"{path}:{lineno}: no string field 'question'")
-        out.append((str(rec.get("qid", f"q{lineno - 1}")), rec["question"]))
+        try:
+            qid = json_value(rec.get("qid", f"q{lineno - 1}"),
+                             STRING_OR_INTEGER, "qid")
+            out.append((str(qid), json_field(rec, "question", STRING)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

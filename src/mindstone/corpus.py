@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, get_type_hints
+from typing import Callable, Iterable, Iterator, get_type_hints
 
 # Classic Lucene English stopword list (33 terms).
 DEFAULT_STOPWORDS = frozenset([
@@ -23,6 +23,22 @@ DEFAULT_STOPWORDS = frozenset([
     "that", "the", "their", "then", "there", "these", "they", "this",
     "to", "was", "will", "with",
 ])
+
+# Kinds of JSON value, named as errors name them, with the types json.loads
+# gives for each: an integer is a number, and a boolean is neither.
+STRING, INTEGER, NUMBER = "a string", "an integer", "a number"
+BOOLEAN, ARRAY, OBJECT = "a boolean", "an array", "an object"
+INTEGER_OR_NULL, STRING_OR_NULL = "an integer or null", "a string or null"
+STRING_OR_INTEGER = "a string or an integer"
+_KIND_TYPES = {STRING: {str}, INTEGER: {int}, NUMBER: {int, float},
+               BOOLEAN: {bool}, ARRAY: {list}, OBJECT: {dict},
+               STRING_OR_INTEGER: {str, int},
+               INTEGER_OR_NULL: {int, type(None)},
+               STRING_OR_NULL: {str, type(None)}}
+# The JSON type of each type json.loads gives, as an error names it.
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
 
 # Maximal runs of Unicode alphanumerics; underscore is a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -155,8 +171,9 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
-def load_json_object(path: str | Path) -> dict:
-    """The JSON object in a UTF-8 file; else a ValueError naming the file."""
+def load_json_object(path: str | Path, read: Callable | None = None):
+    """The JSON object in a UTF-8 file, or what ``read`` makes of it; a
+    ValueError, in the file or from ``read``, names the file."""
     try:
         obj = json.loads(_read_utf8(path))
     except json.JSONDecodeError as exc:
@@ -164,31 +181,60 @@ def load_json_object(path: str | Path) -> dict:
                          f"(column {exc.colno})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: not a JSON object")
-    return obj
+    if read is None:
+        return obj
+    try:
+        return read(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def json_value(value, kind: str, where: str):
+    """``value`` when its JSON type is ``kind``; else a ValueError
+    ``<where>: expected <kind>, got <its JSON type>``."""
+    if type(value) not in _KIND_TYPES[kind]:
+        got = _TYPE_NAMES.get(type(value), type(value).__name__)
+        raise ValueError(f"{where}: expected {kind}, got {got}")
+    return value
+
+
+def json_field(obj: dict, name: str, kind: str, where: str = "",
+               items: str | None = None):
+    """``obj[name]`` checked by :func:`json_value` at ``[<where>.]<name>``,
+    and, for an array, each item at ``[<where>.]<name>[<i>]`` against the
+    kind ``items``; else ``[<where>: ]missing field '<name>'``."""
+    if name not in obj:
+        raise ValueError(f"{where}: missing field {name!r}" if where
+                         else f"missing field {name!r}")
+    at = f"{where}.{name}" if where else name
+    value = json_value(obj[name], kind, at)
+    # One pass over the item types; a second only to name a bad item.
+    if items is not None and not set(map(type, value)) <= _KIND_TYPES[items]:
+        for i, item in enumerate(value):
+            json_value(item, items, f"{at}[{i}]")
+    return value
 
 
 def read_records(cls, path: str | Path) -> Iterator:
     """Stream records of the dataclass ``cls`` (two or more fields, each a
     ``str`` or an ``int``) from a JSONL file keyed by its field names,
     ignoring other keys. A malformed line, a value of another JSON type
-    (``true`` is not an int) or a rejected record is a ValueError naming
-    its file:line."""
+    (``true`` is not an integer) or a rejected record is a ValueError
+    naming its file:line."""
     hints = get_type_hints(cls)
     names = [f.name for f in fields(cls)]
-    kinds = tuple(hints[name] for name in names)
+    types = tuple(hints[name] for name in names)
     values = itemgetter(*names)
     for lineno, rec in read_json_lines(path):
         try:
             args = values(rec)
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-        if tuple(map(type, args)) != kinds:
-            for name, kind, value in zip(names, kinds, args):
-                if type(value) is not kind:
-                    raise ValueError(
-                        f"{path}:{lineno}: field {name!r} must be "
-                        f"{kind.__name__}, got {type(value).__name__}")
         try:
+            # One comparison per record; the helper only names the field.
+            if tuple(map(type, args)) != types:
+                for name, t, value in zip(names, types, args):
+                    json_value(value, STRING if t is str else INTEGER, name)
             record = cls(*args)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None

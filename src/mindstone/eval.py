@@ -23,7 +23,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Article, load_json_object, read_text_lines, segment
+from .corpus import (ARRAY, OBJECT, STRING, STRING_OR_INTEGER, STRING_OR_NULL,
+                     Article, json_field, json_value, load_json_object,
+                     read_text_lines, segment)
 
 log = logging.getLogger("mindstone")
 
@@ -119,18 +121,15 @@ def read_questions(path: str | Path) -> tuple[list[GoldRecord], int]:
     skipped = 0
     for _, line in read_text_lines(path):
         try:
-            rec = json.loads(line)
-            qid, question = rec["qid"], rec["question"]
-            answers = rec["answers"]
-            gold = (rec.get("gold_article_id"), rec.get("gold_paragraph"))
-            if not (type(qid) in (str, int) and type(question) is str
-                    and type(answers) is list
-                    and all(type(a) is str for a in answers)
-                    and all(g is None or type(g) is str for g in gold)):
-                raise TypeError
+            rec = json_value(json.loads(line), OBJECT, "record")
+            qid = json_field(rec, "qid", STRING_OR_INTEGER)
+            question = json_field(rec, "question", STRING)
+            answers = json_field(rec, "answers", ARRAY, items=STRING)
+            gold = [json_value(rec.get(name), STRING_OR_NULL, name)
+                    for name in ("gold_article_id", "gold_paragraph")]
             records.append(GoldRecord(str(qid), question, tuple(answers),
                                       *gold))
-        except (ValueError, KeyError, TypeError):
+        except ValueError:
             skipped += 1
     return records, skipped
 
@@ -150,65 +149,46 @@ def write_questions(records: Iterable[GoldRecord], path: str | Path) -> int:
     return n
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
-               int: "a number", float: "a number", bool: "a boolean",
-               type(None): "null"}
-
-
-def _squad_field(path, node: dict, where: str, key: str, kinds: tuple):
-    """``node[key]`` when its JSON type is one of ``kinds``; else a
-    ValueError naming the file and the field's JSON path."""
-    at = f"{where}.{key}" if where else key
-    if key not in node:
-        raise ValueError(f"{path}: {at}: missing")
-    if type(node[key]) not in kinds:
-        raise ValueError(f"{path}: {at}: expected {_JSON_TYPES[kinds[0]]}, "
-                         f"got {_JSON_TYPES[type(node[key])]}")
-    return node[key]
-
-
-def _squad_objects(path, node: dict, where: str, key: str):
-    """(JSON path, object) for each item of the array ``node[key]``; an
-    item that is not an object is a ValueError naming its JSON path."""
-    items = _squad_field(path, node, where, key, (list,))
-    at = f"{where}.{key}" if where else key
-    for i, item in enumerate(items):
-        if type(item) is not dict:
-            raise ValueError(f"{path}: {at}[{i}]: expected an object, "
-                             f"got {_JSON_TYPES[type(item)]}")
-        yield f"{at}[{i}]", item
-
-
 def convert_squad_v11(path: str | Path) -> tuple[list[Article], list[GoldRecord]]:
     """Convert a SQuAD v1.1 JSON file into articles + question records. A
     node of the wrong shape is a ValueError naming the file and the node's
     JSON path (``data[0].paragraphs[2].qas[1].answers``)."""
-    root = load_json_object(path)
+    return load_json_object(path, _read_squad_v11)
+
+
+def _read_squad_v11(root: dict) -> tuple[list[Article], list[GoldRecord]]:
     articles: list[Article] = []
     records: list[GoldRecord] = []
-    for at, entry in _squad_objects(path, root, "", "data"):
-        title = (_squad_field(path, entry, at, "title", (str,))
+    for i, entry in enumerate(json_field(root, "data", ARRAY, items=OBJECT)):
+        at = f"data[{i}]"
+        title = (json_field(entry, "title", STRING, at)
                  if "title" in entry else "")
         article_id = title or f"article{len(articles)}"
         contexts = []
-        for at_para, para in _squad_objects(path, entry, at, "paragraphs"):
-            context = _squad_field(path, para, at_para, "context", (str,))
+        for j, para in enumerate(json_field(entry, "paragraphs", ARRAY, at,
+                                            items=OBJECT)):
+            at_para = f"{at}.paragraphs[{j}]"
+            context = json_field(para, "context", STRING, at_para)
             contexts.append(context)
-            for at_qa, qa in _squad_objects(path, para, at_para, "qas"):
+            for k, qa in enumerate(json_field(para, "qas", ARRAY, at_para,
+                                              items=OBJECT)):
+                at_qa = f"{at_para}.qas[{k}]"
                 answers = []
-                for at_ans, ans in _squad_objects(path, qa, at_qa, "answers"):
-                    text = _squad_field(path, ans, at_ans, "text", (str,))
+                for n, ans in enumerate(json_field(qa, "answers", ARRAY,
+                                                   at_qa, items=OBJECT)):
+                    text = json_field(ans, "text", STRING,
+                                      f"{at_qa}.answers[{n}]")
                     if text not in answers:
                         answers.append(text)
-                qid = str(_squad_field(path, qa, at_qa, "id", (str, int)))
-                question = _squad_field(path, qa, at_qa, "question", (str,))
+                qid = str(json_field(qa, "id", STRING_OR_INTEGER, at_qa))
+                question = json_field(qa, "question", STRING, at_qa)
                 try:
                     records.append(GoldRecord(
                         qid=qid, question=question,
                         gold_answers=tuple(answers),
                         gold_article_id=article_id, gold_paragraph=context))
                 except ValueError as exc:
-                    raise ValueError(f"{path}: {at_qa}: {exc}") from None
+                    raise ValueError(f"{at_qa}: {exc}") from None
         articles.append(Article(article_id=article_id, title=title,
                                 body="\n\n".join(contexts)))
     return articles, records

@@ -29,7 +29,9 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .corpus import _TOKEN_RE, DEFAULT_STOPWORDS, Paragraph, tokenize
+from .corpus import (_TOKEN_RE, ARRAY, DEFAULT_STOPWORDS, INTEGER, NUMBER,
+                     STRING, Paragraph, json_field, load_json_object,
+                     tokenize)
 from .errors import IndexBuildError, UnknownDocumentError
 
 # 2: terms are tokens of the original text lowercased one by one.
@@ -37,9 +39,6 @@ from .errors import IndexBuildError, UnknownDocumentError
 FORMAT_VERSION = 3
 _ARRAY_DTYPES = {"doc_offsets": np.int64, "doc_term_ids": np.int64,
                  "doc_tfs": np.float64}
-_MANIFEST_FIELDS = {"format_version": int, "k1": (int, float),
-                    "b": (int, float), "build_checksum": str}
-_STRINGS_FIELDS = {"terms": list, "doc_ids": list, "stopwords": list}
 
 
 @dataclass(frozen=True)
@@ -359,45 +358,32 @@ class InvertedIndex:
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
         directory = Path(directory)
-        manifest = _read_json(directory / "manifest.json", _MANIFEST_FIELDS)
-        if manifest["format_version"] != FORMAT_VERSION:
-            raise IndexBuildError("manifest.json: unsupported index "
-                                  f"format_version {manifest['format_version']}")
-        strings = _read_json(directory / "strings.json", _STRINGS_FIELDS)
-        arrays = _read_arrays(directory / "arrays.npz",
-                              len(strings["doc_ids"]), len(strings["terms"]))
         try:
-            params = Bm25Params(k1=manifest["k1"], b=manifest["b"])
-        except ValueError as exc:
-            raise IndexBuildError(f"manifest.json: {exc}") from None
-        idx = cls(params=params, stopwords=frozenset(strings["stopwords"]),
-                  doc_ids=strings["doc_ids"], terms=strings["terms"],
-                  **arrays)
-        if idx.build_checksum != manifest["build_checksum"]:
+            params, checksum = load_json_object(directory / "manifest.json",
+                                                _read_manifest)
+            terms, doc_ids, stopwords = load_json_object(
+                directory / "strings.json", lambda strings: [
+                    json_field(strings, name, ARRAY, items=STRING)
+                    for name in ("terms", "doc_ids", "stopwords")])
+        except (OSError, ValueError) as exc:  # each names its file
+            raise IndexBuildError(str(exc)) from None
+        arrays = _read_arrays(directory / "arrays.npz", len(doc_ids),
+                              len(terms))
+        idx = cls(params=params, stopwords=frozenset(stopwords),
+                  doc_ids=doc_ids, terms=terms, **arrays)
+        if idx.build_checksum != checksum:
             raise IndexBuildError("index payload does not match manifest checksum")
         return idx
 
 
-def _read_json(path: Path, fields: dict) -> dict:
-    """The JSON object saved at ``path``, holding each of ``fields`` with a
-    value of its type; a list field must hold only strings. Unreadable or
-    invalid JSON, or a missing or mistyped field, is an IndexBuildError
-    naming the file."""
-    try:
-        obj = json.loads(path.read_text("utf-8"))
-    except (OSError, ValueError) as exc:
-        raise IndexBuildError(f"{path.name} is unreadable: {exc}") from None
-    if not isinstance(obj, dict):
-        raise IndexBuildError(f"{path.name} does not hold a JSON object")
-    for name, kind in fields.items():
-        if name not in obj:
-            raise IndexBuildError(f"{path.name} has no field {name!r}")
-        value = obj[name]
-        if not isinstance(value, kind) or (
-                kind is list and not all(isinstance(v, str) for v in value)):
-            raise IndexBuildError(
-                f"{path.name}: field {name!r} has the wrong type")
-    return obj
+def _read_manifest(manifest: dict) -> tuple[Bm25Params, str]:
+    """The BM25 parameters and build checksum of a current-format manifest."""
+    version = json_field(manifest, "format_version", INTEGER)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported index format_version {version}")
+    return (Bm25Params(k1=json_field(manifest, "k1", NUMBER),
+                       b=json_field(manifest, "b", NUMBER)),
+            json_field(manifest, "build_checksum", STRING))
 
 
 def _read_arrays(path: Path, n_docs: int, n_terms: int

@@ -20,7 +20,8 @@ from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import scorers
-from .corpus import Paragraph
+from .corpus import (BOOLEAN, INTEGER, INTEGER_OR_NULL, NUMBER, OBJECT,
+                     Paragraph, json_value)
 from .errors import MindstoneError, StageError
 from .eval import normalize_answer
 from .expansion import ExpansionParams, expand_query, question_vector
@@ -70,7 +71,7 @@ class PipelineConfig:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping,
+    def from_dict(cls, data: dict,
                   overrides: Mapping[str, object] = {}) -> "PipelineConfig":
         """Config from its JSON form; absent keys keep their defaults, and an
         unknown key or a value of the wrong type raises ValueError.
@@ -84,14 +85,8 @@ class PipelineConfig:
         base = cls()
         fields: dict = {}
         nested: dict[str, dict] = {}
-        for key, attr, _, kind in CONFIG_KEYS:
-            if key in values:
-                value = values[key]
-                if not _is_kind(value, kind):
-                    raise ValueError(f"config key {key!r} must be {kind}, "
-                                     f"got {value!r}")
-            else:
-                value = attrgetter(attr)(base)
+        for key, attr, _, _ in CONFIG_KEYS:
+            value = values.get(key, attrgetter(attr)(base))
             owner, _, name = attr.rpartition(".")
             (nested.setdefault(owner, {}) if owner else fields)[name] = value
         # Each nested object is built once from all of its keys, so checks
@@ -101,58 +96,41 @@ class PipelineConfig:
         return cls(**fields)
 
 
-# Accepted JSON types of config values.
-INT, NUMBER, BOOL = "an integer", "a number", "true or false"
-INT_OR_NULL = "an integer or null"
-
-
-def _is_kind(value, kind: str) -> bool:
-    """True when ``value`` has the JSON type ``kind``. A bool is not a
-    number, and an integer is a number."""
-    if isinstance(value, bool):
-        return kind == BOOL
-    if value is None:
-        return kind == INT_OR_NULL
-    if isinstance(value, int):
-        return kind in (INT, INT_OR_NULL, NUMBER)
-    return isinstance(value, float) and kind == NUMBER
-
-
 # One row per config key: dotted JSON key path, dotted PipelineConfig
 # attribute path, the dest of the CLI flag that overrides it (None where
-# there is no flag), and the value's accepted JSON type. to_dict writes
+# there is no flag), and the kind of JSON value it accepts. to_dict writes
 # keys in this order.
 CONFIG_KEYS: tuple[tuple[str, str, str | None, str], ...] = (
-    ("n_retriever", "n_retriever", "n_retriever", INT),
+    ("n_retriever", "n_retriever", "n_retriever", INTEGER),
     ("read_fraction", "read_fraction", "read_fraction", NUMBER),
-    ("n_reader", "n_reader", "n_reader", INT_OR_NULL),
-    ("k_spans_per_paragraph", "k_spans_per_paragraph", "k_spans", INT),
-    ("rm3.enabled", "rm3_enabled", "rm3", BOOL),
+    ("n_reader", "n_reader", "n_reader", INTEGER_OR_NULL),
+    ("k_spans_per_paragraph", "k_spans_per_paragraph", "k_spans", INTEGER),
+    ("rm3.enabled", "rm3_enabled", "rm3", BOOLEAN),
     ("rm3.alpha", "rm3.alpha", "rm3_alpha", NUMBER),
-    ("rm3.terms", "rm3.top_terms", "rm3_terms", INT),
+    ("rm3.terms", "rm3.top_terms", "rm3_terms", INTEGER),
     ("rm3.second_pass_n", "rm3.second_pass_n", "rm3_second_pass_n",
-     INT_OR_NULL),
+     INTEGER_OR_NULL),
     ("fusion.w_retriever", "weights.w_retriever", "w_retriever", NUMBER),
     ("fusion.w_ranker", "weights.w_ranker", "w_ranker", NUMBER),
     ("fusion.w_reader", "weights.w_reader", "w_reader", NUMBER),
-    ("limits.ranker_para_tokens", "limits.ranker_para_tokens", None, INT),
-    ("limits.reader_total_tokens", "limits.reader_total_tokens", None, INT),
+    ("limits.ranker_para_tokens", "limits.ranker_para_tokens", None,
+     INTEGER),
+    ("limits.reader_total_tokens", "limits.reader_total_tokens", None,
+     INTEGER),
 )
-_CONFIG_LEAVES = frozenset(row[0] for row in CONFIG_KEYS)
-_CONFIG_SECTIONS = frozenset(key.rpartition(".")[0] for key in _CONFIG_LEAVES
+_CONFIG_KINDS = {row[0]: row[3] for row in CONFIG_KEYS}
+_CONFIG_SECTIONS = frozenset(key.rpartition(".")[0] for key in _CONFIG_KINDS
                              if "." in key)
 
 
 def _flatten_config(data, prefix: str = "") -> dict:
-    """Dotted key -> value for every leaf of a config's JSON form."""
-    if not isinstance(data, Mapping):
-        where = f"key {prefix[:-1]!r}" if prefix else "root"
-        raise ValueError(f"config {where} must be a JSON object")
+    """Dotted key -> checked value for every leaf of a config's JSON form."""
+    json_value(data, OBJECT, prefix[:-1] or "config")
     values = {}
     for name, value in data.items():
         key = f"{prefix}{name}"
-        if key in _CONFIG_LEAVES:
-            values[key] = value
+        if key in _CONFIG_KINDS:
+            values[key] = json_value(value, _CONFIG_KINDS[key], key)
         elif key in _CONFIG_SECTIONS:
             values.update(_flatten_config(value, key + "."))
         else:

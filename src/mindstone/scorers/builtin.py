@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .. import _kernels
-from ..corpus import Paragraph, load_json_object, token_spans, tokenize
+from ..corpus import (ARRAY, INTEGER, NUMBER, Paragraph, json_field,
+                      load_json_object, token_spans, tokenize)
 from ..index import InvertedIndex
 from . import truncate_to_tokens, within_token_limit
 
@@ -117,11 +118,15 @@ class BuiltinRankerModel:
     feature_spec_version: int = FEATURE_SPEC_VERSION
 
     def __post_init__(self):
+        if len(self.feature_weights) != len(FEATURE_NAMES):
+            raise ValueError(f"feature_weights holds "
+                             f"{len(self.feature_weights)} weights, not "
+                             f"{len(FEATURE_NAMES)}")
         values = list(self.feature_weights) + [self.bias]
-        if not all(type(v) is not bool and math.isfinite(v) for v in values):
+        if not all(math.isfinite(v) for v in values):
             raise ValueError("model parameters must be finite numbers")
         version = self.feature_spec_version
-        if type(version) is not int or version != FEATURE_SPEC_VERSION:
+        if version != FEATURE_SPEC_VERSION:
             raise ValueError(f"feature_spec_version must be "
                              f"{FEATURE_SPEC_VERSION}, got {version!r}")
 
@@ -136,15 +141,12 @@ class BuiltinRankerModel:
     @classmethod
     def load(cls, path: str | Path) -> "BuiltinRankerModel":
         """The model saved at ``path``; else a ValueError naming the file."""
-        rec = load_json_object(path)
-        try:
-            return cls(feature_weights=tuple(rec["feature_weights"]),
-                       bias=rec["bias"],
-                       feature_spec_version=rec["feature_spec_version"])
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return load_json_object(path, lambda rec: cls(
+            feature_weights=tuple(json_field(rec, "feature_weights", ARRAY,
+                                             items=NUMBER)),
+            bias=json_field(rec, "bias", NUMBER),
+            feature_spec_version=json_field(rec, "feature_spec_version",
+                                            INTEGER)))
 
 
 class BuiltinRanker:
@@ -153,8 +155,6 @@ class BuiltinRanker:
     paragraph alone, so concurrent scoring is safe."""
 
     def __init__(self, model: BuiltinRankerModel, index: InvertedIndex):
-        if len(model.feature_weights) != len(FEATURE_NAMES):
-            raise ValueError("model weight count does not match feature spec")
         self.model = model
         self.index = index
         self._w = np.array(model.feature_weights)

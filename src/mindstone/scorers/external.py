@@ -17,6 +17,7 @@ import subprocess
 import threading
 from contextlib import contextmanager
 
+from ..corpus import ARRAY, INTEGER, NUMBER, OBJECT, STRING, json_field
 from ..errors import (HandshakeTimeoutError, MalformedResponseError,
                       ScorerExitError, ScorerProtocolError, StageError)
 
@@ -86,10 +87,14 @@ class ExternalScorer:
                 f"no hello from scorer {self.command!r} within "
                 f"{self.timeout}s")
         hello = self._parse(line, expected_type="hello")
-        if hello.get("protocol") != PROTOCOL_VERSION:
+        try:
+            protocol = json_field(hello, "protocol", INTEGER)
+            roles = json_field(hello, "roles", ARRAY, items=STRING)
+        except ValueError as exc:
+            raise MalformedResponseError(str(exc), line) from None
+        if protocol != PROTOCOL_VERSION:
             raise MalformedResponseError(
-                f"unsupported protocol {hello.get('protocol')!r}", line)
-        roles = hello.get("roles", [])
+                f"unsupported protocol {protocol!r}", line)
         if self.role not in roles:
             raise MalformedResponseError(
                 f"scorer does not offer role {self.role!r} (offers {roles})",
@@ -147,10 +152,9 @@ class ExternalScorer:
         obj = self._request({"type": "rank", "question": question,
                              "text": text}, expected_type="rank_result")
         try:
-            return float(obj["score"])
-        except (KeyError, TypeError, ValueError):
-            raise MalformedResponseError("rank_result without float score",
-                                         json.dumps(obj))
+            return float(json_field(obj, "score", NUMBER))
+        except ValueError as exc:
+            raise MalformedResponseError(str(exc), json.dumps(obj)) from None
 
     def read_text(self, question: str, text: str,
                   k: int) -> list[tuple[int, int, float]]:
@@ -158,11 +162,13 @@ class ExternalScorer:
                              "text": text, "k": k},
                             expected_type="read_result")
         try:
-            return [(int(s["start"]), int(s["end"]), float(s["score"]))
-                    for s in obj["spans"]]
-        except (KeyError, TypeError, ValueError):
-            raise MalformedResponseError("read_result with malformed spans",
-                                         json.dumps(obj))
+            spans = json_field(obj, "spans", ARRAY, items=OBJECT)
+            return [(json_field(s, "start", INTEGER, f"spans[{i}]"),
+                     json_field(s, "end", INTEGER, f"spans[{i}]"),
+                     float(json_field(s, "score", NUMBER, f"spans[{i}]")))
+                    for i, s in enumerate(spans)]
+        except ValueError as exc:
+            raise MalformedResponseError(str(exc), json.dumps(obj)) from None
 
     def close(self):
         if self._closed:

@@ -393,10 +393,10 @@ class TestMalformedInputs:
          ["answer", *_PIPELINE, "--batch", "{bad}"], ":1: not a JSON object"),
         ('{"qid": "q0", "question": "x"}\n{"qid": "q1"}\n',
          ["answer", *_PIPELINE, "--batch", "{bad}"],
-         ":2: no string field 'question'"),
+         ":2: missing field 'question'"),
         ('{"qid": "q0", "question": 5}\n',
          ["answer", *_PIPELINE, "--batch", "{bad}"],
-         ":1: no string field 'question'"),
+         ":1: question: expected a string, got a number"),
         ("[1]", ["answer", *_PIPELINE, "--ranker-model", "{bad}",
                  "--question", _QUESTION], ": not a JSON object"),
         ('{"bias": 0.0, "feature_spec_version": 1}',
@@ -404,20 +404,22 @@ class TestMalformedInputs:
           "--question", _QUESTION], ": missing field 'feature_weights'"),
         ('{"feature_weights": 1, "bias": 0.0, "feature_spec_version": 1}',
          ["answer", *_PIPELINE, "--ranker-model", "{bad}",
-          "--question", _QUESTION], ": "),
+          "--question", _QUESTION],
+         ": feature_weights: expected an array, got a number"),
         ('{"feature_weights": [0, 0, 0, 0, 0, 0], "bias": true, '
          '"feature_spec_version": 1}',
          ["answer", *_PIPELINE, "--ranker-model", "{bad}",
-          "--question", _QUESTION], ": model parameters must be finite"),
+          "--question", _QUESTION], ": bias: expected a number, got a boolean"),
         ('{"feature_weights": [0, 0, 0, 0, false, 0], "bias": 0.0, '
          '"feature_spec_version": 1}',
          ["answer", *_PIPELINE, "--ranker-model", "{bad}",
-          "--question", _QUESTION], ": model parameters must be finite"),
+          "--question", _QUESTION],
+         ": feature_weights[4]: expected a number, got a boolean"),
         ('{"feature_weights": [0, 0, 0, 0, 0, 0], "bias": 0.0, '
          '"feature_spec_version": "seven"}',
          ["answer", *_PIPELINE, "--ranker-model", "{bad}",
           "--question", _QUESTION],
-         ": feature_spec_version must be 1, got 'seven'"),
+         ": feature_spec_version: expected an integer, got a string"),
         ('{"feature_weights": [0, 0, 0, 0, 0, 0], "bias": 0.0, '
          '"feature_spec_version": 2}',
          ["answer", *_PIPELINE, "--ranker-model", "{bad}",
@@ -426,23 +428,47 @@ class TestMalformedInputs:
          '"feature_spec_version": true}',
          ["answer", *_PIPELINE, "--ranker-model", "{bad}",
           "--question", _QUESTION],
-         ": feature_spec_version must be 1, got True"),
+         ": feature_spec_version: expected an integer, got a boolean"),
         ('{\n  "n_retriever": 20,\n  "n_reader" 2\n}',
          ["answer", *_PIPELINE, "--config", "{bad}", "--question", _QUESTION],
          ":3: Expecting ':' delimiter"),
         ('[]', ["answer", *_PIPELINE, "--config", "{bad}",
                 "--question", _QUESTION], ": not a JSON object"),
+        ('{"n_retriever": "20"}', ["answer", *_PIPELINE, "--config", "{bad}",
+                                   "--question", _QUESTION],
+         ": n_retriever: expected an integer, got a string"),
+        ('{"rm3": {"term": 5}}', ["answer", *_PIPELINE, "--config", "{bad}",
+                                  "--question", _QUESTION],
+         ": unknown config key 'rm3.term'"),
+        ('{"fusion": {"w_ranker": 0.5}}',
+         ["answer", *_PIPELINE, "--config", "{bad}", "--question", _QUESTION],
+         ": fusion weights must sum to 1"),
+        ('{"feature_weights": [0, 0, 0, 0, 0], "bias": 0.0, '
+         '"feature_spec_version": 1}',
+         ["answer", *_PIPELINE, "--ranker-model", "{bad}",
+          "--question", _QUESTION],
+         ": feature_weights holds 5 weights, not 6"),
+        # answer --batch qids: absent, a string or an integer.
+        ('{"question": "x"}\n{"qid": null, "question": "x"}\n',
+         ["answer", *_PIPELINE, "--batch", "{bad}"],
+         ":2: qid: expected a string or an integer, got null"),
+        ('{"qid": {"a": 1}, "question": "x"}\n',
+         ["answer", *_PIPELINE, "--batch", "{bad}"],
+         ":1: qid: expected a string or an integer, got an object"),
+        ('{"qid": 1.5, "question": "x"}\n',
+         ["answer", *_PIPELINE, "--batch", "{bad}"],
+         ":1: qid: expected a string or an integer, got a number"),
         # Record values of the wrong JSON type.
         (_PARAGRAPH.replace('"body": "x"', '"body": 5'),
          ["index", "--in", "{bad}", "--out", "{out}"],
-         ":1: field 'body' must be str, got int"),
+         ":1: body: expected a string, got a number"),
         (_PARAGRAPH.replace('"title": "T", "body": "x"',
                             '"title": "", "body": 5'),
          ["index", "--in", "{bad}", "--out", "{out}"],
-         ":1: field 'body' must be str, got int"),
+         ":1: body: expected a string, got a number"),
         (_EXAMPLE.replace('"label": 1', '"label": true'),
          ["train-ranker", "--dataset", "{bad}", "--index", "{idx}",
-          "--out", "{out}"], ":1: field 'label' must be int, got bool"),
+          "--out", "{out}"], ":1: label: expected an integer, got a boolean"),
         # Bytes that are not UTF-8.
         (b"\xff\xfe" + _PARAGRAPH.encode("utf-16-le"),
          ["index", "--in", "{bad}", "--out", "{out}"],
@@ -460,7 +486,7 @@ class TestMalformedInputs:
          ":2: not valid UTF-8 (byte 0x80"),
         # SQuAD files of the wrong shape.
         ('{"version": "1.1"}', ["ingest", "--squad", "{bad}",
-                                 "--out", "{out}"], ": data: missing"),
+                                 "--out", "{out}"], ": missing field 'data'"),
         ('{"data": [1]}', ["ingest", "--squad", "{bad}", "--out", "{out}"],
          ": data[0]: expected an object, got a number"),
         (json.dumps({"data": [{"title": "T", "paragraphs": [

@@ -202,22 +202,22 @@ class TestParagraphFiles:
 
     @pytest.mark.parametrize("cls, line, message", [
         (Paragraph, '{"para_id": "p#0", "article_id": "a", "title": "", '
-         '"body": 5, "position": 0}', "field 'body' must be str, got int"),
+         '"body": 5, "position": 0}', "body: expected a string, got a number"),
         (Paragraph, '{"para_id": "p#0", "article_id": "a", "title": null, '
          '"body": "x", "position": 0}',
-         "field 'title' must be str, got NoneType"),
+         "title: expected a string, got null"),
         (Paragraph, '{"para_id": "p#0", "article_id": "a", "title": "", '
          '"body": "x", "position": 0.0}',
-         "field 'position' must be int, got float"),
+         "position: expected an integer, got a number"),
         (Paragraph, '{"para_id": ["p#0"], "article_id": "a", "title": "", '
          '"body": "x", "position": true}',
-         "field 'para_id' must be str, got list"),
+         "para_id: expected a string, got an array"),
         (Article, '{"article_id": {}, "title": "T", "body": "x"}',
-         "field 'article_id' must be str, got dict"),
+         "article_id: expected a string, got an object"),
         (RankExample, '{"question": "q", "para_id": "p#0", "text": "t", '
-         '"label": true}', "field 'label' must be int, got bool"),
+         '"label": true}', "label: expected an integer, got a boolean"),
         (RankExample, '{"question": "q", "para_id": "p#0", "text": "t", '
-         '"label": "1"}', "field 'label' must be int, got str"),
+         '"label": "1"}', "label: expected an integer, got a string"),
     ])
     def test_value_of_another_type_names_file_and_line(self, tmp_path, cls,
                                                        line, message):

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -153,6 +154,52 @@ class TestFailureModes:
             "'roles':['rank']}), flush=True)")
         with pytest.raises(MalformedResponseError, match="protocol"):
             ExternalScorer(script, "rank")
+
+    @pytest.mark.parametrize("hello, message", [
+        ({"protocol": True, "roles": ["rank"]},
+         "protocol: expected an integer, got a boolean"),
+        ({"protocol": 1, "roles": "rank,read"},
+         "roles: expected an array, got a string"),
+        ({"protocol": 1, "roles": ["rank", 2]},
+         "roles[1]: expected a string, got a number"),
+    ])
+    def test_hello_of_another_type_is_malformed(self, hello, message):
+        script = py_script(
+            "import json; print(json.dumps("
+            f"{dict(hello, type='hello')!r}), flush=True)")
+        with pytest.raises(MalformedResponseError,
+                           match="^" + re.escape(f"{message}: ")):
+            ExternalScorer(script, "rank", timeout=10)
+
+    @pytest.mark.parametrize("role, reply, message", [
+        ("rank", {"score": "0.5"}, "score: expected a number, got a string"),
+        ("rank", {"score": True}, "score: expected a number, got a boolean"),
+        ("read", {"spans": [{"start": 0.9, "end": 5, "score": 1.0}]},
+         "spans[0].start: expected an integer, got a number"),
+        ("read", {"spans": [{"start": 0, "end": "5", "score": 1.0}]},
+         "spans[0].end: expected an integer, got a string"),
+        ("read", {"spans": [{"start": 0, "end": 5, "score": None}]},
+         "spans[0].score: expected a number, got null"),
+    ])
+    def test_reply_of_another_type_is_malformed(self, role, reply, message):
+        reply = dict(reply, type=f"{role}_result")
+        script = py_script(
+            "import sys, json\n"
+            "print(json.dumps({'type':'hello','protocol':1,"
+            f"'roles':['{role}']}}), flush=True)\n"
+            "for line in sys.stdin:\n"
+            f"    print(json.dumps(dict({reply!r}, "
+            "id=json.loads(line)['id'])), flush=True)\n")
+        with ExternalScorer(script, role) as scorer:
+            # The reply is well framed: the handle stays usable.
+            for _ in range(2):
+                with pytest.raises(MalformedResponseError,
+                                   match="^" + re.escape(f"{message}: ")):
+                    if role == "rank":
+                        scorer.rank_text("q", "text")
+                    else:
+                        scorer.read_text("q", "text", 1)
+            assert scorer._proc.poll() is None
 
     def test_death_mid_stream_is_exit_error(self):
         script = py_script(

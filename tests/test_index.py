@@ -459,6 +459,32 @@ class TestPersistence:
         with pytest.raises(IndexBuildError, match="format_version"):
             InvertedIndex.load(tmp_path / "idx")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("format_version", True, "expected an integer, got a boolean"),
+        ("k1", True, "expected a number, got a boolean"),
+        ("b", "0.4", "expected a number, got a string"),
+        ("build_checksum", None, "expected a string, got null"),
+    ])
+    def test_manifest_value_of_another_type_is_named(self, f1_index,
+                                                     tmp_path, field, value,
+                                                     message):
+        f1_index.save(tmp_path / "idx")
+        mpath = tmp_path / "idx" / "manifest.json"
+        manifest = json.loads(mpath.read_text("utf-8"))
+        manifest[field] = value
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(IndexBuildError) as info:
+            InvertedIndex.load(tmp_path / "idx")
+        assert str(info.value) == f"{mpath}: {field}: {message}"
+
+    @pytest.mark.parametrize("name", ["manifest.json", "strings.json",
+                                      "arrays.npz"])
+    def test_deleted_file_is_named(self, f1_index, tmp_path, name):
+        f1_index.save(tmp_path / "idx")
+        (tmp_path / "idx" / name).unlink()
+        with pytest.raises(IndexBuildError, match=name):
+            InvertedIndex.load(tmp_path / "idx")
+
 
 def _mutate_rows(arrays, draw):
     """Edit one saved row array in place: set one entry (a term id or an

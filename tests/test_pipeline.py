@@ -77,23 +77,29 @@ class TestConfig:
             PipelineConfig.from_dict(data)
 
     @pytest.mark.parametrize("data, message", [
-        ({"n_retriever": "20"}, "'n_retriever' must be an integer, got '20'"),
-        ({"n_retriever": 5.5}, "'n_retriever' must be an integer, got 5.5"),
-        ({"n_retriever": True}, "'n_retriever' must be an integer, got True"),
+        ({"n_retriever": "20"},
+         "n_retriever: expected an integer, got a string"),
+        ({"n_retriever": 5.5},
+         "n_retriever: expected an integer, got a number"),
+        ({"n_retriever": True},
+         "n_retriever: expected an integer, got a boolean"),
         ({"rm3": {"enabled": "yes"}},
-         "'rm3.enabled' must be true or false, got 'yes'"),
-        ({"rm3": {"enabled": 1}}, "'rm3.enabled' must be true or false"),
-        ({"read_fraction": "0.1"}, "'read_fraction' must be a number"),
-        ({"fusion": {"w_ranker": None}}, "'fusion.w_ranker' must be a number"),
-        ({"n_reader": 2.0}, "'n_reader' must be an integer or null"),
+         "rm3.enabled: expected a boolean, got a string"),
+        ({"rm3": {"enabled": 1}},
+         "rm3.enabled: expected a boolean, got a number"),
+        ({"read_fraction": "0.1"},
+         "read_fraction: expected a number, got a string"),
+        ({"fusion": {"w_ranker": None}},
+         "fusion.w_ranker: expected a number, got null"),
+        ({"n_reader": 2.0},
+         "n_reader: expected an integer or null, got a number"),
         ({"rm3": {"second_pass_n": "5"}},
-         "'rm3.second_pass_n' must be an integer or null"),
+         "rm3.second_pass_n: expected an integer or null, got a string"),
         ({"limits": {"reader_total_tokens": [384]}},
-         "'limits.reader_total_tokens' must be an integer"),
+         "limits.reader_total_tokens: expected an integer, got an array"),
     ])
     def test_wrong_value_type_is_named(self, data, message):
-        with pytest.raises(ValueError,
-                           match="^" + re.escape(f"config key {message}")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PipelineConfig.from_dict(data)
 
     def test_accepted_value_types(self):
