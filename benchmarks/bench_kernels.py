@@ -2,17 +2,19 @@
 feature path and a BM25 retrieval batch.
 
 Times BM25 postings accumulation over synthetic postings shaped like a
-desk-scale corpus; span scoring over synthetic paragraphs of 30 tokens (an
-F2-sized paragraph) and 384 tokens (the reader's token limit), next to the
-position-at-a-time loop kernel that ``tests/test_kernels.py`` keeps as its
-oracle; the fusion weight grid search at F2's shape (100 dev questions of 3
-candidates, 231 grid points), next to the per-point loop that
-``tests/test_fusion.py`` keeps as its oracle; the ranker's training
-features over F2's paired-paragraph and retrieve-rerank (m=100, n=5)
-examples, next to the per-pair loop that ``tests/test_scorers.py`` keeps as
-its oracle; and a retrieval batch over the frozen F2 fixture. Kernel,
-grid-search and feature times are the median and interquartile range over
-repeated calls.
+desk-scale corpus and over the F2 retrieval batch's queries, next to the
+formula that gathers ``norm`` per posting (``tests/test_kernels.py`` keeps
+it as the oracle; the two must give the same bytes); span scoring over
+synthetic paragraphs of 30 tokens (an F2-sized paragraph) and 384 tokens
+(the reader's token limit), next to the position-at-a-time loop kernel
+that ``tests/test_kernels.py`` keeps as its oracle; the fusion weight grid
+search at F2's shape (100 dev questions of 3 candidates, 231 grid points),
+next to the per-point loop that ``tests/test_fusion.py`` keeps as its
+oracle; the ranker's training features over F2's paired-paragraph and
+retrieve-rerank (m=100, n=5) examples, next to the per-pair loop that
+``tests/test_scorers.py`` keeps as its oracle; and a retrieval batch over
+the frozen F2 fixture. Kernel, grid-search and feature times are the median
+and interquartile range over repeated calls.
 
     python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 30 384]
 """
@@ -34,7 +36,7 @@ from mindstone import _kernels, fusion  # noqa: E402
 from mindstone.eval import GoldRecord  # noqa: E402
 from mindstone.pipeline import SpanCandidate  # noqa: E402
 from test_fusion import _loop_tune_weights, _StubPipeline  # noqa: E402
-from test_kernels import _loop_span_scores  # noqa: E402
+from test_kernels import _formula_bm25, _loop_span_scores  # noqa: E402
 from test_scorers import _loop_features  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -55,7 +57,22 @@ def describe(times: np.ndarray) -> str:
     return f"{med:9.3f} ms  (IQR {q1:.3f}-{q3:.3f}, {len(times)} calls)"
 
 
-def bench_bm25(n_docs: int, n_terms: int, rng) -> tuple[np.ndarray, int]:
+def time_bm25(kernels: dict, repeat: int = 10) -> dict[str, np.ndarray]:
+    """Time each ``name -> run()`` BM25 kernel call, alternating so drift
+    hits them alike. Each ``run`` returns the score vector it filled; the
+    vectors must have the same bytes."""
+    times: dict[str, list] = {name: [] for name in kernels}
+    for _ in range(repeat):
+        for name, run in kernels.items():
+            times[name].append(time_fn(run, repeat=5))
+    first, *rest = (run().tobytes() for run in kernels.values())
+    if any(other != first for other in rest):
+        raise SystemExit("bm25 kernels disagree: scores not bit-identical")
+    return {name: np.concatenate(t) for name, t in times.items()}
+
+
+def bench_bm25(n_docs: int, n_terms: int, rng
+               ) -> tuple[dict[str, np.ndarray], int]:
     # Zipf-ish document frequencies over query terms.
     dfs = np.minimum((rng.pareto(1.2, size=n_terms) * 0.02 * n_docs + 5)
                      .astype(np.int64), n_docs)
@@ -72,15 +89,17 @@ def bench_bm25(n_docs: int, n_terms: int, rng) -> tuple[np.ndarray, int]:
     tfs = np.array(tfs, dtype=np.float64)
     weights = rng.uniform(0.5, 4.0, size=n_terms)
     norm = rng.uniform(0.5, 1.5, size=n_docs)
+    den = tfs + norm[ids]
 
-    scores = np.zeros(n_docs)
+    def run(kernel, last):
+        def call():
+            scores = np.zeros(n_docs)  # the kernel accumulates into it
+            kernel(starts, ends, ids, tfs, weights, last, 1.9, scores)
+            return scores
+        return call
 
-    def run():
-        scores.fill(0.0)  # the kernel accumulates into its output
-        _kernels.bm25_accumulate(starts, ends, ids, tfs, weights, norm, 1.9,
-                                 scores)
-
-    return time_fn(run, repeat=20), len(ids)
+    return time_bm25({"den": run(_kernels.bm25_accumulate, den),
+                      "formula": run(_formula_bm25, norm)}), len(ids)
 
 
 def bench_spans(length: int, rng) -> dict[str, np.ndarray]:
@@ -169,17 +188,19 @@ def bench_features() -> dict[str, np.ndarray]:
     return {label: np.concatenate(t) for label, t in times.items()}
 
 
-def bench_fixture_retrieval(n_queries: int) -> float | None:
-    para_file = FIXTURES / "f2_paragraphs.jsonl"
-    q_file = FIXTURES / "f2_questions.jsonl"
-    if not para_file.exists():
-        return None
-    from mindstone.corpus import Paragraph, read_records
+def bench_fixture_retrieval(n_queries: int):
+    """Seconds for a batch of F2 retrievals at n=100, and the score pass
+    of the same questions through the BM25 kernel and through the formula
+    (times per batch, postings per kernel call)."""
+    from collections import Counter
+
+    from mindstone.corpus import Paragraph, read_records, tokenize
     from mindstone.eval import read_questions
     from mindstone.index import InvertedIndex
 
-    index = InvertedIndex.build(read_records(Paragraph, para_file))
-    records, _ = read_questions(q_file)
+    index = InvertedIndex.build(read_records(
+        Paragraph, FIXTURES / "f2_paragraphs.jsonl"))
+    records, _ = read_questions(FIXTURES / "f2_questions.jsonl")
     questions = [r.question for r in records]
     questions = (questions * ((n_queries // len(questions)) + 1))[:n_queries]
 
@@ -187,7 +208,37 @@ def bench_fixture_retrieval(n_queries: int) -> float | None:
     start = time.perf_counter()
     for q in questions:
         index.retrieve(q, 100)
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+
+    # The index's own score pass, with the kernel it calls swapped for the
+    # formula over its per-document norms.
+    weights = [{t: float(c) for t, c in
+                Counter(tokenize(q, index.stopwords)).items()}
+               for q in questions]
+    postings = []
+    kernel = _kernels.bm25_accumulate
+
+    def formula(starts, ends, ids, tfs, term_weights, den, k1p1, scores):
+        _formula_bm25(starts, ends, ids, tfs, term_weights, index._norm,
+                      k1p1, scores)
+
+    def counting(starts, ends, *args):
+        postings.append(int((ends - starts).sum()))
+        kernel(starts, ends, *args)
+
+    def batch(swap):
+        def call():
+            _kernels.bm25_accumulate = swap
+            try:
+                return np.concatenate([index._accumulate(w)
+                                       for w in weights])
+            finally:
+                _kernels.bm25_accumulate = kernel
+        return call
+
+    batch(counting)()
+    return seconds, time_bm25({"den": batch(kernel),
+                               "formula": batch(formula)}, repeat=4), postings
 
 
 def main(argv=None) -> int:
@@ -201,8 +252,10 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(0)
     times, postings = bench_bm25(args.docs, args.terms, rng)
-    label = f"bm25 accumulate ({args.docs} docs, {postings} postings)"
-    print(f"{label:<44} {describe(times)}")
+    for name, t in times.items():
+        label = f"bm25 accumulate, {name} ({args.docs} docs)"
+        print(f"{label:<44} {describe(t)}")
+    print(f"  {postings} postings per call; scores bit-identical")
 
     for length in args.span_tokens:
         for name, times in bench_spans(length, rng).items():
@@ -217,11 +270,16 @@ def main(argv=None) -> int:
         label = f"ranker features, {name}"
         print(f"{label:<44} {describe(times)}")
 
-    seconds = bench_fixture_retrieval(args.queries)
-    if seconds is not None:
-        print(f"F2 retrieval batch, {args.queries} queries, n=100: "
-              f"{seconds:.3f} s total "
-              f"({seconds / args.queries * 1000:.3f} ms/query)")
+    seconds, times, postings = bench_fixture_retrieval(args.queries)
+    print(f"F2 retrieval batch, {args.queries} queries, n=100: "
+          f"{seconds:.3f} s total "
+          f"({seconds / args.queries * 1000:.3f} ms/query)")
+    for name, t in times.items():
+        label = f"F2 batch score pass, {name}"
+        print(f"{label:<44} {describe(t)}")
+    print(f"  {np.mean(postings):.1f} postings per call (median "
+          f"{np.median(postings):.0f}, {len(postings)} calls per batch); "
+          "scores bit-identical")
     return 0
 
 

@@ -1,6 +1,12 @@
 """Numeric inner loops for retrieval and span scoring, in numpy.
 
-``bm25_accumulate`` adds each query term's postings into a score vector.
+``bm25_accumulate`` adds each query term's postings into a score vector,
+``w * (tf * (k1+1)) / den`` per posting. The index derives each posting's
+denominator ``den = tf + norm[doc]`` once, so the kernel reads it in posting
+order instead of gathering ``norm`` at random document ids; the operations
+and their order are those of ``w * (tf * (k1+1)) / (tf + norm[doc])``, so
+the scores are bit-identical to that formula (kept in
+``tests/test_kernels.py`` as the oracle).
 ``span_score_matrix`` scores every token window of a paragraph in one
 banded prefix-sum pass: a cumsum along the rows of two masked
 (L x band width) bands, with no Python loop over window lengths or
@@ -24,20 +30,20 @@ def backend() -> str:
     return "numpy"
 
 
-def bm25_accumulate(term_starts, term_ends, doc_ids, tfs, term_weights, norm,
+def bm25_accumulate(term_starts, term_ends, doc_ids, tfs, term_weights, den,
                     k1p1, scores):
     """Accumulate BM25 contributions for each query term into ``scores``.
 
-    Postings for query term ``q`` live in doc_ids/tfs[term_starts[q]:term_ends[q]];
-    term_weights[q] already folds together query weight and idf.
+    Postings for query term ``q`` live in
+    doc_ids/tfs/den[term_starts[q]:term_ends[q]]; ``den`` holds each
+    posting's denominator ``tf + norm[doc]``, and term_weights[q] already
+    folds together query weight and idf.
     """
     for q in range(term_starts.shape[0]):
         s, e = term_starts[q], term_ends[q]
         if s == e:
             continue
-        ids = doc_ids[s:e]
-        tf = tfs[s:e]
-        scores[ids] += term_weights[q] * (tf * k1p1) / (tf + norm[ids])
+        scores[doc_ids[s:e]] += term_weights[q] * (tfs[s:e] * k1p1) / den[s:e]
 
 
 def span_score_matrix(win_w, ctx_w, prev, max_len, ctx_radius, ctx_weight,

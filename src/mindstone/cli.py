@@ -47,9 +47,18 @@ def _configure_logging():
 # -- config & manifest -----------------------------------------------------
 
 def _load_config(args) -> PipelineConfig:
-    def config(data: dict) -> PipelineConfig:
+    """The --config file's settings under the flags' overrides. A
+    ValueError names the file only if the file alone is invalid too, so an
+    error that a flag brought about does not blame the file."""
+    data = load_json_object(args.config) if args.config else {}
+    try:
         return PipelineConfig.from_dict(data, overrides=vars(args))
-    return load_json_object(args.config, config) if args.config else config({})
+    except ValueError as exc:
+        try:
+            PipelineConfig.from_dict(data)
+        except ValueError:
+            raise ValueError(f"{args.config}: {exc}") from None
+        raise
 
 
 def _build_ranker(args, index: InvertedIndex):

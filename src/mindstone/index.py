@@ -4,7 +4,16 @@ Lucene-style idf ``ln(1 + (N - df + 0.5)/(df + 0.5))`` over paragraph-level
 documents; defaults k1=0.9, b=0.4. Only per-document term rows (CSR-style
 numpy arrays, which RM3 feedback reads) are built and saved. The per-term
 postings that the kernels in :mod:`mindstone._kernels` score, and the
-document lengths, are derived from the rows on build and on load.
+document lengths, are derived from the rows on build and on load. Each
+posting's BM25 denominator ``tf + norm[doc]`` is derived at the first
+scoring call and never saved, so neither the format nor the checksum
+covers it.
+
+Top-n selection can take seed documents, whose scores bound the n-th
+largest score from below (WAND's initial threshold): RM3's second pass
+seeds it with the first-pass pool, so it sorts out only the documents
+scoring at least that bound, not every document the expanded query
+touches.
 
 The build counts with arrays, not per-document Counters: each raw token
 gets an id in first-seen order as it is tokenized, each distinct raw token
@@ -23,6 +32,7 @@ import zlib
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -240,6 +250,13 @@ class InvertedIndex:
 
     # -- scoring ---------------------------------------------------------
 
+    @cached_property
+    def _post_den(self) -> np.ndarray:
+        """Each posting's BM25 denominator ``tf + norm[doc]``. Derived at
+        the first scoring call, not in ``__init__``, so that building or
+        loading an index does not hold it."""
+        return self._post_tfs + self._norm[self._post_doc_ids]
+
     def _accumulate(self, weights: dict[str, float]) -> np.ndarray:
         """Dense score array for a term -> multiplier map (multipliers are
         applied on top of idf). Terms iterate in sorted order so the float
@@ -258,14 +275,26 @@ class InvertedIndex:
             ends[i] = self._term_offsets[tid + 1]
             term_weights[i] = w * self._idf[tid]
         _kernels.bm25_accumulate(starts, ends, self._post_doc_ids,
-                                 self._post_tfs, term_weights, self._norm,
+                                 self._post_tfs, term_weights, self._post_den,
                                  self.params.k1 + 1.0, scores)
         return scores
 
-    def _top_n(self, scores: np.ndarray, n: int) -> RetrievalResult:
+    def _top_n(self, scores: np.ndarray, n: int,
+               seed: Iterable[str] = ()) -> RetrievalResult:
+        """The n best positive ``scores``. When the ``seed`` para_ids hold
+        at least n distinct documents, the n-th largest of their scores is
+        a lower bound on the n-th largest overall; if it is positive, only
+        documents scoring at least that are candidates. The hits are the
+        same either way."""
         if n <= 0:
             return RetrievalResult([])
-        cand = np.flatnonzero(scores > 0.0)
+        # A set, not np.unique: in numpy 2 its first plain call imports
+        # numpy.ma, ~1.3 MB of resident memory.
+        seeds = np.fromiter({self.ordinal(pid) for pid in seed}, np.int64)
+        bound = 0.0
+        if seeds.size >= n:
+            bound = np.partition(scores[seeds], seeds.size - n)[seeds.size - n]
+        cand = np.flatnonzero(scores >= bound if bound > 0.0 else scores > 0.0)
         if cand.size > n:
             # Keep every candidate scoring at least the n-th largest score,
             # so ties across the cut reach the para_id tie-break below.
@@ -285,9 +314,12 @@ class InvertedIndex:
         weights = {t: float(c) for t, c in counts.items()}
         return self._top_n(self._accumulate(weights), n)
 
-    def retrieve_weighted(self, q: QueryVector, n: int) -> RetrievalResult:
+    def retrieve_weighted(self, q: QueryVector, n: int,
+                          seed: Iterable[str] = ()) -> RetrievalResult:
         """Top-n under weighted BM25; weights are rescaled to sum to 1 over
-        the positive entries, non-positive entries are dropped."""
+        the positive entries, non-positive entries are dropped. ``seed``
+        para_ids (for RM3, the first-pass pool) only speed up the top-n
+        selection: see ``_top_n``."""
         if n < 0:
             raise ValueError("n must be >= 0")
         positive = {t: w for t, w in q.weights.items() if w > 0.0}
@@ -295,7 +327,7 @@ class InvertedIndex:
             return RetrievalResult([])
         total = sum(positive.values())
         rescaled = {t: w / total for t, w in positive.items()}
-        return self._top_n(self._accumulate(rescaled), n)
+        return self._top_n(self._accumulate(rescaled), n, seed)
 
     def doc_tfidf_top(self, para_id: str, top_terms: int) -> QueryVector:
         """TF-IDF weights of the document's ``top_terms`` most frequent terms

@@ -243,8 +243,9 @@ class Pipeline:
             depth = (cfg.rm3.second_pass_n
                      if cfg.rm3.second_pass_n is not None
                      else cfg.n_retriever)
-            second = self.index.retrieve_weighted(expanded, depth)
+            # The first-pass pool seeds the second pass's top-n cut.
             seen = {c.para_id for c in pool}
+            second = self.index.retrieve_weighted(expanded, depth, seen)
             new_ids = [pid for pid, _ in second.hits if pid not in seen]
             new_scores = self._rank(question, new_ids)
             pool.extend(ScoredCandidate(pid, 0.0, s_rank)

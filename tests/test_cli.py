@@ -360,6 +360,48 @@ class TestConfigPrecedence:
         assert len(lines) == 1, lines
         assert lines[0].startswith("error: ") and "n_retriever" in lines[0]
 
+    def test_flag_error_does_not_blame_valid_config_file(self, workdir,
+                                                         tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n_retriever": 20}), encoding="utf-8")
+        code = main(["answer", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--config", str(config), "--n-retriever", "-1",
+                     "--question", "What was the height of mount ardenfell?"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: n_retriever must be >= 0"]
+
+    def test_flag_error_with_invalid_config_file_names_the_file(
+            self, workdir, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n_retriever": -5}), encoding="utf-8")
+        code = main(["answer", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--config", str(config), "--n-retriever", "-1",
+                     "--question", "What was the height of mount ardenfell?"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {config}: n_retriever must be >= 0"]
+
+    def test_config_file_completed_by_weight_flags_loads(self, workdir,
+                                                         tmp_path, capsys):
+        # Alone the file's weights sum to 1.5; the flags make them sum to 1.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n_retriever": 4, "fusion": {
+            "w_retriever": 0.5, "w_ranker": 0.5, "w_reader": 0.5}}),
+            encoding="utf-8")
+        code = main(["answer", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--config", str(config), "--w-retriever", "0.25",
+                     "--w-ranker", "0.25",
+                     "--question", "What was the height of mount ardenfell?"])
+        assert code == 0
+        record = json.loads(capsys.readouterr().out.strip())
+        assert record["trace"]["counts"]["retrieved"] == 4
+
 
 _PARAGRAPH = ('{"para_id": "a#0", "article_id": "a", "title": "T", '
               '"body": "x", "position": 0}\n')

@@ -302,6 +302,56 @@ class TestRetrieveWeighted:
             assert gs == pytest.approx(es, rel=1e-9)
 
 
+_CUT_SCORES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                        st.floats(-3.0, 3.0, allow_nan=False))
+
+
+class TestSeededCut:
+    """A seeded top-n cut gives exactly the unseeded hits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.permutations(range(24)).flatmap(lambda perm: st.tuples(
+        st.just(perm), st.lists(_CUT_SCORES, min_size=24, max_size=24),
+        st.lists(st.integers(0, 23), max_size=40), st.integers(0, 28))))
+    def test_equals_unseeded_top_n(self, case):
+        # Documents in a build order unrelated to para_id order, scores
+        # drawn from a few values (ties across the cut, zeros, negatives),
+        # seeds with duplicates, and seeds fewer or more than n.
+        perm, scores, seed, n = case
+        idx = InvertedIndex.build(
+            [Paragraph(f"p{i:02d}", "a", "", "x", 0) for i in perm])
+        scores = np.array(scores)
+        seed_ids = [f"p{perm[i]:02d}" for i in seed]
+        got = idx._top_n(scores, n, seed_ids)
+        assert got == idx._top_n(scores, n)
+        want = sorted((-s, f"p{perm[d]:02d}") for d, s in enumerate(scores)
+                      if s > 0.0)[:n]
+        assert got.hits == [(pid, -s) for s, pid in want]
+
+    def test_duplicate_seeds_do_not_raise_the_bound(self):
+        idx = InvertedIndex.build(_paras("x", "x", "x", "x"))
+        scores = np.array([3.0, 1.0, 2.0, 0.5])
+        # Two distinct seeds: too few for n=3, so the cut is not seeded
+        # with d0's score 3.0, which would drop d2.
+        got = idx._top_n(scores, 3, ["d0", "d0", "d0", "d3"])
+        assert got.para_ids() == ["d0", "d2", "d1"]
+
+    def test_unknown_seed_is_an_error(self, f1_index):
+        with pytest.raises(UnknownDocumentError):
+            f1_index.retrieve_weighted(QueryVector({"cat": 1.0}), 5,
+                                       ["nope"])
+
+    def test_seeded_retrieval_matches_oracle(self, f1_paragraphs, f1_index):
+        oracle = BruteForceBm25(f1_paragraphs, 0.9, 0.4, f1_index.stopwords)
+        first = f1_index.retrieve("cat river", 10).para_ids()
+        weights = {"cat": 2.0, "river": 0.5, "tall": 1.25}
+        for n in (1, 5, 10, 30):
+            got = f1_index.retrieve_weighted(QueryVector(weights), n, first)
+            assert got == f1_index.retrieve_weighted(QueryVector(weights), n)
+            assert got.para_ids() == [
+                pid for pid, _ in oracle.retrieve_weighted(weights, n)]
+
+
 class TestDocTfidfTop:
     def test_zero_terms(self, f1_index, f1_paragraphs):
         assert f1_index.doc_tfidf_top(f1_paragraphs[0].para_id, 0).weights == {}

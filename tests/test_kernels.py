@@ -36,6 +36,19 @@ def _reference_bm25(term_starts, term_ends, doc_ids, tfs, weights, norm,
     return np.array(scores)
 
 
+def _formula_bm25(term_starts, term_ends, doc_ids, tfs, term_weights, norm,
+                  k1p1, scores):
+    """The kernel before per-posting denominators: it gathers ``norm`` at
+    each posting's document. The oracle of ``bm25_accumulate``'s bytes."""
+    for q in range(term_starts.shape[0]):
+        s, e = term_starts[q], term_ends[q]
+        if s == e:
+            continue
+        ids = doc_ids[s:e]
+        tf = tfs[s:e]
+        scores[ids] += term_weights[q] * (tf * k1p1) / (tf + norm[ids])
+
+
 class TestBm25Accumulate:
     def test_against_python_reference(self):
         rng = np.random.default_rng(5)
@@ -48,9 +61,46 @@ class TestBm25Accumulate:
             expected = _reference_bm25(starts, ends, ids, tfs, weights,
                                        norm, 1.9, n_docs)
             got = np.zeros(n_docs)
-            _kernels.bm25_accumulate(starts, ends, ids, tfs, weights, norm,
-                                     1.9, got)
+            _kernels.bm25_accumulate(starts, ends, ids, tfs, weights,
+                                     tfs + norm[ids], 1.9, got)
             np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_bit_identical_to_norm_gather_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n_docs = int(rng.integers(1, 60))
+            n_terms = int(rng.integers(1, 10))
+            starts, ends, ids, tfs = _random_postings(rng, n_docs, n_terms)
+            weights = rng.uniform(1e-4, 5.0, size=n_terms)
+            norm = 0.9 * (0.6 + 0.4 * rng.uniform(0.0, 4.0, size=n_docs))
+            k1p1 = float(rng.uniform(1.0, 3.0))
+            # Accumulate onto a nonzero start, as into a reused vector.
+            start = rng.uniform(0.0, 2.0, size=n_docs)
+            expected, got = start.copy(), start.copy()
+            _formula_bm25(starts, ends, ids, tfs, weights, norm, k1p1,
+                          expected)
+            _kernels.bm25_accumulate(starts, ends, ids, tfs, weights,
+                                     tfs + norm[ids], k1p1, got)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_index_scores_bit_identical_to_formula(self, f2_index,
+                                                   f2_records):
+        idx = f2_index
+        k1p1 = idx.params.k1 + 1.0
+        for record in f2_records[:50]:
+            terms = sorted({t for t in record.question.lower().split()
+                            if t in idx._term_id})
+            if not terms:
+                continue
+            tids = [idx._term_id[t] for t in terms]
+            starts = idx._term_offsets[tids]
+            ends = idx._term_offsets[np.add(tids, 1)]
+            weights = idx._idf[tids]
+            expected = np.zeros(idx.doc_count)
+            _formula_bm25(starts, ends, idx._post_doc_ids, idx._post_tfs,
+                          weights, idx._norm, k1p1, expected)
+            got = idx._accumulate(dict.fromkeys(terms, 1.0))
+            assert got.tobytes() == expected.tobytes()
 
 
 def _reference_spans(win_w, ctx_w, tokens, max_len, radius, ctx_weight,

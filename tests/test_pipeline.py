@@ -10,7 +10,7 @@ import pytest
 
 from mindstone.corpus import Paragraph
 from mindstone.errors import StageError
-from mindstone.expansion import ExpansionParams
+from mindstone.expansion import ExpansionParams, expand_query, question_vector
 from mindstone.fusion import FusionWeights
 from mindstone.index import InvertedIndex
 from mindstone.pipeline import (Pipeline, PipelineConfig, answer_record,
@@ -217,6 +217,31 @@ class TestAnswer:
             if pid not in first_pass:
                 assert candidates[pid].s_retriever == 0.0
         assert rm3_scores, "second pass added nothing"
+
+    @pytest.mark.parametrize("second_pass_n", [None, 4, 25])
+    def test_rm3_adds_the_unseeded_second_pass(
+            self, f2_index, f2_paragraphs, trained_ranker, f2_reader,
+            f2_records, second_pass_n):
+        # At 25 the 10-paragraph pool cannot seed the second pass's cut,
+        # so it takes the unseeded path; at 4 and 10 it is seeded.
+        cfg = PipelineConfig(n_retriever=10, rm3_enabled=True,
+                             rm3=ExpansionParams(second_pass_n=second_pass_n))
+        pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker, f2_reader,
+                        cfg)
+        depth = second_pass_n or cfg.n_retriever
+        for record in f2_records[:15]:
+            result = pipe.answer(record.question)
+            s_rank = dict(result.ranked)
+            expanded = expand_query(
+                question_vector(f2_index, record.question),
+                [(pid, s_rank[pid]) for pid, _ in result.retrieved],
+                f2_index, cfg.rm3)
+            second = f2_index.retrieve_weighted(expanded, depth)
+            first = {pid for pid, _ in result.retrieved}
+            assert ({pid for pid, _ in result.ranked} - first
+                    == set(second.para_ids()) - first)
+            assert result.trace.counts["rm3_added"] == len(
+                set(second.para_ids()) - first)
 
     def test_rm3_disabled_records_zero_additions(self, f2_index,
                                                  f2_paragraphs,
