@@ -25,10 +25,11 @@ from . import __version__, _kernels, eval as eval_mod, fusion
 from .corpus import (DEFAULT_STOPWORDS, STRING, STRING_OR_INTEGER, Article,
                      Paragraph, json_field, json_value, load_json_object,
                      load_paragraph_map, load_stopwords, read_json_lines,
-                     read_records, split_article, write_records)
+                     read_records, split_article, write_json_lines,
+                     write_json_object, write_records)
 from .errors import MindstoneError
 from .index import Bm25Params, InvertedIndex
-from .pipeline import Pipeline, PipelineConfig, dump_answer_line
+from .pipeline import Pipeline, PipelineConfig, answer_record
 from .scorers import (BuiltinRanker, BuiltinRankerModel, BuiltinReader,
                       RankExample, TrainConfig, build_dataset_aug1,
                       build_dataset_aug2, build_dataset_finetune,
@@ -124,13 +125,6 @@ def _run_manifest(config: PipelineConfig, index: InvertedIndex,
     return manifest
 
 
-def _write_manifest(manifest: dict, directory: Path):
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-
-
 # -- subcommands -----------------------------------------------------------
 
 def cmd_ingest(args) -> int:
@@ -220,13 +214,8 @@ def cmd_answer(args) -> int:
         batch = _read_batch_questions(args.batch)
     results = pipeline.answer_batch([q for _, q in batch])
     eval_mod.log_failed_questions([qid for qid, _ in batch], results)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for (qid, _), result in zip(batch, results):
-            sink.write(dump_answer_line(qid, result) + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    write_json_lines((answer_record(qid, result)
+                      for (qid, _), result in zip(batch, results)), args.out)
     return 0
 
 
@@ -242,10 +231,8 @@ def cmd_tune_weights(args) -> int:
           f"w_ranker={best.w_ranker:.4f} w_reader={best.w_reader:.4f} "
           f"(em={best_em:.4f}, {len(report)} grid points)")
     if args.out_config:
-        cfg = dataclasses.replace(config, weights=best).to_dict()
-        Path(args.out_config).write_text(
-            json.dumps(cfg, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_json_object(dataclasses.replace(config, weights=best).to_dict(),
+                          args.out_config)
     return 0
 
 
@@ -260,9 +247,9 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _run_manifest(config, pipeline.index, scorer_descs, args.seed)
     report.manifest_key = manifest["manifest_key"]
-    eval_mod.write_report_json(report, out_dir / "report.json")
+    write_json_object(report.to_dict(), out_dir / "report.json")
     eval_mod.write_curves_csv(curves, out_dir / "curves.csv")
-    _write_manifest(manifest, out_dir)
+    write_json_object(manifest, out_dir / "run_manifest.json")
     print(f"em={report.em:.4f} f1={report.f1:.4f} over "
           f"{report.n_questions} questions -> {out_dir}")
     return 0
@@ -279,10 +266,8 @@ def cmd_bench(args) -> int:
     manifest = _run_manifest(config, pipeline.index, scorer_descs, args.seed)
     payload = dataclasses.asdict(latency)
     payload["manifest_key"] = manifest["manifest_key"]
-    (out_dir / "latency.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    _write_manifest(manifest, out_dir)
+    write_json_object(payload, out_dir / "latency.json")
+    write_json_object(manifest, out_dir / "run_manifest.json")
     print(f"reported_ms={latency.reported_ms:.3f} over {latency.runs} runs "
           f"x {latency.queries_per_run} queries -> {out_dir}")
     return 0
@@ -344,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="paragraphs", required=True,
                    help="paragraphs JSONL")
     p.add_argument("--out", required=True, help="index output directory")
-    p.add_argument("--k1", type=float, default=0.9, help="BM25 k1")
-    p.add_argument("--b", type=float, default=0.4, help="BM25 b")
+    p.add_argument("--k1", type=float, default=Bm25Params.k1, help="BM25 k1")
+    p.add_argument("--b", type=float, default=Bm25Params.b, help="BM25 b")
     p.add_argument("--stopwords", help="stopword file (one term per line)")
     p.set_defaults(func=cmd_index)
 
@@ -369,10 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True, help="index directory")
     p.add_argument("--mode", choices=["sequential", "concat"],
                    default="sequential")
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--holdout", type=float, default=0.2,
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
+    p.add_argument("--holdout", type=float,
+                   default=TrainConfig.holdout_fraction,
                    help="holdout fraction")
     p.add_argument("--out", required=True, help="model JSON output")
     p.set_defaults(func=cmd_train_ranker)

@@ -4,17 +4,21 @@ Articles are split into paragraphs on blank lines; each paragraph's
 ``full_text`` carries the article title prepended on its own line so that
 downstream stages (indexing, ranking, reading) all see one canonical text
 with unambiguous character offsets. Record files (articles, paragraphs,
-ranker datasets) are JSONL keyed by their dataclass's field names.
+ranker datasets) are JSONL keyed by their dataclass's field names. Every
+JSON, JSONL and CSV output is written by the one writer here for its format.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
 
 # Classic Lucene English stopword list (33 terms).
 DEFAULT_STOPWORDS = frozenset([
@@ -189,6 +193,35 @@ def load_json_object(path: str | Path, read: Callable | None = None):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def write_json_object(obj: dict, path: str | Path):
+    """Write ``obj`` as UTF-8 JSON indented by 2, keys sorted, with a final
+    newline: the file :func:`load_json_object` reads."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+def write_json_lines(objects: Iterable[dict], path: str | Path | None) -> int:
+    """Write one JSON line per object (non-ASCII characters not escaped) to
+    the UTF-8 file ``path``, or to ``sys.stdout`` when it is None: the file
+    :func:`read_json_lines` reads. Return the count."""
+    n = 0
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            n += 1
+    return n
+
+
+def write_csv(header: Sequence[str], rows: Iterable[Sequence],
+              path: str | Path):
+    """Write a UTF-8 CSV file: the ``header`` row, then ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def json_value(value, kind: str, where: str):
     """``value`` when its JSON type is ``kind``; else a ValueError
     ``<where>: expected <kind>, got <its JSON type>``."""
@@ -243,13 +276,8 @@ def read_records(cls, path: str | Path) -> Iterator:
 
 def write_records(records: Iterable, path: str | Path) -> int:
     """Write dataclass records as JSONL in field order; return the count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            rec = {f.name: getattr(record, f.name) for f in fields(record)}
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-            n += 1
-    return n
+    return write_json_lines(({f.name: getattr(r, f.name) for f in fields(r)}
+                             for r in records), path)
 
 
 def load_paragraph_map(path: str | Path) -> dict[str, Paragraph]:

@@ -10,7 +10,6 @@ top-N EM), so its value at a cutoff n >= 1 is the share of positions < n.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
@@ -25,7 +24,7 @@ import numpy as np
 
 from .corpus import (ARRAY, OBJECT, STRING, STRING_OR_INTEGER, STRING_OR_NULL,
                      Article, json_field, json_value, load_json_object,
-                     read_text_lines, segment)
+                     read_text_lines, segment, write_csv, write_json_lines)
 
 log = logging.getLogger("mindstone")
 
@@ -135,18 +134,14 @@ def read_questions(path: str | Path) -> tuple[list[GoldRecord], int]:
 
 
 def write_questions(records: Iterable[GoldRecord], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            rec = {"qid": r.qid, "question": r.question,
-                   "answers": list(r.gold_answers)}
-            if r.gold_article_id is not None:
-                rec["gold_article_id"] = r.gold_article_id
-            if r.gold_paragraph is not None:
-                rec["gold_paragraph"] = r.gold_paragraph
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-            n += 1
-    return n
+    """Write questions JSONL, leaving out gold fields that are None; return
+    the count."""
+    gold = ("gold_article_id", "gold_paragraph")
+    return write_json_lines(({"qid": r.qid, "question": r.question,
+                              "answers": list(r.gold_answers),
+                              **{name: getattr(r, name) for name in gold
+                                 if getattr(r, name) is not None}}
+                             for r in records), path)
 
 
 def convert_squad_v11(path: str | Path) -> tuple[list[Article], list[GoldRecord]]:
@@ -243,18 +238,9 @@ CURVE_COLUMNS = ["N", "retriever_recall", "ranker_recall",
 
 
 def write_curves_csv(points: Sequence[CurvePoint], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        for p in points:
-            writer.writerow([p.n] + [repr(getattr(p, column))
-                                     for column in CURVE_COLUMNS[1:]])
-
-
-def write_report_json(report: EvalReport, path: str | Path):
-    Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_csv(CURVE_COLUMNS, ([p.n] + [repr(getattr(p, column))
+                                       for column in CURVE_COLUMNS[1:]]
+                              for p in points), path)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -332,6 +318,8 @@ def run_benchmark(records: Sequence[GoldRecord], pipeline, runs: int = 5,
     A timed run with failed questions logs their count and the first qid."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if queries_per_run is not None and queries_per_run < 1:
+        raise ValueError("queries_per_run must be >= 1")
     if not records:
         raise ValueError("empty question set")
     if queries_per_run is not None:

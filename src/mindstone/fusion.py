@@ -16,7 +16,6 @@ list once per grid point.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import write_csv
 from .eval import GoldRecord, exact_match, log_failed_questions
 
 
@@ -34,6 +34,10 @@ class FusionWeights:
     w_reader: float
 
     def __post_init__(self):
+        # NaN passes both comparisons below.
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError(f"fusion weights must be finite, got "
+                             f"{self.as_tuple()}")
         if min(self.w_retriever, self.w_ranker, self.w_reader) < 0.0:
             raise ValueError("fusion weights must be non-negative")
         total = self.w_retriever + self.w_ranker + self.w_reader
@@ -68,6 +72,8 @@ def simplex_grid(grid_step: float) -> list[FusionWeights]:
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step must be in (0, 0.5], got {grid_step}")
     steps = round(1.0 / grid_step)
+    if abs(steps - 1.0 / grid_step) > 1e-9:
+        raise ValueError(f"grid_step must divide 1, got {grid_step}")
     grid = []
     for i in range(steps + 1):
         for j in range(steps + 1 - i):
@@ -129,10 +135,6 @@ def tune_weights(dev_records: Sequence[GoldRecord], pipeline,
 
 
 def write_tuning_csv(report: Sequence[GridPoint], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w_retriever", "w_ranker", "w_reader", "em"])
-        for point in report:
-            writer.writerow([repr(point.weights.w_retriever),
-                             repr(point.weights.w_ranker),
-                             repr(point.weights.w_reader), repr(point.em)])
+    write_csv(["w_retriever", "w_ranker", "w_reader", "em"],
+              ([*map(repr, point.weights.as_tuple()), repr(point.em)]
+               for point in report), path)

@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .corpus import (_TOKEN_RE, ARRAY, DEFAULT_STOPWORDS, INTEGER, NUMBER,
                      STRING, Paragraph, json_field, load_json_object,
-                     tokenize)
+                     tokenize, write_json_object)
 from .errors import IndexBuildError, UnknownDocumentError
 
 # 2: terms are tokens of the original text lowercased one by one.
@@ -374,9 +374,9 @@ class InvertedIndex:
     def save(self, directory: str | Path):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "manifest.json").write_text(
-            json.dumps(self.manifest(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_json_object(self.manifest(), directory / "manifest.json")
+        # Not write_json_object: one compact UTF-8 line, since indenting
+        # would put each term and doc id on its own line and grow the index.
         (directory / "strings.json").write_text(
             json.dumps({"terms": self._terms, "doc_ids": self._doc_ids,
                         "stopwords": sorted(self.stopwords)},

@@ -10,7 +10,6 @@ is a StageError naming that stage.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -372,7 +371,3 @@ def answer_record(qid: str, result: PipelineResult) -> dict:
     if result.error is not None:
         rec["error"] = result.error
     return rec
-
-
-def dump_answer_line(qid: str, result: PipelineResult) -> str:
-    return json.dumps(answer_record(qid, result), ensure_ascii=False)

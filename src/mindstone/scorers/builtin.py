@@ -135,6 +135,8 @@ class BuiltinRankerModel:
         return cls(feature_weights=(0.0,) * len(FEATURE_NAMES), bias=0.0)
 
     def save(self, path: str | Path):
+        # Not write_json_object: these keys stay in field order, unsorted,
+        # because a run's manifest_key hashes the model file's bytes.
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n",
                               encoding="utf-8")
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import platform
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from mindstone import eval as eval_mod
 from mindstone.cli import build_parser, main
 from mindstone.errors import StageError
 from mindstone.index import InvertedIndex
-from mindstone.pipeline import Pipeline, PipelineConfig
+from mindstone.pipeline import CONFIG_KEYS, Pipeline, PipelineConfig
 from test_eval import _loop_run_eval
 from test_fusion import _loop_tune_weights
 
@@ -255,6 +256,32 @@ class TestEvalAndBench:
                 if r.name == "mindstone"] == [
             "skipped 2 malformed question records"]
 
+    @pytest.mark.parametrize("queries_per_run", ["0", "-3"])
+    def test_bench_queries_per_run_below_one_exits_one(
+            self, workdir, tmp_path, capsys, queries_per_run):
+        code = main(["bench", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                     "--runs", "1", "--queries-per-run", queries_per_run,
+                     "--out-dir", str(tmp_path / "bench")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() == [
+            "error: queries_per_run must be >= 1"]
+
+    def test_tune_weights_step_that_does_not_divide_one_exits_one(
+            self, workdir, tmp_path, capsys):
+        report = tmp_path / "tuning.csv"
+        code = main(["tune-weights", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                     "--grid-step", "0.4", "--report", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid_step must divide 1, got 0.4"]
+        assert not report.exists()
+
     def test_tune_weights(self, workdir, tmp_path):
         report = tmp_path / "tuning.csv"
         out_config = tmp_path / "tuned.json"
@@ -401,6 +428,67 @@ class TestConfigPrecedence:
         assert code == 0
         record = json.loads(capsys.readouterr().out.strip())
         assert record["trace"]["counts"]["retrieved"] == 4
+
+    def test_nan_weight_in_config_file_exits_one_naming_it(
+            self, workdir, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"fusion": {"w_retriever": NaN, "w_ranker": 0.5, '
+                          '"w_reader": 0.5}}', encoding="utf-8")
+        code = main(["answer", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--config", str(config),
+                     "--question", "What was the height of mount ardenfell?"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {config}: fusion weights must be finite, got "
+            f"(nan, 0.5, 0.5)"]
+
+    def test_nan_weight_flag_error_names_no_file(self, workdir, tmp_path,
+                                                 capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n_retriever": 20}), encoding="utf-8")
+        code = main(["answer", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--config", str(config), "--w-retriever", "nan",
+                     "--w-ranker", "0.5", "--w-reader", "0.5",
+                     "--question", "What was the height of mount ardenfell?"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: fusion weights must be finite, got (nan, 0.5, 0.5)"]
+
+    @pytest.mark.parametrize("key,attr", [
+        row[:2] for row in CONFIG_KEYS if row[2] is not None])
+    def test_every_config_flag_overrides_its_key(self, key, attr):
+        """Each flag dest that CONFIG_KEYS names is one the parser sets: a
+        misspelt dest would drop that flag's override without an error."""
+        weights = {"w-retriever": "0.25", "w-ranker": "0.25",
+                   "w-reader": "0.25"}
+        if key.startswith("fusion."):
+            weights[key[len("fusion."):].replace("_", "-")] = "0.5"
+        weight_flags = [arg for name, w in weights.items()
+                        for arg in (f"--{name}", w)]
+        argv, value = {
+            "n_retriever": (["--n-retriever", "7"], 7),
+            "read_fraction": (["--read-fraction", "0.5"], 0.5),
+            "n_reader": (["--n-reader", "3"], 3),
+            "k_spans_per_paragraph": (["--k-spans", "2"], 2),
+            "rm3.enabled": (["--rm3"], True),
+            "rm3.alpha": (["--rm3-alpha", "0.25"], 0.25),
+            "rm3.terms": (["--rm3-terms", "9"], 9),
+            "rm3.second_pass_n": (["--rm3-second-pass-n", "11"], 11),
+            "fusion.w_retriever": (weight_flags, 0.5),
+            "fusion.w_ranker": (weight_flags, 0.5),
+            "fusion.w_reader": (weight_flags, 0.5),
+        }[key]
+        assert attrgetter(attr)(PipelineConfig()) != value
+        args = build_parser().parse_args(
+            ["answer", "--index", "idx", "--paragraphs", "p.jsonl",
+             "--question", "q", *argv])
+        assert attrgetter(attr)(cli._load_config(args)) == value
 
 
 _PARAGRAPH = ('{"para_id": "a#0", "article_id": "a", "title": "T", '

@@ -1,6 +1,7 @@
 """Score normalization, weighted fusion, and grid-search weight tuning."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,13 @@ class TestFuse:
         with pytest.raises(ValueError):
             self.W(-0.1, 0.6, 0.5)
 
+    @pytest.mark.parametrize("weights", [
+        (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
+        (math.inf, 0.5, 0.5), (-math.inf, math.inf, 1.0)])
+    def test_non_finite_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            self.W(*weights)
+
     def test_monotone_in_each_component(self):
         w = self.W(0.2, 0.3, 0.5)
         base = fuse((0.1, 0.2, 0.3), w)
@@ -115,6 +123,20 @@ class TestSimplexGrid:
             simplex_grid(0.0)
         with pytest.raises(ValueError):
             simplex_grid(0.7)
+
+    @pytest.mark.parametrize("grid_step", [0.4, 0.3, 0.15, 0.049])
+    def test_step_that_does_not_divide_one_rejected(self, grid_step):
+        with pytest.raises(ValueError, match="divide 1"):
+            simplex_grid(grid_step)
+
+    @pytest.mark.parametrize("grid_step,steps",
+                             [(0.05, 20), (0.1, 10), (0.25, 4), (0.5, 2),
+                              (1 / 3, 3)])
+    def test_dividing_step_gives_its_lattice(self, grid_step, steps):
+        grid = simplex_grid(grid_step)
+        assert len(grid) == (steps + 1) * (steps + 2) // 2
+        assert ({w.w_reader for w in grid}
+                == {k / steps for k in range(steps + 1)})
 
 
 class _StubPipeline:

@@ -8,13 +8,12 @@ import threading
 
 import pytest
 
-from mindstone.corpus import Paragraph
+from mindstone.corpus import Paragraph, read_json_lines, write_json_lines
 from mindstone.errors import StageError
 from mindstone.expansion import ExpansionParams, expand_query, question_vector
 from mindstone.fusion import FusionWeights
 from mindstone.index import InvertedIndex
-from mindstone.pipeline import (Pipeline, PipelineConfig, answer_record,
-                                dump_answer_line)
+from mindstone.pipeline import Pipeline, PipelineConfig, answer_record
 from mindstone.scorers import TruncationLimits
 from mindstone.scorers.external import ExternalScorer
 
@@ -410,11 +409,13 @@ class TestBatch:
 
 class TestAnswerRecord:
     def test_jsonl_shape(self, f2_index, f2_paragraphs, trained_ranker,
-                         f2_reader, f2_records):
+                         f2_reader, f2_records, tmp_path):
         pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker, f2_reader,
                         PipelineConfig(n_retriever=10))
         result = pipe.answer(f2_records[0].question)
-        record = json.loads(dump_answer_line("qid-1", result))
+        path = tmp_path / "answers.jsonl"
+        assert write_json_lines([answer_record("qid-1", result)], path) == 1
+        [(_, record)] = read_json_lines(path)
         assert record["qid"] == "qid-1"
         first = record["answers"][0]
         assert set(first) == {"text", "para_id", "start", "end",

@@ -14,14 +14,14 @@ measured numbers in tests/fixtures/README.md.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mindstone.corpus import Article, Paragraph, split_article  # noqa: E402
+from mindstone.corpus import (Article, Paragraph, split_article,  # noqa: E402
+                              write_json_lines, write_records)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -241,29 +241,17 @@ def make_f1(rng: random.Random):
     return paragraphs
 
 
-def write_jsonl(path: Path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
 def main():
     FIXTURES.mkdir(parents=True, exist_ok=True)
     rng = random.Random(0)
     f1 = make_f1(rng)
-    write_jsonl(FIXTURES / "f1_paragraphs.jsonl", [{
-        "para_id": p.para_id, "article_id": p.article_id, "title": p.title,
-        "body": p.body, "position": p.position} for p in f1])
+    write_records(f1, FIXTURES / "f1_paragraphs.jsonl")
 
     articles, questions = make_f2(random.Random(1))
-    write_jsonl(FIXTURES / "f2_articles.jsonl", [{
-        "article_id": a.article_id, "title": a.title, "body": a.body}
-        for a in articles])
+    write_records(articles, FIXTURES / "f2_articles.jsonl")
     paragraphs = [p for a in articles for p in split_article(a)]
-    write_jsonl(FIXTURES / "f2_paragraphs.jsonl", [{
-        "para_id": p.para_id, "article_id": p.article_id, "title": p.title,
-        "body": p.body, "position": p.position} for p in paragraphs])
-    write_jsonl(FIXTURES / "f2_questions.jsonl", questions)
+    write_records(paragraphs, FIXTURES / "f2_paragraphs.jsonl")
+    write_json_lines(questions, FIXTURES / "f2_questions.jsonl")
     print(f"F1: {len(f1)} paragraphs")
     print(f"F2: {len(articles)} articles, {len(paragraphs)} paragraphs, "
           f"{len(questions)} questions")
