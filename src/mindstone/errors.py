@@ -32,7 +32,7 @@ class HandshakeTimeoutError(ScorerProtocolError):
 class MalformedResponseError(ScorerProtocolError):
     """External scorer emitted a line that does not parse as a valid response."""
 
-    def __init__(self, message: str, line: str):
+    def __init__(self, message: str, line: str | bytes):
         super().__init__(f"{message}: {line!r}")
         self.line = line
 

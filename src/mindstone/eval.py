@@ -268,6 +268,8 @@ def run_eval(records: Sequence[GoldRecord], pipeline, n_grid: Sequence[int],
     bad = [n for n in n_grid if int(n) < 1]
     if bad:
         raise ValueError(f"recall cutoff {bad[0]} is below 1")
+    if not 0 <= tau <= 1:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
     n_grid = sorted(set(int(n) for n in n_grid))
     limit = max(n_grid, default=0)
     results = pipeline.answer_batch([r.question for r in records])

@@ -204,6 +204,18 @@ class TrainConfig:
     holdout_fraction: float = 0.2
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not 0 <= self.holdout_fraction < 1:
+            raise ValueError(f"holdout_fraction must be in [0, 1), got "
+                             f"{self.holdout_fraction}")
+
 
 @dataclass(frozen=True)
 class TrainReport:

@@ -1,20 +1,24 @@
 """Line-delimited JSON wire protocol (v1) for external scorer subprocesses.
 
 The scorer speaks first: ``{"type":"hello","protocol":1,"roles":[...]}``.
-The host then sends one request per line and reads one response per line;
-ids are echoed verbatim. Each handle is a serial channel; a batch fans out
-over threads only through a :class:`ScorerPool` of them. A protocol fault
-(a timeout, a malformed or mismatched reply, or an exited scorer) kills the
-scorer and closes its handle; a pool then spawns a fresh one.
+The host then sends one request per line and reads one response per line
+on the calling thread, polling stdout until a deadline (so POSIX only); ids
+are echoed verbatim. Each handle is a serial channel; a batch fans out over
+threads only through a :class:`ScorerPool` of them. A protocol fault (a
+timeout, a malformed, non-UTF-8 or mismatched reply, or a scorer that exits
+or closes its stdout) kills the scorer and closes its handle; a pool then
+spawns a fresh one.
 """
 
 from __future__ import annotations
 
 import json
-import queue
+import os
+import select
 import shlex
 import subprocess
 import threading
+import time
 from contextlib import contextmanager
 
 from ..corpus import ARRAY, INTEGER, NUMBER, OBJECT, STRING, json_field
@@ -22,7 +26,6 @@ from ..errors import (HandshakeTimeoutError, MalformedResponseError,
                       ScorerExitError, ScorerProtocolError, StageError)
 
 PROTOCOL_VERSION = 1
-_EOF = object()
 
 
 class ExternalScorer:
@@ -37,16 +40,14 @@ class ExternalScorer:
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.command = argv
         try:
-            self._proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, encoding="utf-8", bufsize=1)
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE)
         except OSError as exc:
             raise ScorerExitError(f"could not spawn scorer {argv!r}: {exc}")
-        self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(
-            target=self._pump, args=(self._proc.stdout, self._lines),
-            daemon=True)
-        self._reader.start()
+        # Read with os.read: poll cannot see bytes in the file's buffer.
+        self._poll = select.poll()
+        self._poll.register(self._proc.stdout, select.POLLIN)
+        self._pending = b""  # bytes after the last complete reply line
         self._lock = threading.Lock()
         self._next_id = 0
         self._closed = False
@@ -59,25 +60,27 @@ class ExternalScorer:
             self.close()
             raise
 
-    @staticmethod
-    def _pump(stdout, lines: queue.Queue):
-        # No reference to the handle: a handle dropped without close() is
-        # still collected, and __del__ closes it from the dropping thread.
-        for line in stdout:
-            lines.put(line)
-        lines.put(_EOF)
-
     def _next_line(self, timeout: float) -> str:
+        deadline = time.monotonic() + timeout
+        while b"\n" not in self._pending:
+            left = deadline - time.monotonic()
+            if left <= 0 or not self._poll.poll(left * 1000):
+                raise TimeoutError
+            chunk = os.read(self._proc.stdout.fileno(), 1 << 16)
+            if not chunk:
+                try:  # the caller kills a scorer that is still running
+                    code = self._proc.wait(max(0, deadline - time.monotonic()))
+                except subprocess.TimeoutExpired:
+                    code = None
+                raise ScorerExitError(f"scorer {self.command!r} closed its "
+                                      f"stdout (exit code {code})")
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
         try:
-            item = self._lines.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError
-        if item is _EOF:
-            code = self._proc.wait()
-            raise ScorerExitError(
-                f"scorer {self.command!r} exited with code {code} "
-                f"before responding")
-        return item
+            return line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedResponseError("response is not UTF-8",
+                                         line) from None
 
     def _handshake(self) -> dict:
         try:
@@ -124,7 +127,8 @@ class ExternalScorer:
             payload = dict(payload, id=request_id)
             try:
                 try:
-                    self._proc.stdin.write(json.dumps(payload) + "\n")
+                    self._proc.stdin.write(
+                        json.dumps(payload).encode() + b"\n")
                     self._proc.stdin.flush()
                 except (BrokenPipeError, OSError):
                     code = self._proc.poll()
@@ -175,17 +179,12 @@ class ExternalScorer:
             return
         self._closed = True
         try:
-            if self._proc.stdin:
-                self._proc.stdin.close()
+            self._proc.stdin.close()
             self._proc.wait(timeout=5)
         except (OSError, subprocess.TimeoutExpired):
             self._proc.kill()
             self._proc.wait()
-        # The pump reads stdout until EOF. Closing the pipe while it still
-        # reads (a grandchild may hold the write end) would block here.
-        self._reader.join(timeout=5)
-        if not self._reader.is_alive():
-            self._proc.stdout.close()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -90,6 +90,26 @@ class TestDatasetsAndTraining:
         assert model["feature_spec_version"] == 1
         assert len(model["feature_weights"]) == 6
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "-3", "epochs must be >= 0, got -3"),
+        ("--lr", "-0.3", "learning_rate must be finite and > 0, got -0.3"),
+        ("--lr", "nan", "learning_rate must be finite and > 0, got nan"),
+        ("--l2", "-5", "l2 must be finite and >= 0, got -5.0"),
+        ("--holdout", "2", "holdout_fraction must be in [0, 1), got 2.0"),
+    ])
+    def test_train_ranker_out_of_range_exits_one(self, workdir, tmp_path,
+                                                 capsys, flag, value,
+                                                 message):
+        out = tmp_path / "model.json"
+        code = main(["train-ranker", "--dataset",
+                     str(workdir / "finetune.jsonl"),
+                     "--index", str(workdir / "idx"), "--out", str(out),
+                     flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
 
 class TestAnswer:
     def test_single_question_to_stdout(self, workdir, capsys):
@@ -197,6 +217,19 @@ class TestEvalAndBench:
                      "--out-dir", str(tmp_path / "eval")])
         assert code == 1
         assert f"recall cutoff {bad} is below 1" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+    @pytest.mark.parametrize("tau", ["-1", "2", "nan"])
+    def test_eval_tau_out_of_range_exits_one(self, workdir, tmp_path,
+                                             capsys, tau):
+        code = main(["eval", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                     "--n-retriever", "5", "--tau", tau,
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: tau must be in [0, 1], got {float(tau)}"]
         assert not (tmp_path / "eval" / "report.json").exists()
 
     def test_manifest_provenance_is_not_hashed(self, workdir, monkeypatch):

@@ -3,9 +3,11 @@
 import gc
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -316,3 +318,131 @@ class TestScorerPool:
             pipe.answer_batch([r.question for r in f2_records[:8]])
             assert pool.threads == {threading.get_ident()}
             assert len(spawned) == 1
+
+
+# A scorer that frames every line it sends as sys.argv[2] says: "whole"
+# (one write), "bytes" (one flushed write per byte) or "split" (two flushed
+# writes, cut inside the emoji if the line has one). With "joined" the
+# hello and the reply to request "0" go out in one write, before the host
+# sends that request. The reply to question "fail" is an error.
+FRAMED = r"""
+import json, sys, time
+role, framing = sys.argv[1:]
+EMOJI = "\U0001F600".encode()
+
+def reply(req):
+    if req["question"] == "fail":
+        return {"type": "error", "id": req["id"],
+                "message": "café \U0001F600"}
+    if role == "rank":
+        return {"type": "rank_result", "id": req["id"],
+                "score": len(req["text"])}
+    return {"type": "read_result", "id": req["id"],
+            "spans": [{"start": 0, "end": len(req["text"]), "score": 1.0}]}
+
+def line(obj):
+    return (json.dumps(obj, ensure_ascii=False) + "\n").encode()
+
+def send(data):
+    cut = data.find(EMOJI) + 2 if EMOJI in data else len(data) // 2
+    pieces = {"bytes": [data[i:i + 1] for i in range(len(data))],
+              "split": [data[:cut], data[cut:]]}.get(framing, [data])
+    for piece in pieces:
+        sys.stdout.buffer.write(piece)
+        sys.stdout.buffer.flush()
+        time.sleep(0.001)
+
+hello = line({"type": "hello", "protocol": 1, "roles": [role]})
+if framing == "joined":
+    send(hello + line(reply({"id": "0", "question": "q",
+                             "text": "some text"})))
+    sys.stdin.readline()
+else:
+    send(hello)
+for request in sys.stdin:
+    send(line(reply(json.loads(request))))
+"""
+
+
+class TestReplyFraming:
+    @pytest.mark.parametrize("framing", ["whole", "bytes", "joined",
+                                         "split"])
+    @pytest.mark.parametrize("role", ["rank", "read"])
+    def test_framing_gives_the_whole_line_result(self, role, framing):
+        with ExternalScorer(py_script(FRAMED) + [role, framing], role,
+                            timeout=10) as scorer:
+            assert scorer.hello == {"type": "hello", "protocol": 1,
+                                    "roles": [role]}
+
+            def call(question, text):
+                if role == "rank":
+                    return scorer.rank_text(question, text)
+                return scorer.read_text(question, text, 1)
+
+            assert call("q", "some text") == (
+                9.0 if role == "rank" else [(0, 9, 1.0)])
+            with pytest.raises(StageError,
+                               match=f"^\\[{role}\\] café \U0001F600$"):
+                call("fail", "t")
+            assert call("q", "other") == (
+                5.0 if role == "rank" else [(0, 5, 1.0)])
+            assert scorer._proc.poll() is None
+
+
+class TestReaderFaults:
+    HELLO = ("import json, os, sys, time\n"
+             "print(json.dumps({'type':'hello','protocol':1,"
+             "'roles':['rank']}), flush=True)\n")
+
+    @pytest.mark.parametrize("when", ["hello", "reply"])
+    def test_non_utf8_line_is_malformed_at_once(self, spawned, when):
+        # The default 30 s timeout: the bytes fail the call, not the clock.
+        junk = "sys.stdout.buffer.write(b'\\xff\\xfe junk\\n'); " \
+               "sys.stdout.flush(); time.sleep(60)\n"
+        if when == "hello":
+            script = "import sys, time\n" + junk
+        else:
+            script = self.HELLO + "sys.stdin.readline()\n" + junk
+        start = time.monotonic()
+        with pytest.raises(MalformedResponseError,
+                           match=re.escape(r"not UTF-8: b'\xff\xfe junk'")):
+            scorer = ExternalScorer(py_script(script), "rank")
+            start = time.monotonic()
+            scorer.rank_text("q", "t")
+        assert time.monotonic() - start < 1.0
+        assert spawned[0].returncode is not None
+        assert spawned[0].stdout.closed
+        if when == "reply":
+            assert scorer._closed
+
+    def test_closed_stdout_is_exit_error_within_timeout(self, spawned):
+        # The scorer outlives its stdout: it is killed at the deadline.
+        script = (self.HELLO + "sys.stdin.readline()\n"
+                  "os.close(1)\n"
+                  "time.sleep(10)\n")
+        scorer = ExternalScorer(py_script(script), "rank", timeout=2.0)
+        start = time.monotonic()
+        with pytest.raises(ScorerExitError) as info:
+            scorer.rank_text("q", "t")
+        assert time.monotonic() - start < 4.0
+        assert "closed its stdout (exit code None)" in str(info.value)
+        assert spawned[0].returncode is not None
+        assert scorer._closed and spawned[0].stdout.closed
+
+    def test_close_with_grandchild_holding_stdout(self):
+        # The grandchild inherits the scorer's stdout and outlives it.
+        script = (
+            "import json, subprocess, sys\n"
+            "child = subprocess.Popen([sys.executable, '-c', "
+            "'import time; time.sleep(30)'])\n"
+            "print(json.dumps({'type':'hello','protocol':1,"
+            "'roles':['rank'],'pid':child.pid}), flush=True)\n"
+            "sys.stdin.read()\n")
+        scorer = ExternalScorer(py_script(script), "rank")
+        try:
+            start = time.monotonic()
+            scorer.close()
+            assert time.monotonic() - start < 1.0
+            assert scorer._proc.stdout.closed
+        finally:
+            os.kill(scorer.hello["pid"], signal.SIGKILL)

@@ -496,6 +496,20 @@ class TestTraining:
             assert ranker.rank_text(question, text(n_tokens, True)) > 0
             assert ranker.rank_text(question, text(n_tokens, False)) < 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("learning_rate", 0.0), ("learning_rate", -0.3),
+        ("learning_rate", float("inf")), ("learning_rate", float("nan")),
+        ("l2", -5.0), ("l2", float("inf")), ("l2", float("nan")),
+        ("holdout_fraction", -0.1), ("holdout_fraction", 1.0),
+        ("holdout_fraction", 2.0), ("holdout_fraction", float("nan")),
+    ])
+    def test_out_of_range_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_range_edges_accepted(self):
+        TrainConfig(epochs=0, l2=0.0, holdout_fraction=0.0)
+
     def test_empty_dataset_rejected(self, f2_index):
         with pytest.raises(ValueError):
             train_builtin_ranker([], f2_index)
