@@ -1,5 +1,6 @@
 """Time the two numeric kernels, the fusion grid search, the ranker's
-feature path and a BM25 retrieval batch.
+feature path and pool product, the builtin reader and a BM25 retrieval
+batch.
 
 Times BM25 postings accumulation over synthetic postings shaped like a
 desk-scale corpus and over the F2 retrieval batch's queries, next to the
@@ -12,9 +13,13 @@ search at F2's shape (100 dev questions of 3 candidates, 231 grid points),
 next to the per-point loop that ``tests/test_fusion.py`` keeps as its
 oracle; the ranker's training features over F2's paired-paragraph and
 retrieve-rerank (m=100, n=5) examples, next to the per-pair loop that
-``tests/test_scorers.py`` keeps as its oracle; and a retrieval batch over
-the frozen F2 fixture. Kernel, grid-search and feature times are the median
-and interquartile range over repeated calls.
+``tests/test_scorers.py`` keeps as its oracle; the builtin reader over the
+paragraphs the F2 pipeline reads, next to the per-token loop that
+``tests/test_scorers.py`` keeps as its oracle; the ranker's product of
+feature rows and weights over F2's top-100 pools, next to one dot per row
+(it exits if either pair differs in a bit); and a retrieval batch over the
+frozen F2 fixture. Kernel, grid-search, feature, reader and product times
+are the median and interquartile range over repeated calls or passes.
 
     python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 30 384]
 """
@@ -37,7 +42,7 @@ from mindstone.eval import GoldRecord  # noqa: E402
 from mindstone.pipeline import SpanCandidate  # noqa: E402
 from test_fusion import _loop_tune_weights, _StubPipeline  # noqa: E402
 from test_kernels import _formula_bm25, _loop_span_scores  # noqa: E402
-from test_scorers import _loop_features  # noqa: E402
+from test_scorers import _loop_features, _loop_read_text  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
 
@@ -55,6 +60,11 @@ def time_fn(fn, *args, repeat: int) -> np.ndarray:
 def describe(times: np.ndarray) -> str:
     q1, med, q3 = np.percentile(times * 1000, [25, 50, 75])
     return f"{med:9.3f} ms  (IQR {q1:.3f}-{q3:.3f}, {len(times)} calls)"
+
+
+def describe_us(times: np.ndarray) -> str:
+    q1, med, q3 = np.percentile(times * 1e6, [25, 50, 75])
+    return f"{med:9.2f} us  (IQR {q1:.2f}-{q3:.2f}, {len(times)} passes)"
 
 
 def time_bm25(kernels: dict, repeat: int = 10) -> dict[str, np.ndarray]:
@@ -153,15 +163,15 @@ def bench_tuning(rng, n_questions: int = 100, n_candidates: int = 3
     return {name: np.concatenate(t) for name, t in times.items()}
 
 
-def bench_features() -> dict[str, np.ndarray]:
-    """Time the ranker's training feature matrix over F2's finetune and
-    aug2 examples, one phase at a time as training builds it: the array
-    path (one call per question) and the per-pair loop oracle."""
+def f2_setup():
+    """The F2 index, paragraphs and questions, and the ranker-training
+    phases as the pipeline's set-up runs them: the finetune examples, the
+    phase-1 model's aug2 (m=100, n=5) examples, and the ranker trained on
+    both in turn."""
     from mindstone.corpus import Paragraph, read_records
     from mindstone.eval import read_questions
     from mindstone.index import InvertedIndex
     from mindstone.scorers import BuiltinRanker, train_builtin_ranker
-    from mindstone.scorers.builtin import _example_features
     from mindstone.scorers.datasets import (build_dataset_aug2,
                                             build_dataset_finetune)
 
@@ -173,6 +183,18 @@ def bench_features() -> dict[str, np.ndarray]:
     phase1, _ = train_builtin_ranker(finetune, index)
     aug2 = build_dataset_aug2(records, index, paragraphs,
                               BuiltinRanker(phase1, index), m=100, n=5)
+    model, _ = train_builtin_ranker(aug2, index, init=phase1)
+    return (index, paragraphs, records, finetune, aug2,
+            BuiltinRanker(model, index))
+
+
+def bench_features(f2) -> dict[str, np.ndarray]:
+    """Time the ranker's training feature matrix over F2's finetune and
+    aug2 examples, one phase at a time as training builds it: the array
+    path (one call per question) and the per-pair loop oracle."""
+    from mindstone.scorers.builtin import _example_features
+
+    index, _, _, finetune, aug2, _ = f2
 
     def loop(examples, index):
         return np.array([_loop_features(ex.question, ex.text, index)
@@ -186,6 +208,75 @@ def bench_features() -> dict[str, np.ndarray]:
                 times.setdefault(f"{name}, {label}", []).append(
                     time_fn(fn, examples, index, repeat=4))
     return {label: np.concatenate(t) for label, t in times.items()}
+
+
+def time_pairs(paths: dict, calls: list, repeat: int
+               ) -> dict[str, np.ndarray]:
+    """Seconds per call of each ``name -> fn(*call)`` over ``calls``, one
+    entry per pass, alternating so drift hits them alike. The paths must
+    return the same floats bit for bit on every call."""
+    def one_pass(fn):
+        return [fn(*call) for call in calls]
+
+    def as_bytes(results):
+        return b"".join(np.asarray(r, dtype=np.float64).tobytes()
+                        for r in results)
+
+    first, *rest = (as_bytes(one_pass(fn)) for fn in paths.values())
+    if any(other != first for other in rest):
+        raise SystemExit(f"{' and '.join(paths)} disagree: not "
+                         "bit-identical")
+    times: dict[str, list] = {name: [] for name in paths}
+    for _ in range(repeat):
+        for name, fn in paths.items():
+            times[name].append(time_fn(one_pass, fn, repeat=1)
+                               / len(calls))
+    return {name: np.concatenate(t) for name, t in times.items()}
+
+
+def bench_read_and_rank(f2) -> tuple[dict, dict, int]:
+    """Time the builtin reader over the paragraphs the F2 pipeline reads
+    for each question (its top 3 of 100), next to the per-token loop that
+    ``tests/test_scorers.py`` keeps as its oracle; and the ranker's
+    product of feature rows and weights over each question's top-100
+    pool, one ``vecdot`` against one dot per row. Returns the times, and
+    the pool rows on which a column sum of products differs in a bit."""
+    from mindstone.pipeline import Pipeline
+    from mindstone.scorers import BuiltinReader
+    from mindstone.scorers.builtin import _candidate, feature_rows
+
+    index, paragraphs, records, _, _, ranker = f2
+    reader = BuiltinReader(index)
+    pipeline = Pipeline(index, paragraphs, ranker, reader)
+    n_read = pipeline.config.n_reader_effective
+    reads, pools = [], []
+    for r in records:
+        result = pipeline.answer(r.question)
+        reads += [(r.question, paragraphs[pid].full_text)
+                  for pid, _ in result.ranked[:n_read]]
+        pool = [paragraphs[pid] for pid, _ in result.retrieved]
+        pools.append((feature_rows(index, r.question, [
+            _candidate(index, p.para_id, p.full_text) for p in pool]),))
+
+    def read(question, text):
+        return reader.read_text(question, text, 1)
+
+    def loop_read(question, text):
+        return _loop_read_text(index, question, text, 1)
+
+    w, bias = ranker._w, ranker.model.bias
+
+    def vecdot(x):
+        return np.vecdot(x, w) + bias
+
+    def per_row(x):
+        return [float(row @ w) + bias for row in x]
+
+    column_sum = sum(int(((x * w).sum(axis=1) != np.vecdot(x, w)).sum())
+                     for x, in pools)
+    return (time_pairs({"array": read, "loop": loop_read}, reads, 10),
+            time_pairs({"vecdot": vecdot, "per-row dot": per_row}, pools,
+                       10), column_sum)
 
 
 def bench_fixture_retrieval(n_queries: int):
@@ -266,9 +357,20 @@ def main(argv=None) -> int:
         label = f"fusion grid search, {name} (100 q x 231 pts)"
         print(f"{label:<44} {describe(times)}")
 
-    for name, times in bench_features().items():
+    f2 = f2_setup()
+    for name, times in bench_features(f2).items():
         label = f"ranker features, {name}"
         print(f"{label:<44} {describe(times)}")
+
+    reads, products, column_sum = bench_read_and_rank(f2)
+    for name, times in reads.items():
+        label = f"F2 read_text, {name} (per paragraph)"
+        print(f"{label:<44} {describe_us(times)}")
+    for name, times in products.items():
+        label = f"F2 rank pool product, {name} (per pool)"
+        print(f"{label:<44} {describe_us(times)}")
+    print(f"  spans and scores bit-identical; a column sum would differ "
+          f"on {column_sum} pool rows")
 
     seconds, times, postings = bench_fixture_retrieval(args.queries)
     print(f"F2 retrieval batch, {args.queries} queries, n=100: "

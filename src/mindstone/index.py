@@ -33,6 +33,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -206,6 +207,18 @@ class InvertedIndex:
             return float(self._idf[tid])
         df = 0.0
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
+
+    def indexed_idf(self, terms: Iterable[str]) -> np.ndarray:
+        """The idf of each of ``terms``, 0.0 for a term in no indexed
+        document (a stopword or an unseen word)."""
+        tids = np.fromiter(map(self._term_id.get, terms, repeat(-1)),
+                           np.int64)
+        if not self._terms:
+            return np.zeros(len(tids))
+        # An unknown term's id, -1, reads a df of offsets[0] - offsets[-1],
+        # which is <= 0 as for a term in no document.
+        df = self._term_offsets[tids + 1] - self._term_offsets[tids]
+        return np.where(df > 0, self._idf[tids], 0.0)
 
     def term_frequencies(self, term: str, ordinals: np.ndarray) -> np.ndarray:
         """Frequency of ``term`` in each document of ``ordinals`` (valid

@@ -138,13 +138,6 @@ def _flatten_config(data, prefix: str = "") -> dict:
 
 
 @dataclass(frozen=True)
-class ScoredCandidate:
-    para_id: str
-    s_retriever: float  # 0 for candidates only found by the RM3 pass
-    s_ranker: float
-
-
-@dataclass(frozen=True)
 class SpanCandidate:
     """A reader span with its raw and normalized stage scores."""
 
@@ -200,15 +193,16 @@ class Pipeline:
         self.reader = reader
         self.config = config
 
-    def _paragraph(self, para_id: str, stage: str) -> Paragraph:
+    def _paragraphs(self, para_ids: Sequence[str],
+                    stage: str) -> list[Paragraph]:
         try:
-            return self.paragraphs[para_id]
-        except KeyError:
-            raise StageError(stage, f"no paragraph text for {para_id!r}")
+            return list(map(self.paragraphs.__getitem__, para_ids))
+        except KeyError as exc:
+            raise StageError(stage, f"no paragraph text for {exc.args[0]!r}")
 
     def _rank(self, question: str, para_ids: Sequence[str]) -> list[float]:
         """Ranker scores of a candidate pool, in ``para_ids`` order."""
-        paras = [self._paragraph(pid, "rank") for pid in para_ids]
+        paras = self._paragraphs(para_ids, "rank")
         try:
             scores = scorers.rank(self.ranker, question, paras,
                                   self.config.limits)
@@ -227,28 +221,29 @@ class Pipeline:
         trace.times_ms["retrieve"] = (time.perf_counter() - t0) * 1000.0
         trace.counts["retrieved"] = len(retrieval.hits)
 
+        # The pool as parallel lists: para_id, retriever score (0.0 for a
+        # paragraph only the RM3 pass found) and ranker score.
         t0 = time.perf_counter()
-        rank_scores = self._rank(question, retrieval.para_ids())
-        pool = [ScoredCandidate(pid, s_ret, s_rank) for (pid, s_ret), s_rank
-                in zip(retrieval.hits, rank_scores)]
+        pool_ids = retrieval.para_ids()
+        s_ret = [s for _, s in retrieval.hits]
+        s_rank = self._rank(question, pool_ids)
         trace.times_ms["rank"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        if cfg.rm3_enabled and pool:
+        if cfg.rm3_enabled and pool_ids:
             q = question_vector(self.index, question)
-            expanded = expand_query(
-                q, [(c.para_id, c.s_ranker) for c in pool], self.index,
-                cfg.rm3)
+            expanded = expand_query(q, list(zip(pool_ids, s_rank)),
+                                    self.index, cfg.rm3)
             depth = (cfg.rm3.second_pass_n
                      if cfg.rm3.second_pass_n is not None
                      else cfg.n_retriever)
             # The first-pass pool seeds the second pass's top-n cut.
-            seen = {c.para_id for c in pool}
+            seen = set(pool_ids)
             second = self.index.retrieve_weighted(expanded, depth, seen)
             new_ids = [pid for pid, _ in second.hits if pid not in seen]
-            new_scores = self._rank(question, new_ids)
-            pool.extend(ScoredCandidate(pid, 0.0, s_rank)
-                        for pid, s_rank in zip(new_ids, new_scores))
+            pool_ids.extend(new_ids)
+            s_ret.extend([0.0] * len(new_ids))
+            s_rank.extend(self._rank(question, new_ids))
             trace.counts["rm3_added"] = len(new_ids)
         else:
             trace.counts["rm3_added"] = 0
@@ -256,49 +251,51 @@ class Pipeline:
 
         # Ordering the pool is rank-stage time; it waits for RM3's additions.
         t0 = time.perf_counter()
-        pool.sort(key=lambda c: (-c.s_ranker, c.para_id))
+        order = sorted(range(len(pool_ids)),
+                       key=lambda i: (-s_rank[i], pool_ids[i]))
+        ranked = [(pool_ids[i], s_rank[i]) for i in order]
         trace.times_ms["rank"] += (time.perf_counter() - t0) * 1000.0
-        trace.counts["ranked"] = len(pool)
-        to_read = pool[:cfg.n_reader_effective]
+        trace.counts["ranked"] = len(ranked)
+        to_read = order[:cfg.n_reader_effective]
         trace.counts["read"] = len(to_read)
 
         t0 = time.perf_counter()
-        raw: list[tuple[ScoredCandidate, scorers.AnswerSpan]] = []
-        for cand in to_read:
-            para = self._paragraph(cand.para_id, "read")
+        # (pool position, span) for every span read.
+        raw: list[tuple[int, scorers.AnswerSpan]] = []
+        paras = self._paragraphs([pool_ids[i] for i in to_read], "read")
+        for i, para in zip(to_read, paras):
             try:
                 spans = scorers.read(self.reader, question, para,
                                      cfg.k_spans_per_paragraph, cfg.limits)
             except StageError:
                 raise
             except Exception as exc:
-                raise StageError("read", f"{cand.para_id}: {exc}")
-            raw.extend((cand, span) for span in spans)
+                raise StageError("read", f"{pool_ids[i]}: {exc}")
+            raw.extend((i, span) for span in spans)
         trace.times_ms["read"] = (time.perf_counter() - t0) * 1000.0
         trace.counts["spans"] = len(raw)
 
         t0 = time.perf_counter()
         try:
-            n_ret = normalize_scores([c.s_retriever for c, _ in raw])
-            n_rank = normalize_scores([c.s_ranker for c, _ in raw])
+            n_ret = normalize_scores([s_ret[i] for i, _ in raw])
+            n_rank = normalize_scores([s_rank[i] for i, _ in raw])
             n_read = normalize_scores([s.s_reader for _, s in raw])
         except ValueError as exc:
             raise StageError("fuse", str(exc))
         candidates = [SpanCandidate(
-            para_id=cand.para_id, start_char=span.start_char,
+            para_id=pool_ids[i], start_char=span.start_char,
             end_char=span.end_char, text=span.text,
-            s_retriever=cand.s_retriever, s_ranker=cand.s_ranker,
-            s_reader=span.s_reader, n_retriever=n_ret[i], n_ranker=n_rank[i],
-            n_reader=n_read[i])
-            for i, (cand, span) in enumerate(raw)]
+            s_retriever=s_ret[i], s_ranker=s_rank[i],
+            s_reader=span.s_reader, n_retriever=n_ret[j], n_ranker=n_rank[j],
+            n_reader=n_read[j])
+            for j, (i, span) in enumerate(raw)]
         answers = self.fuse_candidates(candidates, cfg.weights)
         trace.times_ms["fuse"] = (time.perf_counter() - t0) * 1000.0
         trace.counts["answers"] = len(answers)
 
         return PipelineResult(
             answers=answers, trace=trace, retrieved=list(retrieval.hits),
-            ranked=[(c.para_id, c.s_ranker) for c in pool],
-            candidates=candidates)
+            ranked=ranked, candidates=candidates)
 
     @staticmethod
     def fuse_candidates(candidates: Sequence[SpanCandidate],

@@ -6,9 +6,15 @@ ranker would attach to. Pools (``rank_pool``), single pairs
 (``rank_text``) and training (``train_builtin_ranker``) compute features
 through one path, :func:`feature_rows`: an indexed paragraph whose text is
 the indexed text is read from its postings, any other text from its own
-tokens. The reader scores every token window up to 30 tokens by
-idf-weighted question-term overlap (in-window, plus half-weight overlap
-in a +/-15-token context) minus a mild length penalty.
+tokens. A pool's scores are one ``np.vecdot`` of its feature rows and the
+weights: the same 6-element dot per row that ``rank_text`` takes.
+
+The reader scores every token window up to 30 tokens by idf-weighted
+question-term overlap (in-window, plus half-weight overlap in a
++/-15-token context) minus a mild length penalty. It looks up idf and
+question membership once per distinct token and gathers them back by
+token id, and takes its top k windows by ``argmax``, ties to the earliest
+start and then the shortest window.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .. import _kernels
-from ..corpus import (ARRAY, INTEGER, NUMBER, Paragraph, json_field,
-                      load_json_object, token_spans, tokenize)
+from ..corpus import (_TOKEN_RE, ARRAY, INTEGER, NUMBER, Paragraph,
+                      json_field, load_json_object, tokenize)
 from ..index import InvertedIndex
 from . import truncate_to_tokens, within_token_limit
 
@@ -190,10 +196,10 @@ class BuiltinRanker:
                                                       para.para_id, text)
             candidates.append(found)
         x = feature_rows(self.index, question, candidates)
-        # One 6-element dot per row: a whole-matrix product may sum in
-        # another order and differ from rank_text in the last bit.
-        bias = self.model.bias
-        return np.array([float(row @ self._w) + bias for row in x])
+        # vecdot takes one 6-element dot per row, each the dot rank_text
+        # takes; a matrix product or a column sum may add in another order
+        # and differ from it in the last bit.
+        return np.vecdot(x, self._w) + self.model.bias
 
 
 @dataclass(frozen=True)
@@ -340,43 +346,54 @@ class BuiltinReader:
     and a length penalty. When the text has no informative non-question
     token at all, spans fall back to maximal in-window question overlap,
     which returns the whole text when it equals the answer.
+
+    Set-up is per distinct token: each lowercased token gets an id in
+    first-seen order, its idf and question membership are looked up once
+    and gathered back by id, and each token's previous occurrence comes
+    from a stable sort of the ids. The k spans are k rounds of ``argmax``
+    over the (start, length) score matrix, each taken span set to -inf;
+    ``argmax`` returns the first maximum, so score ties go to the earliest
+    start and then the shortest span.
     """
 
     def __init__(self, index: InvertedIndex):
         self.index = index
 
-    def _indexed_idf(self, token: str) -> float:
-        # Unindexed tokens (stopwords, unseen words) carry no signal.
-        return self.index.idf(token) if self.index.doc_freq(token) > 0 else 0.0
-
     def read_text(self, question: str, text: str,
                   k: int) -> list[tuple[int, int, float]]:
-        spans = token_spans(text)
-        if not spans:
+        matches = list(_TOKEN_RE.finditer(text))
+        if not matches:
             return [(0, len(text), 0.0)]
+        first: dict[str, int] = {}  # distinct lowercased token -> id
+        ids = np.array([first.setdefault(m.group().lower(), len(first))
+                        for m in matches], dtype=np.int64)
         q_terms = set(tokenize(question, self.index.stopwords))
-        n = len(spans)
-        q_idf = np.zeros(n)
-        novelty = np.zeros(n)
-        prev = np.full(n, -1, dtype=np.int64)
-        last_seen: dict[str, int] = {}
-        for i, (tok, _, _) in enumerate(spans):
-            if tok in q_terms:
-                q_idf[i] = self._indexed_idf(tok)
-            else:
-                novelty[i] = max(self._indexed_idf(tok) - IDF_FLOOR, 0.0)
-            if tok in last_seen:
-                prev[i] = last_seen[tok]
-            last_seen[tok] = i
+        in_q = np.array([token in q_terms for token in first], dtype=bool)
+        idf = self.index.indexed_idf(first)
+        q_idf = np.where(in_q, idf, 0.0)[ids]
+        novelty = np.where(in_q, 0.0, np.maximum(idf - IDF_FLOOR, 0.0))[ids]
         win_w = novelty if novelty.any() else q_idf
+        # A stable sort lists the positions of one id in ascending order,
+        # side by side: each one's predecessor is its previous occurrence.
+        order = np.argsort(ids, kind="stable")
+        again = ids[order[1:]] == ids[order[:-1]]
+        prev = np.full(len(ids), -1, dtype=np.int64)
+        prev[order[1:][again]] = order[:-1][again]
 
-        scores = np.empty((n, MAX_SPAN_TOKENS))
+        scores = np.empty((len(ids), MAX_SPAN_TOKENS))
         _kernels.span_score_matrix(win_w, q_idf, prev, MAX_SPAN_TOKENS,
                                    CTX_RADIUS, CTX_WEIGHT, LENGTH_PENALTY,
                                    scores)
-        starts, lens = np.nonzero(np.isfinite(scores))
-        order = np.lexsort((lens, starts, -scores[starts, lens]))[:k]
-        return [(spans[starts[i]][1],
-                 spans[starts[i] + lens[i]][2],
-                 float(scores[starts[i], lens[i]]))
-                for i in order]
+        # Windows past the text's end hold -inf, as does each span taken.
+        flat = scores.ravel()
+        out = []
+        for _ in range(k):
+            best = int(flat.argmax())
+            score = float(flat[best])
+            if score == -math.inf:
+                break
+            flat[best] = -math.inf
+            start, last = divmod(best, MAX_SPAN_TOKENS)
+            out.append((matches[start].start(),
+                        matches[start + last].end(), score))
+        return out

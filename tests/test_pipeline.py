@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from mindstone.corpus import Paragraph, read_json_lines, write_json_lines
@@ -241,6 +242,50 @@ class TestAnswer:
                     == set(second.para_ids()) - first)
             assert result.trace.counts["rm3_added"] == len(
                 set(second.para_ids()) - first)
+
+    def test_pool_order_ties_and_read_prefix(self):
+        """The pool is ordered by ranker score descending, ties (-0.0 and
+        0.0 among them) by para_id, across first-pass and RM3-added
+        paragraphs; the read set is its prefix, and an RM3 addition keeps
+        a retriever score of +0.0."""
+        bodies = {"f1": "alpha beta gamma", "f2": "alpha beta delta",
+                  "f3": "alpha gamma delta", "e1": "gamma delta gamma delta",
+                  "g2": "gamma delta epsilon", "z1": "zeta eta",
+                  "z2": "theta iota", "z3": "kappa lambda"}
+        paras = {pid: Paragraph(pid, "a", "", body, i)
+                 for i, (pid, body) in enumerate(bodies.items())}
+        # e1 ties f1 and sorts before it; g2's 0.0 ties f2's -0.0 and
+        # sorts after it, across the read cut.
+        score = {"f1": 1.0, "f2": -0.0, "f3": 0.5, "e1": 1.0, "g2": 0.0}
+
+        class TiedRanker:
+            def rank_pool(self, question, paragraphs, max_tokens):
+                return np.array([score[p.para_id] for p in paragraphs])
+
+        class WholeTextReader:
+            def read_text(self, question, text, k):
+                return [(0, len(text), 1.0)]
+
+        cfg = PipelineConfig(n_retriever=3, n_reader=4, rm3_enabled=True,
+                             rm3=ExpansionParams(second_pass_n=5))
+        pipe = Pipeline(InvertedIndex.build(paras.values()), paras,
+                        TiedRanker(), WholeTextReader(), cfg)
+        result = pipe.answer("alpha beta")
+        first = dict(result.retrieved)
+        added = [pid for pid, _ in result.ranked if pid not in first]
+        assert set(first) == {"f1", "f2", "f3"}
+        assert added and result.trace.counts["rm3_added"] == len(added)
+
+        pool = [(pid, score[pid]) for pid in [*first, *added]]
+        want = sorted(pool, key=lambda t: (-t[1], t[0]))
+        assert ([(pid, s.hex()) for pid, s in result.ranked]
+                == [(pid, s.hex()) for pid, s in want])
+        assert [pid for pid, _ in want] == ["e1", "f1", "f3", "f2", "g2"]
+        assert ([c.para_id for c in result.candidates]
+                == [pid for pid, _ in want[:cfg.n_reader]])
+        for c in result.candidates:
+            assert c.s_ranker.hex() == score[c.para_id].hex()
+            assert c.s_retriever.hex() == first.get(c.para_id, 0.0).hex()
 
     def test_rm3_disabled_records_zero_additions(self, f2_index,
                                                  f2_paragraphs,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mindstone import _kernels
 from mindstone.corpus import Paragraph, segment, token_spans, tokenize
 from mindstone.errors import StageError
 from mindstone.eval import f1 as f1_score
@@ -17,7 +18,10 @@ from mindstone.scorers import (BuiltinRanker, BuiltinRankerModel,
                                BuiltinReader, RankExample, TrainConfig,
                                TruncationLimits, rank, read,
                                truncate_to_tokens)
-from mindstone.scorers.builtin import (FEATURE_NAMES, _example_features,
+from mindstone.scorers.builtin import (CTX_RADIUS, CTX_WEIGHT,
+                                       FEATURE_NAMES, IDF_FLOOR,
+                                       LENGTH_PENALTY, MAX_SPAN_TOKENS,
+                                       _example_features,
                                        train_builtin_ranker,
                                        train_ranker_phases)
 from mindstone.scorers.datasets import _by_article, resolve_gold_paragraph
@@ -52,6 +56,43 @@ def _loop_features(question, text, index):
     title_overlap = sum(1 for t in q_counts if t in title_terms)
     return np.array([bm25, float(overlap), idf_overlap, coverage,
                      math.log1p(doc_len), float(title_overlap)])
+
+
+def _loop_read_text(index, question, text, k):
+    """The builtin reader's spans, one token at a time and ordered by a
+    lexsort over every finite window score: the oracle of
+    ``BuiltinReader.read_text``, which must give the same spans and the
+    same floats bit for bit."""
+    def indexed_idf(token):
+        return index.idf(token) if index.doc_freq(token) > 0 else 0.0
+
+    spans = token_spans(text)
+    if not spans:
+        return [(0, len(text), 0.0)]
+    q_terms = set(tokenize(question, index.stopwords))
+    n = len(spans)
+    q_idf = np.zeros(n)
+    novelty = np.zeros(n)
+    prev = np.full(n, -1, dtype=np.int64)
+    last_seen = {}
+    for i, (tok, _, _) in enumerate(spans):
+        if tok in q_terms:
+            q_idf[i] = indexed_idf(tok)
+        else:
+            novelty[i] = max(indexed_idf(tok) - IDF_FLOOR, 0.0)
+        if tok in last_seen:
+            prev[i] = last_seen[tok]
+        last_seen[tok] = i
+    win_w = novelty if novelty.any() else q_idf
+
+    scores = np.empty((n, MAX_SPAN_TOKENS))
+    _kernels.span_score_matrix(win_w, q_idf, prev, MAX_SPAN_TOKENS,
+                               CTX_RADIUS, CTX_WEIGHT, LENGTH_PENALTY,
+                               scores)
+    starts, lens = np.nonzero(np.isfinite(scores))
+    order = np.lexsort((lens, starts, -scores[starts, lens]))[:k]
+    return [(spans[starts[i]][1], spans[starts[i] + lens[i]][2],
+             float(scores[starts[i], lens[i]])) for i in order]
 
 
 class ConstantScorer:
@@ -247,13 +288,13 @@ def _rank_pool_case(draw):
     return limit, indexed, pool, question, weights, bias
 
 
-def _bm25_only_case(question, bodies):
-    """A pool scored by bm25 alone: the first paragraph under its indexed
-    para_id and under an unindexed one."""
+def _pool_case(question, bodies, weights=(1.0,) + (0.0,) * 5):
+    """A pool of the first paragraph under its indexed para_id and under an
+    unindexed one, scored by ``weights`` (by default, by bm25 alone)."""
     indexed = [Paragraph(f"p{i}", "a", "", body, i)
                for i, body in enumerate(bodies)]
     pool = [indexed[0], Paragraph("new0", "a", "", bodies[0], 0)]
-    return 30, indexed, pool, question, [1.0] + [0.0] * 5, 0.0
+    return 30, indexed, pool, question, list(weights), 0.0
 
 
 class TestRankPool:
@@ -261,11 +302,16 @@ class TestRankPool:
     @given(_rank_pool_case())
     # Sums that change in the last bit when the question terms are summed
     # in another order, or q * idf is not multiplied first.
-    @example(_bm25_only_case("dog x cat stone cat", [
+    @example(_pool_case("dog x cat stone cat", [
         "cat y hill cat hill x y stone", "y y stone dog", "x cat"]))
-    @example(_bm25_only_case("hill hill hill x", [
+    @example(_pool_case("hill hill hill x", [
         "hill cat", "stone x cat dog cat stone hill y",
         "dog stone cat x stone x x hill"]))
+    # A score that changes in the last bit when a row's products are
+    # summed without the per-row dot's fused multiply-adds.
+    @example(_pool_case("dog x cat stone cat", [
+        "cat y hill cat hill x y stone", "y y stone dog", "x cat"],
+        [0.5, 0.5, -1.5, 0.1, 1.0, 0.3]))
     def test_equals_per_pair_features_bit_for_bit(self, case):
         limit, indexed, pool, question, weights, bias = case
         index = InvertedIndex.build(indexed)
@@ -335,7 +381,62 @@ class TestTrainingFeatures:
         assert got.tobytes() == expected.tobytes()
 
 
+# Cased, dotted, sharp-s and combining-mark words; "zzz" is indexed nowhere.
+_READ_WORDS = ["x", "y", "cat", "Cat", "dog", "stone", "hill", "\u0130stanbul",
+               "stra\u00dfe", "STRASSE", "e\u0301t\u00e9", "zzz"]
+_STOPWORDS = ["the", "of", "a", "and", "is", "The"]
+
+
+@st.composite
+def _read_case(draw):
+    """An index (empty, or twelve one-word fillers, so that a word in one
+    drawn document has an idf above IDF_FLOOR, plus the drawn documents),
+    a question, a text and k: arbitrary Unicode, words, tokenless,
+    stopword-only, tie-heavy repeated tokens (past the 16 elements below
+    which numpy's default sort happens to be stable) or past the reader's
+    384-token budget."""
+    word = st.sampled_from(_READ_WORDS + _STOPWORDS)
+    docs = []
+    if draw(st.booleans()):
+        docs = [f"filler{i}" for i in range(12)] + draw(st.lists(
+            st.lists(word, min_size=1, max_size=5).map(" ".join),
+            max_size=4))
+    words = st.lists(word, min_size=1, max_size=40)
+    kind = draw(st.sampled_from(["unicode", "words", "tokenless",
+                                 "stopwords", "repeated", "long"]))
+    if kind == "unicode":
+        text = draw(st.text(min_size=1))
+    elif kind == "words":
+        text = draw(words.map(" ".join))
+    elif kind == "tokenless":
+        text = draw(st.text(" .,-_!\n\u0301", min_size=1))
+    elif kind == "stopwords":
+        text = draw(st.lists(st.sampled_from(_STOPWORDS), min_size=1,
+                             max_size=40).map(", ".join))
+    elif kind == "repeated":
+        unit = draw(st.lists(st.sampled_from(["x", "cat", "zzz", "the"]),
+                             min_size=1, max_size=3).map(" ".join))
+        text = " ".join([unit] * draw(st.integers(1, 40)))
+    else:
+        text = " ".join(draw(words) * 20)[:3000]
+    question = draw(st.text() | words.map(" ".join))
+    return docs, question, text, draw(st.integers(1, 6))
+
+
 class TestRead:
+    @settings(max_examples=400, deadline=None)
+    @given(_read_case())
+    # An index with no terms at all.
+    @example(([], "", "BY", 1))
+    def test_builtin_read_text_equals_loop_oracle(self, case):
+        docs, question, text, k = case
+        index = InvertedIndex.build(Paragraph(f"p{i}", "a", "", body, i)
+                                    for i, body in enumerate(docs))
+        got = BuiltinReader(index).read_text(question, text, k)
+        want = _loop_read_text(index, question, text, k)
+        assert ([(s, e, score.hex()) for s, e, score in got]
+                == [(s, e, score.hex()) for s, e, score in want])
+
     def test_paragraph_equal_to_gold_answer_returns_full_span(self):
         paras = [Paragraph("x#0", "x", "", "battle of hastings", 0),
                  Paragraph("x#1", "x", "", "farming was common here", 0),
