@@ -17,9 +17,11 @@ retrieve-rerank (m=100, n=5) examples, next to the per-pair loop that
 paragraphs the F2 pipeline reads, next to the per-token loop that
 ``tests/test_scorers.py`` keeps as its oracle; the ranker's product of
 feature rows and weights over F2's top-100 pools, next to one dot per row
-(it exits if either pair differs in a bit); and a retrieval batch over the
-frozen F2 fixture. Kernel, grid-search, feature, reader and product times
-are the median and interquartile range over repeated calls or passes.
+(it exits if either pair differs in a bit); a retrieval batch over the
+frozen F2 fixture; and spawn plus hello of the bundled echo scorer, the
+start-up that every external-scorer spawn and respawn pays, pinned to one
+CPU. Kernel, grid-search, feature, reader, product and spawn times are the
+median and interquartile range over repeated calls, passes or spawns.
 
     python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 30 384]
 """
@@ -27,6 +29,7 @@ are the median and interquartile range over repeated calls or passes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -332,6 +335,35 @@ def bench_fixture_retrieval(n_queries: int):
                                "formula": batch(formula)}, repeat=4), postings
 
 
+def bench_spawn(repeat: int) -> np.ndarray:
+    """Seconds from spawning ``python -m mindstone.scorers.echo_scorer``
+    (this checkout's) to its hello, over ``repeat`` spawns pinned to one
+    CPU; each scorer is closed before the next spawn."""
+    from mindstone.scorers.external import ExternalScorer
+
+    command = [sys.executable, "-m", "mindstone.scorers.echo_scorer"]
+    saved_env = os.environ.get("PYTHONPATH")
+    saved_cpus = os.sched_getaffinity(0)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), saved_env]))
+    os.sched_setaffinity(0, {min(saved_cpus)})  # the scorers inherit it
+    try:
+        ExternalScorer(command, "read").close()  # warm the bytecode cache
+        times = np.empty(repeat)
+        for r in range(repeat):
+            start = time.perf_counter()
+            scorer = ExternalScorer(command, "read")
+            times[r] = time.perf_counter() - start
+            scorer.close()
+    finally:
+        os.sched_setaffinity(0, saved_cpus)
+        if saved_env is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved_env
+    return times
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--docs", type=int, default=50_000)
@@ -382,6 +414,9 @@ def main(argv=None) -> int:
     print(f"  {np.mean(postings):.1f} postings per call (median "
           f"{np.median(postings):.0f}, {len(postings)} calls per batch); "
           "scores bit-identical")
+
+    label = "echo scorer spawn + hello (one CPU)"
+    print(f"{label:<44} {describe(bench_spawn(16))}")
     return 0
 
 

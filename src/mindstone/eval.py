@@ -29,14 +29,12 @@ from .corpus import (ARRAY, OBJECT, STRING, STRING_OR_INTEGER, STRING_OR_NULL,
 log = logging.getLogger("mindstone")
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
-_PUNCT = set(string.punctuation)
+_PUNCT = str.maketrans("", "", string.punctuation)
 
 
 def normalize_answer(s: str) -> str:
     """SQuAD answer normalization."""
-    s = s.lower()
-    s = "".join(ch for ch in s if ch not in _PUNCT)
-    s = _ARTICLES_RE.sub(" ", s)
+    s = _ARTICLES_RE.sub(" ", s.lower().translate(_PUNCT))
     return " ".join(s.split())
 
 

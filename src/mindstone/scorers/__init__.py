@@ -12,18 +12,24 @@ character offsets into the provided text. The module-level :func:`rank`
 apply the truncation contract, so scorer output never depends on content
 beyond the truncation limits, and reject NaN and infinite scores, which
 fusion cannot order.
+
+Importing this package loads no numpy, so a scorer subprocess such as
+``echo_scorer`` starts fast. The names of ``builtin``, ``datasets`` and
+``external`` in ``__all__`` load their submodule on first access.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ..corpus import Paragraph, segment, token_spans
 from ..errors import StageError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,7 @@ def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
     Each paragraph is truncated to ``limits.ranker_para_tokens``, then
     scored by the scorer's ``rank_pool`` when it has one, else pair by pair
     with ``rank_text``."""
+    import numpy as np
     max_tokens = limits.ranker_para_tokens
     if hasattr(scorer, "rank_pool"):
         scores = scorer.rank_pool(question, paragraphs, max_tokens)
@@ -135,19 +142,24 @@ def read(scorer, question: str, paragraph: Paragraph, k: int,
     return spans
 
 
-from .builtin import (  # noqa: E402
-    BuiltinRanker, BuiltinRankerModel, BuiltinReader, TrainConfig,
-    TrainReport, train_builtin_ranker, train_ranker_phases,
-)
-from .datasets import (  # noqa: E402
-    build_dataset_aug1, build_dataset_aug2, build_dataset_finetune,
-)
-from .external import ExternalScorer  # noqa: E402
+_LAZY = {
+    **dict.fromkeys(["BuiltinRanker", "BuiltinRankerModel", "BuiltinReader",
+                     "TrainConfig", "TrainReport", "train_builtin_ranker",
+                     "train_ranker_phases"], "builtin"),
+    **dict.fromkeys(["build_dataset_aug1", "build_dataset_aug2",
+                     "build_dataset_finetune"], "datasets"),
+    "ExternalScorer": "external",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return getattr(module, name)
+
 
 __all__ = [
-    "AnswerSpan", "BuiltinRanker", "BuiltinRankerModel", "BuiltinReader",
-    "ExternalScorer", "RankExample", "TrainConfig", "TrainReport",
-    "TruncationLimits", "build_dataset_aug1", "build_dataset_aug2",
-    "build_dataset_finetune", "rank", "read", "train_builtin_ranker",
-    "train_ranker_phases", "truncate_to_tokens",
+    "AnswerSpan", "RankExample", "TruncationLimits", "rank", "read",
+    "truncate_to_tokens", *_LAZY,
 ]

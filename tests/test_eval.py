@@ -3,6 +3,8 @@ protocol."""
 
 import dataclasses
 import json
+import re
+import string
 import threading
 
 import numpy as np
@@ -100,15 +102,43 @@ def _loop_run_eval(records, pipeline, n_grid, tau=0.5, malformed_skipped=0):
     return report, curves
 
 
+_ASCII_PUNCT = set(string.punctuation)
+
+
+def _loop_normalize_answer(s: str) -> str:
+    """The per-character SQuAD normalization that ``normalize_answer``'s
+    translate table replaced: the oracle it must equal."""
+    s = s.lower()
+    s = "".join(ch for ch in s if ch not in _ASCII_PUNCT)
+    s = re.sub(r"\b(a|an|the)\b", " ", s)
+    return " ".join(s.split())
+
+
+# Letters, articles, ASCII and non-ASCII punctuation, and whitespace, so
+# drawn texts exercise every step of the normalization.
+_ANSWER_PIECES = st.sampled_from(
+    ["a", "an", "the", "The", "Cat", "U.S.", "İ", "ß", "e\u0301", " ", "\t",
+     "\u00a0", *string.punctuation, *"‘’—¿«»…"])
+
+
 class TestNormalizeAnswer:
     def test_examples(self):
         assert normalize_answer("The Cat!") == "cat"
         assert normalize_answer("a  an the") == ""
         assert normalize_answer("U.S.A.") == "usa"
+        # string.punctuation is ASCII only: typographic quotes and dashes
+        # are kept, as SQuAD's own script keeps them.
+        assert (normalize_answer("‘The’ cat—¿or «a» dog?")
+                == "‘ ’ cat—¿or « » dog")
 
     def test_golden_file(self, metrics_golden):
         for case in metrics_golden:
             assert normalize_answer(case["pred"]) == case["norm_pred"], case
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.lists(_ANSWER_PIECES).map("".join)))
+    def test_equals_per_character_oracle(self, text):
+        assert normalize_answer(text) == _loop_normalize_answer(text)
 
 
 class TestExactMatchAndF1:

@@ -1,6 +1,7 @@
 """External scorer wire protocol: handshake, request/response, failures."""
 
 import gc
+import importlib
 import os
 import re
 import signal
@@ -11,10 +12,12 @@ import time
 
 import pytest
 
+import mindstone
+from mindstone import scorers
 from mindstone.errors import (HandshakeTimeoutError, MalformedResponseError,
                               ScorerExitError, ScorerProtocolError,
                               StageError)
-from mindstone.scorers import rank, read
+from mindstone.scorers import datasets, rank, read
 from mindstone.scorers.external import ExternalScorer, ScorerPool
 
 ECHO = [sys.executable, "-m", "mindstone.scorers.echo_scorer"]
@@ -60,6 +63,38 @@ class TestEchoScorer:
             spans = read(reader, "q", para, k=1)
             assert spans[0].text == para.full_text
             assert spans[0].para_id == para.para_id
+
+
+class TestLightImports:
+    """Every scorer spawn pays for its imports, so the package ``__init__``s
+    stay numpy-free; and the cascade tracer patches the stage functions
+    through the modules' ``__dict__``, so the lazy names must not hide
+    them."""
+
+    def test_echo_scorer_imports_no_numpy(self):
+        src = os.path.dirname(os.path.dirname(mindstone.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, mindstone.scorers.echo_scorer"
+             "; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'numpy'))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_stage_functions_are_module_entries(self):
+        for name in ("rank", "read", "truncate_to_tokens",
+                     "within_token_limit"):
+            assert name in vars(scorers), name
+        assert vars(datasets)["rank"] is scorers.rank
+
+    def test_all_resolves_to_submodule_objects(self):
+        for name in scorers.__all__:
+            obj = getattr(scorers, name)
+            home = importlib.import_module(obj.__module__)
+            assert getattr(home, name) is obj, name
+        with pytest.raises(AttributeError):
+            scorers.NoSuchScorer
 
 
 class TestFailureModes:
