@@ -1,6 +1,6 @@
 """Time the two numeric kernels, the fusion grid search, the ranker's
-feature path and pool product, the builtin reader and a BM25 retrieval
-batch.
+feature path, pool product and rank stage, the builtin reader, a BM25
+retrieval batch, scorer spawn and a batch's fan-out over external scorers.
 
 Times BM25 postings accumulation over synthetic postings shaped like a
 desk-scale corpus and over the F2 retrieval batch's queries, next to the
@@ -16,14 +16,21 @@ retrieve-rerank (m=100, n=5) examples, next to the per-pair loop that
 ``tests/test_scorers.py`` keeps as its oracle; the builtin reader over the
 paragraphs the F2 pipeline reads, next to the per-token loop that
 ``tests/test_scorers.py`` keeps as its oracle; the ranker's product of
-feature rows and weights over F2's top-100 pools, next to one dot per row
-(it exits if either pair differs in a bit); a retrieval batch over the
-frozen F2 fixture; and spawn plus hello of the bundled echo scorer, the
-start-up that every external-scorer spawn and respawn pays, pinned to one
-CPU. Kernel, grid-search, feature, reader, product and spawn times are the
-median and interquartile range over repeated calls, passes or spawns.
+feature rows and weights over F2's top-100 pools, next to one dot per row;
+the warm rank stage (``scorers.rank``) over the same pools, next to the
+``Paragraph``-keyed memo that ``rank_pool`` kept when it truncated its own
+input (it exits if any of these pairs differs in a bit); a retrieval batch
+over the frozen F2 fixture; spawn plus hello of the bundled echo scorer,
+the start-up that every external-scorer spawn and respawn pays, pinned to
+one CPU; and ``Pipeline.answer_batch`` over F2's questions, whose reader is
+a ``ScorerPool`` of a protocol-1 scorer that busy-waits ``--fanout-ms``
+per request, next to answering the same questions one by one (it exits if
+the answers differ). Kernel, grid-search, feature, reader, product, rank,
+spawn and batch times are the median and interquartile range over
+repeated calls, passes, spawns or batches.
 
     python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 30 384]
+        [--fanout-ms 0 1]
 """
 
 from __future__ import annotations
@@ -237,13 +244,46 @@ def time_pairs(paths: dict, calls: list, repeat: int
     return {name: np.concatenate(t) for name, t in times.items()}
 
 
-def bench_read_and_rank(f2) -> tuple[dict, dict, int]:
+def paragraph_keyed_rank(ranker, limits):
+    """The builtin rank stage as it was while ``rank_pool`` truncated its
+    own input: paragraphs past the token limit truncated and resolved
+    afresh, the others resolved once and memoized by ``Paragraph``."""
+    from mindstone.scorers import truncate_to_tokens
+    from mindstone.scorers.builtin import _candidate, feature_rows
+
+    index, max_tokens = ranker.index, limits.ranker_para_tokens
+    memo = {}
+
+    def rank(question, paragraphs):
+        candidates = []
+        for para in paragraphs:
+            text = para.full_text
+            if len(text) > 2 * max_tokens:  # may hold more tokens
+                found = _candidate(index, {}, None,
+                                   truncate_to_tokens(text, max_tokens))
+            elif (found := memo.get(para)) is None:
+                found = memo[para] = _candidate(index, {}, para.para_id,
+                                                text)
+            candidates.append(found)
+        x = feature_rows(index, question, candidates)
+        scores = np.vecdot(x, ranker._w) + ranker.model.bias
+        if not np.isfinite(scores).all():
+            raise SystemExit("non-finite rank score")
+        return scores
+
+    return rank
+
+
+def bench_read_and_rank(f2) -> tuple[dict, dict, dict, int]:
     """Time the builtin reader over the paragraphs the F2 pipeline reads
     for each question (its top 3 of 100), next to the per-token loop that
-    ``tests/test_scorers.py`` keeps as its oracle; and the ranker's
-    product of feature rows and weights over each question's top-100
-    pool, one ``vecdot`` against one dot per row. Returns the times, and
-    the pool rows on which a column sum of products differs in a bit."""
+    ``tests/test_scorers.py`` keeps as its oracle; the ranker's product of
+    feature rows and weights over each question's top-100 pool, one
+    ``vecdot`` against one dot per row; and the warm rank stage over the
+    same pools, against the ``Paragraph``-keyed path it replaced. Returns
+    the times, and the pool rows on which a column sum of products differs
+    in a bit."""
+    from mindstone import scorers
     from mindstone.pipeline import Pipeline
     from mindstone.scorers import BuiltinReader
     from mindstone.scorers.builtin import _candidate, feature_rows
@@ -251,15 +291,17 @@ def bench_read_and_rank(f2) -> tuple[dict, dict, int]:
     index, paragraphs, records, _, _, ranker = f2
     reader = BuiltinReader(index)
     pipeline = Pipeline(index, paragraphs, ranker, reader)
+    limits = pipeline.config.limits
     n_read = pipeline.config.n_reader_effective
-    reads, pools = [], []
+    reads, pools, products = [], [], []
     for r in records:
         result = pipeline.answer(r.question)
         reads += [(r.question, paragraphs[pid].full_text)
                   for pid, _ in result.ranked[:n_read]]
         pool = [paragraphs[pid] for pid, _ in result.retrieved]
-        pools.append((feature_rows(index, r.question, [
-            _candidate(index, p.para_id, p.full_text) for p in pool]),))
+        pools.append((r.question, pool))
+        products.append((feature_rows(index, r.question, [
+            _candidate(index, {}, p.para_id, p.full_text) for p in pool]),))
 
     def read(question, text):
         return reader.read_text(question, text, 1)
@@ -275,11 +317,17 @@ def bench_read_and_rank(f2) -> tuple[dict, dict, int]:
     def per_row(x):
         return [float(row @ w) + bias for row in x]
 
+    def rank(question, pool):
+        return scorers.rank(ranker, question, pool, limits)
+
     column_sum = sum(int(((x * w).sum(axis=1) != np.vecdot(x, w)).sum())
-                     for x, in pools)
+                     for x, in products)
     return (time_pairs({"array": read, "loop": loop_read}, reads, 10),
-            time_pairs({"vecdot": vecdot, "per-row dot": per_row}, pools,
-                       10), column_sum)
+            time_pairs({"vecdot": vecdot, "per-row dot": per_row}, products,
+                       10),
+            time_pairs({"para_id memo": rank, "Paragraph memo (before)":
+                        paragraph_keyed_rank(ranker, limits)}, pools, 20),
+            column_sum)
 
 
 def bench_fixture_retrieval(n_queries: int):
@@ -364,6 +412,56 @@ def bench_spawn(repeat: int) -> np.ndarray:
     return times
 
 
+# A protocol-1 reader that busy-waits the given milliseconds per request,
+# standing in for a model's compute, then reads the whole text as one span.
+BUSY_SCORER = """
+import json, sys, time
+busy = float(sys.argv[1]) / 1000
+print(json.dumps({"type": "hello", "protocol": 1, "roles": ["read"]}),
+      flush=True)
+for line in sys.stdin:
+    req = json.loads(line)
+    end = time.perf_counter() + busy
+    while time.perf_counter() < end:
+        pass
+    print(json.dumps({"type": "read_result", "id": req["id"], "spans": [
+        {"start": 0, "end": len(req["text"]), "score": 1.0}]}), flush=True)
+"""
+
+
+def bench_fanout(f2, busy_ms: float, repeat: int = 10
+                 ) -> dict[str, np.ndarray]:
+    """Seconds per question of ``answer_batch`` over F2's questions, which
+    fans out over one thread per usable CPU because the reader is a
+    ``ScorerPool``, and of answering them one by one, in ``repeat``
+    alternating pairs. The reader busy-waits ``busy_ms`` per request; the
+    ranker is the trained builtin one."""
+    from mindstone.pipeline import Pipeline
+    from mindstone.scorers.external import ScorerPool
+
+    index, paragraphs, records, _, _, ranker = f2
+    questions = [r.question for r in records]
+    command = [sys.executable, "-c", BUSY_SCORER, str(busy_ms)]
+    with ScorerPool(command, "read") as reader:
+        pipeline = Pipeline(index, paragraphs, ranker, reader)
+        paths = {"fan-out": pipeline.answer_batch,
+                 "serial": lambda qs: [pipeline.answer_or_error(q)
+                                       for q in qs]}
+        # The first batch spawns the pool's scorers; both paths must give
+        # the same answers.
+        first, *rest = ([(r.error, r.answers) for r in fn(questions)]
+                        for fn in paths.values())
+        if any(other != first for other in rest):
+            raise SystemExit("answer_batch and serial answers differ")
+        times: dict[str, list] = {name: [] for name in paths}
+        for i in range(repeat):
+            # Alternate which path runs first, so drift hits both alike.
+            for name in list(paths)[::1 if i % 2 == 0 else -1]:
+                times[name].append(time_fn(paths[name], questions,
+                                           repeat=1) / len(questions))
+    return {name: np.concatenate(t) for name, t in times.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--docs", type=int, default=50_000)
@@ -371,6 +469,7 @@ def main(argv=None) -> int:
     parser.add_argument("--span-tokens", type=int, nargs="+",
                         default=[30, 384])
     parser.add_argument("--queries", type=int, default=300)
+    parser.add_argument("--fanout-ms", type=float, nargs="+", default=[0, 1])
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(0)
@@ -394,15 +493,21 @@ def main(argv=None) -> int:
         label = f"ranker features, {name}"
         print(f"{label:<44} {describe(times)}")
 
-    reads, products, column_sum = bench_read_and_rank(f2)
+    reads, products, ranks, column_sum = bench_read_and_rank(f2)
     for name, times in reads.items():
         label = f"F2 read_text, {name} (per paragraph)"
         print(f"{label:<44} {describe_us(times)}")
     for name, times in products.items():
         label = f"F2 rank pool product, {name} (per pool)"
         print(f"{label:<44} {describe_us(times)}")
-    print(f"  spans and scores bit-identical; a column sum would differ "
-          f"on {column_sum} pool rows")
+    for name, times in ranks.items():
+        label = f"F2 warm rank stage, {name}"
+        print(f"{label:<44} {describe_us(times)}")
+    faster = int((ranks["para_id memo"]
+                  < ranks["Paragraph memo (before)"]).sum())
+    print(f"  spans and scores bit-identical; para_id memo faster in "
+          f"{faster}/{len(ranks['para_id memo'])} passes; a column sum "
+          f"would differ on {column_sum} pool rows")
 
     seconds, times, postings = bench_fixture_retrieval(args.queries)
     print(f"F2 retrieval batch, {args.queries} queries, n=100: "
@@ -417,6 +522,15 @@ def main(argv=None) -> int:
 
     label = "echo scorer spawn + hello (one CPU)"
     print(f"{label:<44} {describe(bench_spawn(16))}")
+
+    for busy_ms in args.fanout_ms:
+        times = bench_fanout(f2, busy_ms)
+        for name, t in times.items():
+            label = f"F2 batch per question, busy {busy_ms:g} ms, {name}"
+            print(f"{label:<44} {describe(t)}")
+        faster = int((times["fan-out"] < times["serial"]).sum())
+        print(f"  answers identical; fan-out faster in {faster}/"
+              f"{len(times['fan-out'])} pairs")
     return 0
 
 

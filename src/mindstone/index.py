@@ -416,6 +416,16 @@ class InvertedIndex:
                               len(terms))
         idx = cls(params=params, stopwords=frozenset(stopwords),
                   doc_ids=doc_ids, terms=terms, **arrays)
+        # Strings no build writes: a repeat (its last copy would shadow
+        # the others), or a term in no document (it has no postings).
+        for name, items, ids in (("doc_ids", doc_ids, idx._ord_of),
+                                 ("terms", terms, idx._term_id)):
+            if len(ids) < len(items):
+                repeat = next(x for i, x in enumerate(items) if ids[x] != i)
+                raise IndexBuildError(f"strings.json: {name} repeat {repeat!r}")
+        if (unused := np.flatnonzero(np.diff(idx._term_offsets) == 0)).size:
+            raise IndexBuildError(f"strings.json: term {terms[unused[0]]!r} "
+                                  f"is in no document")
         if idx.build_checksum != checksum:
             raise IndexBuildError("index payload does not match manifest checksum")
         return idx

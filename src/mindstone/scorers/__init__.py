@@ -3,15 +3,14 @@ builders, and the subprocess wire protocol for external scorers.
 
 A ranker exposes ``rank_text(question, text) -> float`` (a relevance logit,
 > 0 meaning "contains an answer"), and may also expose
-``rank_pool(question, paragraphs, max_tokens) -> ndarray`` that scores a
-whole candidate pool at once, equal to ``rank_text`` on each paragraph
-truncated to ``max_tokens``. A reader exposes
-``read_text(question, text, k) -> [(start, end, score), ...]`` with
-character offsets into the provided text. The module-level :func:`rank`
-(one call per candidate pool) and :func:`read` (one call per paragraph)
-apply the truncation contract, so scorer output never depends on content
-beyond the truncation limits, and reject NaN and infinite scores, which
-fusion cannot order.
+``rank_pool(question, para_ids, texts) -> ndarray`` that scores a whole
+candidate pool at once, equal to ``rank_text`` on each text. A reader
+exposes ``read_text(question, text, k) -> [(start, end, score), ...]``
+with character offsets into the provided text. The module-level
+:func:`rank` (one call per candidate pool) and :func:`read` (one call per
+paragraph) are the only places that apply the truncation contract, so
+scorer output never depends on content beyond the truncation limits, and
+they reject NaN and infinite scores, which fusion cannot order.
 
 Importing this package loads no numpy, so a scorer subprocess such as
 ``echo_scorer`` starts fast. The names of ``builtin``, ``datasets`` and
@@ -66,19 +65,14 @@ class AnswerSpan:
     s_reader: float
 
 
-def within_token_limit(text: str, max_tokens: int) -> bool:
-    """True when ``text`` is too short to hold more than ``max_tokens``
-    tokens: tokens are separated by at least one other code point, so a
-    text of c code points holds at most ceil(c / 2) of them."""
-    return len(text) <= 2 * max_tokens
-
-
 def truncate_to_tokens(text: str, max_tokens: int) -> str:
     """Cut text after its ``max_tokens``-th token (raw alphanumeric runs,
     stopwords included). Text at or under the limit is returned unchanged."""
     if max_tokens <= 0:
         return ""
-    if within_token_limit(text, max_tokens):
+    # Tokens are separated by at least one other code point, so a text of
+    # c code points holds at most ceil(c / 2) of them.
+    if len(text) <= 2 * max_tokens:
         return text
     spans = token_spans(text)
     if len(spans) <= max_tokens:
@@ -93,13 +87,14 @@ def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
     scored by the scorer's ``rank_pool`` when it has one, else pair by pair
     with ``rank_text``."""
     import numpy as np
-    max_tokens = limits.ranker_para_tokens
+    texts = [truncate_to_tokens(p.full_text, limits.ranker_para_tokens)
+             for p in paragraphs]
     if hasattr(scorer, "rank_pool"):
-        scores = scorer.rank_pool(question, paragraphs, max_tokens)
+        scores = scorer.rank_pool(question,
+                                  [p.para_id for p in paragraphs], texts)
     else:
-        scores = np.array([float(scorer.rank_text(
-            question, truncate_to_tokens(p.full_text, max_tokens)))
-            for p in paragraphs], dtype=np.float64)
+        scores = np.array([float(scorer.rank_text(question, text))
+                           for text in texts], dtype=np.float64)
     finite = np.isfinite(scores)
     if not finite.all():
         i = int(np.argmin(finite))

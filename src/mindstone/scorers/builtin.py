@@ -3,11 +3,13 @@
 The ranker is a logistic-loss linear model over six cheap lexical features
 (feature_spec_version 1); it exercises the same training pipeline a neural
 ranker would attach to. Pools (``rank_pool``), single pairs
-(``rank_text``) and training (``train_builtin_ranker``) compute features
-through one path, :func:`feature_rows`: an indexed paragraph whose text is
-the indexed text is read from its postings, any other text from its own
-tokens. A pool's scores are one ``np.vecdot`` of its feature rows and the
-weights: the same 6-element dot per row that ``rank_text`` takes.
+(``rank_text``, a pool of one) and training (``train_builtin_ranker``)
+compute features through one path, :func:`feature_rows`, over candidates
+that one helper resolves, :func:`_candidate`: an indexed paragraph whose
+text is the indexed text is read from its postings, any other text from
+its own tokens. The ranker scores texts as given; ``scorers.rank``
+truncates them. A pool's scores are one ``np.vecdot`` of its feature rows
+and the weights.
 
 The reader scores every token window up to 30 tokens by idf-weighted
 question-term overlap (in-window, plus half-weight overlap in a
@@ -29,10 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .. import _kernels
-from ..corpus import (_TOKEN_RE, ARRAY, INTEGER, NUMBER, Paragraph,
-                      json_field, load_json_object, tokenize)
+from ..corpus import (_TOKEN_RE, ARRAY, INTEGER, NUMBER, json_field,
+                      load_json_object, tokenize)
 from ..index import InvertedIndex
-from . import truncate_to_tokens, within_token_limit
 
 FEATURE_SPEC_VERSION = 1
 FEATURE_NAMES = [
@@ -50,6 +51,8 @@ IDF_FLOOR = 2.0
 # A text to score: (its index ordinal and None when it is the indexed text
 # of a document, else -1 and its term counts; its title terms).
 Candidate = tuple[int, Counter | None, frozenset[str]]
+# para_id -> (the last text resolved under it, that text's candidate).
+Memo = dict[str | None, tuple[str, Candidate]]
 
 
 def _title_terms(text: str, stopwords: frozenset[str]) -> frozenset[str]:
@@ -58,16 +61,22 @@ def _title_terms(text: str, stopwords: frozenset[str]) -> frozenset[str]:
     return frozenset(tokenize(head, stopwords) if sep else ())
 
 
-def _candidate(index: InvertedIndex, para_id: str | None,
+def _candidate(index: InvertedIndex, memo: Memo, para_id: str | None,
                text: str) -> Candidate:
     """The candidate of ``text``, read from the index when it is the
-    indexed text of ``para_id``."""
+    indexed text of ``para_id``. ``memo`` keeps it under ``para_id`` and
+    returns it again while the text asked for is the same."""
+    kept = memo.get(para_id)
+    if kept is not None and kept[0] == text:
+        return kept[1]
     title_terms = _title_terms(text, index.stopwords)
-    if para_id in index:
-        ordinal = index.ordinal(para_id)
-        if index.matches_text(ordinal, text):
-            return ordinal, None, title_terms
-    return -1, Counter(tokenize(text, index.stopwords)), title_terms
+    if para_id in index and index.matches_text(
+            ordinal := index.ordinal(para_id), text):
+        found = ordinal, None, title_terms
+    else:
+        found = -1, Counter(tokenize(text, index.stopwords)), title_terms
+    memo[para_id] = text, found
+    return found
 
 
 def feature_rows(index: InvertedIndex, question: str,
@@ -159,46 +168,30 @@ class BuiltinRankerModel:
 
 class BuiltinRanker:
     """Scores (question, text) pairs with a linear model. The model is
-    immutable and the memo only ever stores values that depend on the
-    paragraph alone, so concurrent scoring is safe."""
+    immutable, and each memo entry is one (text, candidate) tuple, read and
+    replaced whole, so concurrent scoring is safe."""
 
     def __init__(self, model: BuiltinRankerModel, index: InvertedIndex):
         self.model = model
         self.index = index
         self._w = np.array(model.feature_weights)
-        # Paragraph -> its _candidate, filled on first use.
-        self._memo: dict[Paragraph, Candidate] = {}
+        self._memo: Memo = {}
 
     def rank_text(self, question: str, text: str) -> float:
-        x = feature_rows(self.index, question,
-                         [_candidate(self.index, None, text)])[0]
-        return float(x @ self._w + self.model.bias)
+        return float(self.rank_pool(question, [None], [text])[0])
 
-    def rank_pool(self, question: str, paragraphs: Sequence[Paragraph],
-                  max_tokens: int) -> np.ndarray:
-        """Scores of a candidate pool, equal bit for bit to ``rank_text`` on
-        each paragraph truncated to ``max_tokens``, from one
-        :func:`feature_rows` call.
-
-        A text within the token limit (:func:`within_token_limit`) is never
-        truncated; when it is also the indexed text of its paragraph, its
-        features come from the index's postings instead of from tokenizing
-        it.
-        """
-        candidates = []
-        for para in paragraphs:
-            text = para.full_text
-            if not within_token_limit(text, max_tokens):
-                found = _candidate(self.index, None,
-                                   truncate_to_tokens(text, max_tokens))
-            elif (found := self._memo.get(para)) is None:
-                found = self._memo[para] = _candidate(self.index,
-                                                      para.para_id, text)
-            candidates.append(found)
+    def rank_pool(self, question: str, para_ids: Sequence[str | None],
+                  texts: Sequence[str]) -> np.ndarray:
+        """Scores of ``texts``, the texts of ``para_ids``, from one
+        :func:`feature_rows` call. A text that is the indexed text of its
+        para_id has its features read from the index's postings; any other
+        text, from its own tokens."""
+        candidates = [_candidate(self.index, self._memo, para_id, text)
+                      for para_id, text in zip(para_ids, texts)]
         x = feature_rows(self.index, question, candidates)
-        # vecdot takes one 6-element dot per row, each the dot rank_text
-        # takes; a matrix product or a column sum may add in another order
-        # and differ from it in the last bit.
+        # vecdot takes one 6-element dot per row, as ``row @ w`` does; a
+        # matrix product or a column sum may add in another order and
+        # differ from it in the last bit.
         return np.vecdot(x, self._w) + self.model.bias
 
 
@@ -233,18 +226,16 @@ class TrainReport:
 def _example_features(examples: Sequence, index: InvertedIndex
                       ) -> np.ndarray:
     """Feature rows of ranker examples, one :func:`feature_rows` call per
-    distinct question; each distinct (para_id, text) is resolved once."""
+    distinct question."""
     by_question: dict[str, list[int]] = {}
     for i, ex in enumerate(examples):
         by_question.setdefault(ex.question, []).append(i)
-    found: dict[tuple[str, str], Candidate] = {}
+    memo: Memo = {}
     x = np.empty((len(examples), len(FEATURE_NAMES)))
     for question, at in by_question.items():
-        keys = [(examples[i].para_id, examples[i].text) for i in at]
-        for key in keys:
-            if key not in found:
-                found[key] = _candidate(index, *key)
-        x[at] = feature_rows(index, question, [found[key] for key in keys])
+        x[at] = feature_rows(index, question, [
+            _candidate(index, memo, examples[i].para_id, examples[i].text)
+            for i in at])
     return x
 
 

@@ -83,8 +83,7 @@ class TestLightImports:
         assert out.stdout.strip() == "[]"
 
     def test_stage_functions_are_module_entries(self):
-        for name in ("rank", "read", "truncate_to_tokens",
-                     "within_token_limit"):
+        for name in ("rank", "read", "truncate_to_tokens"):
             assert name in vars(scorers), name
         assert vars(datasets)["rank"] is scorers.rank
 

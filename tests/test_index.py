@@ -444,6 +444,36 @@ class TestPersistence:
         with pytest.raises(IndexBuildError, match="checksum"):
             InvertedIndex.load(tmp_path / "idx")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s["terms"].append("zebra"),
+         "term 'zebra' is in no document"),
+        (lambda s: s["doc_ids"].__setitem__(1, s["doc_ids"][0]),
+         "doc_ids repeat 'd0'"),
+        (lambda s: s["terms"].__setitem__(1, s["terms"][0]),
+         "terms repeat 'cat'"),
+    ], ids=["term_in_no_document", "repeated_doc_id", "repeated_term"])
+    def test_strings_build_cannot_produce_are_refused(self, tmp_path, edit,
+                                                       message):
+        """Strings that no build writes are refused even when the manifest
+        is signed with their checksum."""
+        InvertedIndex.build(_paras("cat dog", "cat stone")).save(tmp_path)
+        spath = tmp_path / "strings.json"
+        strings = json.loads(spath.read_text("utf-8"))
+        edit(strings)
+        spath.write_text(json.dumps(strings), encoding="utf-8")
+        with np.load(tmp_path / "arrays.npz") as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        mpath = tmp_path / "manifest.json"
+        manifest = json.loads(mpath.read_text("utf-8"))
+        manifest["build_checksum"] = InvertedIndex(
+            params=Bm25Params(), stopwords=strings["stopwords"],
+            doc_ids=strings["doc_ids"], terms=strings["terms"],
+            **arrays).build_checksum
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(IndexBuildError) as info:
+            InvertedIndex.load(tmp_path)
+        assert str(info.value) == f"strings.json: {message}"
+
     def test_truncated_arrays_are_an_index_error(self, f1_index, tmp_path):
         f1_index.save(tmp_path / "idx")
         arrays = tmp_path / "idx" / "arrays.npz"

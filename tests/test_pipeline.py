@@ -259,8 +259,8 @@ class TestAnswer:
         score = {"f1": 1.0, "f2": -0.0, "f3": 0.5, "e1": 1.0, "g2": 0.0}
 
         class TiedRanker:
-            def rank_pool(self, question, paragraphs, max_tokens):
-                return np.array([score[p.para_id] for p in paragraphs])
+            def rank_pool(self, question, para_ids, texts):
+                return np.array([score[pid] for pid in para_ids])
 
         class WholeTextReader:
             def read_text(self, question, text, k):

@@ -298,6 +298,25 @@ def _pool_case(question, bodies, weights=(1.0,) + (0.0,) * 5):
 
 
 class TestRankPool:
+    @settings(max_examples=200, deadline=None)
+    @given(_rank_pool_case())
+    def test_pool_ranker_gets_para_ids_and_truncated_texts(self, case):
+        """scorers.rank truncates for every ranker: a pool ranker receives
+        each paragraph's para_id and its text cut to the ranker limit."""
+        limit, _, pool, question, _, _ = case
+        calls = []
+
+        class RecordingRanker:
+            def rank_pool(self, question, para_ids, texts):
+                calls.append((question, list(para_ids), list(texts)))
+                return np.zeros(len(texts))
+
+        rank(RecordingRanker(), question, pool,
+             TruncationLimits(ranker_para_tokens=limit))
+        assert calls == [(question, [p.para_id for p in pool],
+                          [truncate_to_tokens(p.full_text, limit)
+                           for p in pool])]
+
     @settings(max_examples=300, deadline=None)
     @given(_rank_pool_case())
     # Sums that change in the last bit when the question terms are summed
@@ -312,6 +331,12 @@ class TestRankPool:
     @example(_pool_case("dog x cat stone cat", [
         "cat y hill cat hill x y stone", "y y stone dog", "x cat"],
         [0.5, 0.5, -1.5, 0.1, 1.0, 0.3]))
+    # One para_id under its indexed text and under another, alternating in
+    # one pool: the memo must check the text, not only the para_id.
+    @example((30, [Paragraph("p0", "a", "", "cat dog", 0)],
+              [Paragraph("p0", "a", "", "cat dog", 0),
+               Paragraph("p0", "a", "", "cat dog stone", 0)] * 2,
+              "cat stone", [1.0] * 6, 0.0))
     def test_equals_per_pair_features_bit_for_bit(self, case):
         limit, indexed, pool, question, weights, bias = case
         index = InvertedIndex.build(indexed)
@@ -503,7 +528,7 @@ class TestNonFiniteScores:
         def __init__(self, scores):
             self.scores = scores
 
-        def rank_pool(self, question, paragraphs, max_tokens):
+        def rank_pool(self, question, para_ids, texts):
             return np.array(self.scores)
 
     class SpanScorer:
