@@ -1,6 +1,7 @@
 """Time the two numeric kernels, the fusion grid search, the ranker's
 feature path, pool product and rank stage, the builtin reader, a BM25
-retrieval batch, scorer spawn and a batch's fan-out over external scorers.
+retrieval batch, index build, save and load, scorer spawn and a batch's
+fan-out over external scorers.
 
 Times BM25 postings accumulation over synthetic postings shaped like a
 desk-scale corpus and over the F2 retrieval batch's queries, next to the
@@ -20,9 +21,12 @@ feature rows and weights over F2's top-100 pools, next to one dot per row;
 the warm rank stage (``scorers.rank``) over the same pools, next to the
 ``Paragraph``-keyed memo that ``rank_pool`` kept when it truncated its own
 input (it exits if any of these pairs differs in a bit); a retrieval batch
-over the frozen F2 fixture; spawn plus hello of the bundled echo scorer,
-the start-up that every external-scorer spawn and respawn pays, pinned to
-one CPU; and ``Pipeline.answer_batch`` over F2's questions, whose reader is
+over the frozen F2 fixture; index build, save and load seconds and the
+bytes of each saved file over F2 and a seeded 100k-paragraph synthetic
+corpus, with the postings sort, ``_stable_argsort`` next to
+``np.argsort(kind="stable")`` (it exits if the permutations differ); spawn
+plus hello of the bundled echo scorer, the start-up that every
+external-scorer spawn and respawn pays, pinned to one CPU; and ``Pipeline.answer_batch`` over F2's questions, whose reader is
 a ``ScorerPool`` of a protocol-1 scorer that busy-waits ``--fanout-ms``
 per request, next to answering the same questions one by one (it exits if
 the answers differ). Kernel, grid-search, feature, reader, product, rank,
@@ -55,6 +59,8 @@ from test_kernels import _formula_bm25, _loop_span_scores  # noqa: E402
 from test_scorers import _loop_features, _loop_read_text  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
+# Paragraphs of the seeded synthetic corpus the index section builds.
+SYNTH_PARAGRAPHS = 100_000
 
 
 def time_fn(fn, *args, repeat: int) -> np.ndarray:
@@ -201,7 +207,7 @@ def f2_setup():
 def bench_features(f2) -> dict[str, np.ndarray]:
     """Time the ranker's training feature matrix over F2's finetune and
     aug2 examples, one phase at a time as training builds it: the array
-    path (one call per question) and the per-pair loop oracle."""
+    path (one call per phase) and the per-pair loop oracle."""
     from mindstone.scorers.builtin import _example_features
 
     index, _, _, finetune, aug2, _ = f2
@@ -265,7 +271,7 @@ def paragraph_keyed_rank(ranker, limits):
                 found = memo[para] = _candidate(index, {}, para.para_id,
                                                 text)
             candidates.append(found)
-        x = feature_rows(index, question, candidates)
+        x = feature_rows(index, [(question, candidates)])
         scores = np.vecdot(x, ranker._w) + ranker.model.bias
         if not np.isfinite(scores).all():
             raise SystemExit("non-finite rank score")
@@ -300,8 +306,8 @@ def bench_read_and_rank(f2) -> tuple[dict, dict, dict, int]:
                   for pid, _ in result.ranked[:n_read]]
         pool = [paragraphs[pid] for pid, _ in result.retrieved]
         pools.append((r.question, pool))
-        products.append((feature_rows(index, r.question, [
-            _candidate(index, {}, p.para_id, p.full_text) for p in pool]),))
+        products.append((feature_rows(index, [(r.question, [
+            _candidate(index, {}, p.para_id, p.full_text) for p in pool])]),))
 
     def read(question, text):
         return reader.read_text(question, text, 1)
@@ -381,6 +387,48 @@ def bench_fixture_retrieval(n_queries: int):
     batch(counting)()
     return seconds, time_bm25({"den": batch(kernel),
                                "formula": batch(formula)}, repeat=4), postings
+
+
+def bench_index(corpora: dict, repeat: int = 3) -> None:
+    """Print build, save and load seconds (median over ``repeat`` rounds)
+    and the saved bytes per file of an index over each of ``corpora``
+    (name -> paragraphs), and the postings sort of its rows' term ids,
+    ``_stable_argsort`` next to ``np.argsort(kind="stable")``, also over
+    keys past 16 bits (it exits if the permutations differ)."""
+    import tempfile
+
+    from mindstone.index import InvertedIndex, _stable_argsort
+
+    for name, paragraphs in corpora.items():
+        times: dict[str, list] = {"build": [], "save": [], "load": []}
+        with tempfile.TemporaryDirectory() as tmp:
+            for _ in range(repeat):
+                start = time.perf_counter()
+                index = InvertedIndex.build(paragraphs)
+                built = time.perf_counter()
+                index.save(tmp)
+                saved = time.perf_counter()
+                InvertedIndex.load(tmp)
+                times["build"].append(built - start)
+                times["save"].append(saved - built)
+                times["load"].append(time.perf_counter() - saved)
+            sizes = {f.name: f.stat().st_size
+                     for f in sorted(Path(tmp).iterdir())}
+        print(f"{name} index: " + ", ".join(
+            f"{step} {np.median(t):.3f} s" for step, t in times.items()))
+        print("  bytes: " + ", ".join(f"{file} {size:,}"
+                                      for file, size in sizes.items()))
+        keys, bound = index._doc_term_ids, len(index._terms)
+        wide = np.random.default_rng(0).integers(0, 2**20, len(keys))
+        for keys_of, call in ((f"{bound} terms", (keys, bound)),
+                              ("2**20 keys", (wide, 2**20))):
+            for path, t in time_pairs(
+                    {"radix": _stable_argsort,
+                     "np.argsort": lambda k, _: np.argsort(k, kind="stable")},
+                    [call], 5).items():
+                label = f"{name} sort, {path} ({keys_of})"
+                print(f"{label:<44} {describe(t)}")
+        print(f"  {len(keys):,} rows; permutations identical")
 
 
 def bench_spawn(repeat: int) -> np.ndarray:
@@ -519,6 +567,13 @@ def main(argv=None) -> int:
     print(f"  {np.mean(postings):.1f} postings per call (median "
           f"{np.median(postings):.0f}, {len(postings)} calls per batch); "
           "scores bit-identical")
+
+    sys.path.insert(0, str(ROOT / "cascadebench"))
+    from synth import generate
+
+    from mindstone.corpus import Paragraph
+    bench_index({"F2": list(f2[1].values()), "synth100k": [
+        Paragraph(**rec) for rec in generate(1, SYNTH_PARAGRAPHS)[0]]})
 
     label = "echo scorer spawn + hello (one CPU)"
     print(f"{label:<44} {describe(bench_spawn(16))}")

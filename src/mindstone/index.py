@@ -4,7 +4,9 @@ Lucene-style idf ``ln(1 + (N - df + 0.5)/(df + 0.5))`` over paragraph-level
 documents; defaults k1=0.9, b=0.4. Only per-document term rows (CSR-style
 numpy arrays, which RM3 feedback reads) are built and saved. The per-term
 postings that the kernels in :mod:`mindstone._kernels` score, and the
-document lengths, are derived from the rows on build and on load. Each
+document lengths, are derived from the rows on build and on load, the
+postings by a stable radix sort of the rows' term ids. The rows are saved
+as the narrowest unsigned integers that hold their largest value. Each
 posting's BM25 denominator ``tf + norm[doc]`` is derived at the first
 scoring call and never saved, so neither the format nor the checksum
 covers it.
@@ -47,7 +49,9 @@ from .errors import IndexBuildError, UnknownDocumentError
 
 # 2: terms are tokens of the original text lowercased one by one.
 # 3: only the per-document term rows are saved; postings are derived.
-FORMAT_VERSION = 3
+# 4: the rows are saved as the narrowest unsigned integers that hold them.
+FORMAT_VERSION = 4
+# The in-memory dtype of each saved row array.
 _ARRAY_DTYPES = {"doc_offsets": np.int64, "doc_term_ids": np.int64,
                  "doc_tfs": np.float64}
 
@@ -109,7 +113,7 @@ class InvertedIndex:
         # keeps each term's documents in ascending ordinal order.
         row_doc = np.repeat(np.arange(n, dtype=np.int64),
                             np.diff(self._doc_offsets))
-        by_term = np.argsort(self._doc_term_ids, kind="stable")
+        by_term = _stable_argsort(self._doc_term_ids, len(self._terms))
         self._post_doc_ids = row_doc[by_term]
         self._post_tfs = self._doc_tfs[by_term]
         self._term_offsets = np.zeros(len(self._terms) + 1, dtype=np.int64)
@@ -395,10 +399,13 @@ class InvertedIndex:
                         "stopwords": sorted(self.stopwords)},
                        ensure_ascii=False) + "\n",
             encoding="utf-8")
-        np.savez(directory / "arrays.npz",
-                 doc_offsets=self._doc_offsets,
-                 doc_term_ids=self._doc_term_ids,
-                 doc_tfs=self._doc_tfs)
+        # Counts are whole numbers, so the int64 cast is exact.
+        rows = {"doc_offsets": self._doc_offsets,
+                "doc_term_ids": self._doc_term_ids,
+                "doc_tfs": self._doc_tfs.astype(np.int64)}
+        np.savez(directory / "arrays.npz", **{
+            name: arr.astype(np.min_scalar_type(arr.max(initial=0)))
+            for name, arr in rows.items()})
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
@@ -417,12 +424,21 @@ class InvertedIndex:
         idx = cls(params=params, stopwords=frozenset(stopwords),
                   doc_ids=doc_ids, terms=terms, **arrays)
         # Strings no build writes: a repeat (its last copy would shadow
-        # the others), or a term in no document (it has no postings).
+        # the others), terms out of order or holding a stopword, or a term
+        # in no document (it has no postings).
         for name, items, ids in (("doc_ids", doc_ids, idx._ord_of),
                                  ("terms", terms, idx._term_id)):
             if len(ids) < len(items):
                 repeat = next(x for i, x in enumerate(items) if ids[x] != i)
                 raise IndexBuildError(f"strings.json: {name} repeat {repeat!r}")
+        if terms != sorted(terms):
+            later = next(b for a, b in zip(terms, terms[1:]) if a > b)
+            raise IndexBuildError(f"strings.json: term {later!r} is out of "
+                                  f"order")
+        if not idx.stopwords.isdisjoint(terms):
+            stopword = min(idx.stopwords.intersection(terms))
+            raise IndexBuildError(f"strings.json: term {stopword!r} is a "
+                                  f"stopword")
         if (unused := np.flatnonzero(np.diff(idx._term_offsets) == 0)).size:
             raise IndexBuildError(f"strings.json: term {terms[unused[0]]!r} "
                                   f"is in no document")
@@ -444,9 +460,12 @@ def _read_manifest(manifest: dict) -> tuple[Bm25Params, str]:
 def _read_arrays(path: Path, n_docs: int, n_terms: int
                  ) -> dict[str, np.ndarray]:
     """The document term rows saved at ``path``, for ``n_docs`` documents
-    over ``n_terms`` terms. An unreadable or damaged archive, or rows that
-    lack an array or do not fit together, is an IndexBuildError naming the
-    file: postings are derived by indexing with these values."""
+    over ``n_terms`` terms, widened to their in-memory dtypes. An
+    unreadable or damaged archive, or rows that lack an array, are not 1-D
+    unsigned integers, do not fit together, or hold what no build writes (a
+    count of 0, or term ids that do not rise within a document), is an
+    IndexBuildError naming the file: postings are derived by indexing with
+    these values."""
     try:
         # Opened apart from the archive, so a damaged zip cannot leak it.
         with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as archive:
@@ -459,9 +478,13 @@ def _read_arrays(path: Path, n_docs: int, n_terms: int
             zlib.error) as exc:
         raise IndexBuildError(f"{path.name} is unreadable: {exc}") from None
     for name, dtype in _ARRAY_DTYPES.items():
-        if arrays[name].dtype != dtype or arrays[name].ndim != 1:
+        if arrays[name].dtype.kind != "u" or arrays[name].ndim != 1:
             raise IndexBuildError(
-                f"{path.name}: {name} is not a 1-D {np.dtype(dtype)} array")
+                f"{path.name}: {name} is not a 1-D unsigned integer array")
+        # A uint64 value past the int64 range turns negative here, and the
+        # checks below refuse it.
+        arrays[name] = arrays[name].astype(np.int64).astype(dtype,
+                                                            copy=False)
     offsets, ids = arrays["doc_offsets"], arrays["doc_term_ids"]
     tfs = arrays["doc_tfs"]
     if not (len(offsets) == n_docs + 1 and offsets[0] == 0
@@ -473,4 +496,28 @@ def _read_arrays(path: Path, n_docs: int, n_terms: int
     if len(ids) and not (0 <= ids.min() and ids.max() < n_terms):
         raise IndexBuildError(
             f"{path.name}: doc_term_ids outside [0, {n_terms})")
+    if not (tfs > 0).all():
+        raise IndexBuildError(f"{path.name}: doc_tfs hold a count below 1")
+    # Each id but a document's first must exceed the one before it.
+    rising = np.diff(ids) > 0
+    starts = offsets[1:-1]
+    rising[starts[(0 < starts) & (starts < len(ids))] - 1] = True
+    if not rising.all():
+        raise IndexBuildError(
+            f"{path.name}: doc_term_ids do not rise within a document")
     return arrays
+
+
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer ``keys`` in
+    ``[0, bound)``, by least-significant-digit passes over 16-bit digits:
+    numpy sorts 16-bit keys stably by radix, several times faster than
+    64-bit ones. One pass when ``bound <= 2**16``. A stable order is
+    unique, so the result is the same permutation."""
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while (bound - 1) >> shift > 0:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order

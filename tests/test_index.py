@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from conftest import BruteForceBm25, make_random_corpus
 from mindstone.corpus import DEFAULT_STOPWORDS, Paragraph, tokenize
 from mindstone.errors import IndexBuildError, UnknownDocumentError
-from mindstone.index import Bm25Params, InvertedIndex, QueryVector
+from mindstone.index import (Bm25Params, InvertedIndex, QueryVector,
+                             _stable_argsort)
 
 
 def _paras(*bodies, title=""):
@@ -166,6 +167,36 @@ class TestBuild:
             Bm25Params(k1=0.0)
         with pytest.raises(ValueError):
             Bm25Params(b=1.5)
+
+
+@st.composite
+def _sort_keys(draw):
+    """A key bound (at and around the 16-bit digit edges, or any up to
+    2**40) and keys below it, many of them tied."""
+    bound = draw(st.sampled_from([1, 2, 300, 2**16, 2**16 + 1, 2**32 + 1,
+                                  10**6, 2**40])
+                 | st.integers(1, 2**40))
+    pool = draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=8))
+    keys = draw(st.lists(st.sampled_from(pool + [0, bound - 1])
+                         | st.integers(0, bound - 1), max_size=300))
+    return np.array(keys, dtype=np.int64), bound
+
+
+class TestStableArgsort:
+    @settings(max_examples=300, deadline=None)
+    @given(_sort_keys())
+    def test_equals_numpy_stable_argsort(self, case):
+        keys, bound = case
+        assert _stable_argsort(keys, bound).tolist() == np.argsort(
+            keys, kind="stable").tolist()
+
+    @pytest.mark.parametrize("bound", [1, 2, 300, 2**16, 2**16 + 1, 10**6,
+                                       2**40])
+    def test_random_keys(self, bound):
+        """20,000 keys, longer than any the property draws."""
+        keys = np.random.default_rng(bound).integers(0, bound, 20_000)
+        assert (_stable_argsort(keys, bound)
+                == np.argsort(keys, kind="stable")).all()
 
 
 class TestBm25Score:
@@ -427,7 +458,7 @@ class TestPersistence:
         f1_index.save(tmp_path / "idx")
         manifest = json.loads(
             (tmp_path / "idx" / "manifest.json").read_text("utf-8"))
-        assert manifest["format_version"] == 3
+        assert manifest["format_version"] == 4
         assert manifest["k1"] == 0.9 and manifest["b"] == 0.4
         assert manifest["doc_count"] == f1_index.doc_count
         assert manifest["avg_doc_len"] == f1_index.avg_doc_len
@@ -463,16 +494,66 @@ class TestPersistence:
         spath.write_text(json.dumps(strings), encoding="utf-8")
         with np.load(tmp_path / "arrays.npz") as archive:
             arrays = {name: archive[name] for name in archive.files}
-        mpath = tmp_path / "manifest.json"
-        manifest = json.loads(mpath.read_text("utf-8"))
-        manifest["build_checksum"] = InvertedIndex(
-            params=Bm25Params(), stopwords=strings["stopwords"],
-            doc_ids=strings["doc_ids"], terms=strings["terms"],
-            **arrays).build_checksum
-        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        _resign(tmp_path, strings, arrays)
         with pytest.raises(IndexBuildError) as info:
             InvertedIndex.load(tmp_path)
         assert str(info.value) == f"strings.json: {message}"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a, s: a["doc_tfs"].__setitem__(0, 0),
+         "arrays.npz: doc_tfs hold a count below 1"),
+        (lambda a, s: a["doc_term_ids"].__setitem__(1, 0),
+         "arrays.npz: doc_term_ids do not rise within a document"),
+        (lambda a, s: a["doc_term_ids"].__setitem__(np.s_[:2], [1, 0]),
+         "arrays.npz: doc_term_ids do not rise within a document"),
+        (lambda a, s: s["terms"].__setitem__(np.s_[:2], ["dog", "cat"]),
+         "strings.json: term 'cat' is out of order"),
+        (lambda a, s: s["terms"].__setitem__(2, "the"),
+         "strings.json: term 'the' is a stopword"),
+        (lambda a, s: a.__setitem__("doc_tfs", a["doc_tfs"] + 0.0),
+         "arrays.npz: doc_tfs is not a 1-D unsigned integer array"),
+        (lambda a, s: a.__setitem__("doc_tfs", a["doc_tfs"] + 0.5),
+         "arrays.npz: doc_tfs is not a 1-D unsigned integer array"),
+        (lambda a, s: a.__setitem__("doc_tfs",
+                                    a["doc_tfs"].astype(np.int64)),
+         "arrays.npz: doc_tfs is not a 1-D unsigned integer array"),
+    ], ids=["zero_count", "repeated_term_id", "term_ids_out_of_order",
+            "terms_out_of_order", "stopword_term", "float_counts",
+            "fractional_counts", "signed_counts"])
+    def test_rows_build_cannot_produce_are_refused(self, tmp_path, edit,
+                                                   message):
+        """Rows and terms that no build writes are refused even when the
+        manifest is signed with their checksum."""
+        InvertedIndex.build(_paras("cat dog", "cat dog stone")).save(tmp_path)
+        spath = tmp_path / "strings.json"
+        strings = json.loads(spath.read_text("utf-8"))
+        with np.load(tmp_path / "arrays.npz") as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        edit(arrays, strings)
+        spath.write_text(json.dumps(strings), encoding="utf-8")
+        np.savez(tmp_path / "arrays.npz", **arrays)
+        _resign(tmp_path, strings, arrays)
+        with pytest.raises(IndexBuildError) as info:
+            InvertedIndex.load(tmp_path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("texts, dtypes", [
+        (["cat " * 300, "dog"], ("uint8", "uint8", "uint16")),
+        ([" ".join(f"w{i}" for i in range(65_537))],
+         ("uint32", "uint32", "uint8")),
+        (["cat dog stone hill"] * 16_384, ("uint32", "uint8", "uint8")),
+    ], ids=["count_past_255", "terms_past_65536", "rows_past_65535"])
+    def test_wide_rows_round_trip(self, tmp_path, texts, dtypes):
+        """Rows are saved in the narrowest unsigned dtype that holds them,
+        and a wider one loads back the same index."""
+        idx = InvertedIndex.build(_paras(*texts))
+        idx.save(tmp_path)
+        with np.load(tmp_path / "arrays.npz") as archive:
+            saved = tuple(str(archive[name].dtype) for name in
+                          ("doc_offsets", "doc_term_ids", "doc_tfs"))
+        assert saved == dtypes
+        assert InvertedIndex.load(tmp_path).build_checksum == \
+            idx.build_checksum
 
     def test_truncated_arrays_are_an_index_error(self, f1_index, tmp_path):
         f1_index.save(tmp_path / "idx")
@@ -539,6 +620,21 @@ class TestPersistence:
         with pytest.raises(IndexBuildError, match="format_version"):
             InvertedIndex.load(tmp_path / "idx")
 
+    def test_format_3_index_is_refused(self, f1_index, tmp_path):
+        """A format-3 directory, whose rows are int64 and float64, must be
+        rebuilt."""
+        f1_index.save(tmp_path)
+        np.savez(tmp_path / "arrays.npz", doc_offsets=f1_index._doc_offsets,
+                 doc_term_ids=f1_index._doc_term_ids,
+                 doc_tfs=f1_index._doc_tfs)
+        mpath = tmp_path / "manifest.json"
+        manifest = json.loads(mpath.read_text("utf-8"))
+        manifest["format_version"] = 3
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(IndexBuildError,
+                           match="unsupported index format_version 3"):
+            InvertedIndex.load(tmp_path)
+
     @pytest.mark.parametrize("field, value, message", [
         ("format_version", True, "expected an integer, got a boolean"),
         ("k1", True, "expected a number, got a boolean"),
@@ -566,21 +662,32 @@ class TestPersistence:
             InvertedIndex.load(tmp_path / "idx")
 
 
+def _resign(directory, strings, arrays):
+    """Sign the index at ``directory`` with the checksum of ``strings`` and
+    ``arrays``, as if a build had written them."""
+    mpath = directory / "manifest.json"
+    manifest = json.loads(mpath.read_text("utf-8"))
+    manifest["build_checksum"] = InvertedIndex(
+        params=Bm25Params(), stopwords=strings["stopwords"],
+        doc_ids=strings["doc_ids"], terms=strings["terms"],
+        **arrays).build_checksum
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+
+
 def _mutate_rows(arrays, draw):
-    """Edit one saved row array in place: set one entry (a term id or an
-    offset to any int64, so most often out of range or negative), permute
-    it, shorten it, lengthen it, or change its dtype or shape."""
+    """Edit one saved row array in place: set one entry (a term id, an
+    offset or a count to any value of the array's dtype, so most often out
+    of range), permute it, shorten it, lengthen it, or change its dtype or
+    shape."""
     name = draw(st.sampled_from(sorted(arrays)))
     arr = arrays[name].copy()
     kind = draw(st.sampled_from(["value", "shuffle", "shorten", "lengthen",
                                  "retype", "reshape"]))
     if kind == "value":
-        if arr.dtype == np.float64:
-            value = draw(st.floats(-1e3, 1e3))
-        else:
-            value = draw(st.one_of(st.integers(-3, int(arr.max()) + 3),
-                                   st.integers(-2**63, 2**63 - 1)))
-        arr[draw(st.integers(0, len(arr) - 1))] = value
+        top = int(np.iinfo(arr.dtype).max)
+        arr[draw(st.integers(0, len(arr) - 1))] = draw(st.one_of(
+            st.integers(0, min(int(arr.max()) + 3, top)),
+            st.integers(0, top)))
     elif kind == "shuffle":
         arr = arr[draw(st.permutations(range(len(arr))))]
     elif kind == "shorten":
@@ -590,7 +697,8 @@ def _mutate_rows(arrays, draw):
         extra = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
         arr = np.append(arr, np.array(extra, dtype=arr.dtype))
     elif kind == "retype":
-        arr = arr.astype(draw(st.sampled_from([np.int32, np.float32])))
+        arr = arr.astype(draw(st.sampled_from([np.int32, np.float32,
+                                               np.uint64])))
     else:
         arr = arr.reshape(-1, 1)
     arrays[name] = arr

@@ -21,7 +21,8 @@ from mindstone.scorers import (BuiltinRanker, BuiltinRankerModel,
 from mindstone.scorers.builtin import (CTX_RADIUS, CTX_WEIGHT,
                                        FEATURE_NAMES, IDF_FLOOR,
                                        LENGTH_PENALTY, MAX_SPAN_TOKENS,
-                                       _example_features,
+                                       _candidate, _example_features,
+                                       feature_rows,
                                        train_builtin_ranker,
                                        train_ranker_phases)
 from mindstone.scorers.datasets import _by_article, resolve_gold_paragraph
@@ -404,6 +405,42 @@ class TestTrainingFeatures:
         got = _example_features(examples, index)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _pools_case(draw):
+    """Indexed paragraphs and pools over them: each pool a question drawn
+    (with repeats) from the training case's and candidates drawn from its
+    pairs, indexed texts and other texts mixed, some pools empty."""
+    indexed, examples = draw(_training_case())
+    questions = [ex.question for ex in examples]
+    pairs = [(ex.para_id, ex.text) for ex in examples]
+    pools = draw(st.lists(st.tuples(st.sampled_from(questions),
+                                    st.lists(st.sampled_from(pairs),
+                                             max_size=6)),
+                          min_size=1, max_size=6))
+    return indexed, pools
+
+
+class TestFeatureRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_pools_case())
+    def test_many_pools_equal_one_pool_at_a_time(self, case):
+        """One call over many pools (the pair layout, when they ask
+        several questions) gives each pool the rows, bit for bit, that a
+        call over that pool alone (the per-term loop) gives."""
+        indexed, drawn = case
+        index = InvertedIndex.build(indexed)
+        memo = {}
+        pools = [(q, [_candidate(index, memo, pid, text) for pid, text in
+                      pairs]) for q, pairs in drawn]
+        together = feature_rows(index, pools)
+        apart = np.concatenate([feature_rows(index, [pool])
+                                for pool in pools])
+        assert together.shape == (sum(len(c) for _, c in pools),
+                                  len(FEATURE_NAMES))
+        assert together.view(np.uint64).tolist() == \
+            apart.view(np.uint64).tolist()
 
 
 # Cased, dotted, sharp-s and combining-mark words; "zzz" is indexed nowhere.
