@@ -25,7 +25,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -82,127 +81,64 @@ def _candidate(index: InvertedIndex, memo: Memo, para_id: str | None,
     return found
 
 
+def _in_order(at_text: np.ndarray, indexed: np.ndarray,
+              text_values: list) -> np.ndarray:
+    """Indexed rows' values and text rows' values, in row order."""
+    if not text_values:
+        return indexed
+    out = np.empty(len(at_text))
+    out[~at_text], out[at_text] = indexed, text_values
+    return out
+
+
 def feature_rows(index: InvertedIndex, pools: Sequence[Pool]) -> np.ndarray:
     """Feature vectors of the candidates (see :func:`_candidate`) of
     ``pools``, (question, candidates) pairs, one row per candidate in pool
     order: an indexed document's tf and length come from the index, a
-    text's from its term counts. Each distinct question term is visited
-    once, in sorted order, over the rows of the questions that hold it,
-    and each row adds up its terms in that order, so a row is the same bit
-    for bit whatever else is scored with it."""
-    candidates = [c for _, pool in pools for c in pool]
-    ordinals = np.array([c[0] for c in candidates], dtype=np.int64)
-    at_text = ordinals < 0
-    q_counts = {q: Counter(tokenize(q, index.stopwords))
-                for q in dict.fromkeys(q for q, _ in pools)}
-    lengths = np.empty(len(candidates))
-    lengths[~at_text] = index.doc_lengths(ordinals[~at_text])
-    texts = np.flatnonzero(at_text).tolist()
-    lengths[texts] = [candidates[r][1].total() for r in texts]
-    norm = index.bm25_norms(lengths)
-    # A text's rows look up document 0, any valid ordinal (an index
-    # without documents has no terms to look up), and take the text's own
-    # counts instead.
-    lookup = np.maximum(ordinals, 0)
-    # One question (a ranked pool) adds each term over all rows, with the
-    # fewest steps per call; many (a training phase) add each term over
-    # its (term, row) pairs, with a number of array operations per call
-    # that does not grow with the questions.
-    term_sums = _one_question if len(q_counts) == 1 else _many_questions
-    bm25, overlap, idf_overlap, coverage = term_sums(
-        index, pools, q_counts, candidates, at_text, lookup, norm)
-    title_overlap = []
-    for q, pool in pools:
-        terms_q = set(q_counts[q])
-        title_overlap += [float(len(terms_q & c[2])) for c in pool]
-    log_length = list(map(math.log1p, lengths.tolist()))
-    return np.column_stack([bm25, overlap, idf_overlap, coverage,
-                            log_length, title_overlap])
-
-
-def _one_question(index, pools, q_counts, candidates, at_text, lookup,
-                  norm):
-    """:func:`feature_rows`' bm25, overlap, idf_overlap and coverage
-    columns when every pool asks one question."""
-    (counts,) = q_counts.values()
-    texts = [(r, candidates[r][1])
-             for r in np.flatnonzero(at_text).tolist()]
+    text's from its term counts. The rows of each distinct question add
+    its terms in sorted order, each as one array op over those rows, so a
+    row is the same bit for bit whatever else is scored with it."""
+    pools_of: dict[str, list[int]] = {}  # question -> its pools
+    for i, (question, _) in enumerate(pools):
+        pools_of.setdefault(question, []).append(i)
+    parts: list = [None] * len(pools)  # each pool's rows
     k1 = index.params.k1
-    bm25, idf_overlap, overlap = np.zeros((3, len(candidates)))
-    for term in sorted(counts):
-        tf = index.term_frequencies(term, lookup)
-        for r, text in texts:
-            tf[r] = text[term]
-        hit = tf > 0
-        if not hit.any():
-            continue
-        idf = index.idf(term)
-        # Rows without the term add +0.0, which leaves their sums (all
-        # >= +0.0) unchanged, as skipping them would.
-        bm25 += np.divide(counts[term] * idf * (tf * (k1 + 1.0)), tf + norm,
-                          out=np.zeros(len(tf)), where=hit)
-        idf_overlap += hit * idf
-        overlap += hit
-    return bm25, overlap, idf_overlap, overlap / max(len(counts), 1)
-
-
-def _many_questions(index, pools, q_counts, candidates, at_text, lookup,
-                    norm):
-    """:func:`feature_rows`' bm25, overlap, idf_overlap and coverage
-    columns, from one pair per (question term, row of a question holding
-    it), by term: each term's frequencies come from one lookup over its
-    pairs, and each row sums its pairs in pair order, so by term."""
-    spans: dict[str, list[tuple[int, int]]] = {}  # question -> its rows
-    start = 0
-    for question, pool in pools:
-        spans.setdefault(question, []).append((start, start + len(pool)))
-        start += len(pool)
-    holders: dict[str, list[str]] = {}  # term -> the questions holding it
-    for question, counts in q_counts.items():
-        for term in counts:
-            holders.setdefault(term, []).append(question)
-    terms = sorted(holders)
-    term_idf = [index.idf(term) for term in terms]
-    q_rows = {q: np.concatenate([np.arange(a, b) for a, b in rows])
-              for q, rows in spans.items()}
-    incidences = [(t, q) for t, term in enumerate(terms)
-                  for q in holders[term]]
-    pair_rows = np.concatenate([q_rows[q] for _, q in incidences]
-                               + [np.empty(0, dtype=np.int64)])
-    # Each pair's q * idf (in Python floats, first, as the per-pair
-    # formula has it) and idf.
-    weight, idf = np.repeat(np.array(
-        [[q_counts[q][terms[t]] * term_idf[t] for t, q in incidences],
-         [term_idf[t] for t, _ in incidences]]),
-        [len(q_rows[q]) for _, q in incidences], axis=1)
-    bounds = [0, *accumulate(sum(len(q_rows[q]) for q in holders[term])
-                             for term in terms)]
-    pair_lookup = lookup[pair_rows]
-    tf = np.concatenate([index.term_frequencies(term, pair_lookup[s:e])
-                         for term, s, e in zip(terms, bounds, bounds[1:])]
-                        + [np.empty(0)])
-    texts = np.flatnonzero(at_text[pair_rows])
-    tf[texts] = [candidates[r][1][terms[t]] for r, t in zip(
-        pair_rows[texts].tolist(),
-        (np.searchsorted(bounds, texts, side="right") - 1).tolist())]
-    hit = tf > 0
-    # weight * (tf * (k1 + 1)) / (tf + norm) where the term is present,
-    # in place (a product or sum in swapped order is the same float);
-    # elsewhere tf * (k1 + 1) * weight is already +0.0.
-    contrib = tf * (index.params.k1 + 1.0)
-    contrib *= weight
-    den = norm[pair_rows]
-    den += tf
-    np.divide(contrib, den, out=contrib, where=hit)
-    idf *= hit
-    # A pair without its term adds +0.0, which leaves a sum (>= +0.0)
-    # unchanged.
-    bm25, idf_overlap, overlap = (
-        np.bincount(pair_rows, weights, minlength=len(candidates))
-        for weights in (contrib, idf, hit))
-    # A row has one pair per distinct term of its question.
-    return bm25, overlap, idf_overlap, overlap / np.maximum(
-        np.bincount(pair_rows, minlength=len(candidates)), 1)
+    for question, at_pools in pools_of.items():
+        at = [c for i in at_pools for c in pools[i][1]]
+        q_counts = Counter(tokenize(question, index.stopwords))
+        ordinals = np.array([c[0] for c in at], dtype=np.int64)
+        at_text = ordinals < 0
+        texts = [c[1] for c in at if c[0] < 0] if at_text.any() else []
+        if texts:
+            ordinals = ordinals[~at_text]
+        lengths = _in_order(at_text, index.doc_lengths(ordinals),
+                            [c.total() for c in texts])
+        norm = index.bm25_norms(lengths)
+        bm25, idf_overlap, overlap = np.zeros((3, len(at)))
+        for term in sorted(q_counts):
+            tf = _in_order(at_text, index.term_frequencies(term, ordinals),
+                           [c[term] for c in texts])
+            hit = tf > 0
+            if not hit.any():
+                continue
+            idf = index.idf(term)
+            # Rows without the term add +0.0, which leaves their sums (all
+            # >= +0.0) unchanged, as skipping them would.
+            bm25 += np.divide(q_counts[term] * idf * (tf * (k1 + 1.0)),
+                              tf + norm, out=np.zeros(len(tf)), where=hit)
+            idf_overlap += hit * idf
+            overlap += hit
+        q_terms = set(q_counts)
+        rows = np.column_stack([
+            bm25, overlap, idf_overlap, overlap / max(len(q_counts), 1),
+            [math.log1p(n) for n in lengths.tolist()],
+            [float(len(q_terms & c[2])) for c in at]])
+        start = 0
+        for i in at_pools:
+            parts[i] = rows[start:start + len(pools[i][1])]
+            start += len(pools[i][1])
+    # The empty block keeps the shape when there are no pools.
+    return np.concatenate([np.empty((0, len(FEATURE_NAMES))), *parts])
 
 
 @dataclass(frozen=True)

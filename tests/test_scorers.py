@@ -426,9 +426,8 @@ class TestFeatureRows:
     @settings(max_examples=300, deadline=None)
     @given(_pools_case())
     def test_many_pools_equal_one_pool_at_a_time(self, case):
-        """One call over many pools (the pair layout, when they ask
-        several questions) gives each pool the rows, bit for bit, that a
-        call over that pool alone (the per-term loop) gives."""
+        """One call over many pools gives each pool the rows, bit for
+        bit, that a call over that pool alone gives."""
         indexed, drawn = case
         index = InvertedIndex.build(indexed)
         memo = {}
