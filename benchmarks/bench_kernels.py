@@ -23,7 +23,11 @@ the warm rank stage (``scorers.rank``) over the same pools, next to the
 input (it exits if any of these pairs differs in a bit); a retrieval batch
 over the frozen F2 fixture; index build, save and load seconds and the
 bytes of each saved file over F2 and a seeded 100k-paragraph synthetic
-corpus, with the postings sort, ``_stable_argsort`` next to
+corpus, with the ``tracemalloc`` peak and held MiB of reading the
+paragraph file (and its bytes per paragraph), the build, and the load
+while the built index is still alive, in ``cascadebench``'s set-up order
+(it exits if a loaded index's checksum differs from its build's), and
+the postings sort, ``_stable_argsort`` next to
 ``np.argsort(kind="stable")`` (it exits if the permutations differ); spawn
 plus hello of the bundled echo scorer, the start-up that every
 external-scorer spawn and respawn pays, pinned to one CPU; and ``Pipeline.answer_batch`` over F2's questions, whose reader is
@@ -43,6 +47,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -389,17 +394,56 @@ def bench_fixture_retrieval(n_queries: int):
                                "formula": batch(formula)}, repeat=4), postings
 
 
+def index_memory(path: Path, directory: str) -> str:
+    """The traced memory of ``cascadebench``'s set-up order over the
+    paragraph file ``path``: read the paragraph map, build an index, save
+    it to ``directory``, and load it while the built index is alive. Each
+    step's peak and the MiB held after it count from the start, so they
+    include the paragraph map. Exits if the loaded checksum differs."""
+    from mindstone.corpus import load_paragraph_map
+    from mindstone.index import InvertedIndex
+
+    def step() -> tuple[float, float]:
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        return peak / 2**20, held / 2**20
+
+    tracemalloc.start()
+    try:
+        paragraphs = load_paragraph_map(path)
+        _, read_mib = step()
+        index = InvertedIndex.build(paragraphs.values())
+        build = step()
+        built = index.build_checksum
+        index.save(directory)
+        step()
+        index = InvertedIndex.load(directory)
+        load = step()
+    finally:
+        tracemalloc.stop()
+    if index.build_checksum != built:
+        raise SystemExit(f"{path.name}: the loaded index's checksum "
+                         "differs from its build's")
+    return (f"paragraph map held {read_mib:.1f} MiB "
+            f"({read_mib * 2**20 / len(paragraphs):,.0f} B/paragraph); "
+            "build peak {:.1f} held {:.1f}; load peak {:.1f} held {:.1f}"
+            .format(*build, *load))
+
+
 def bench_index(corpora: dict, repeat: int = 3) -> None:
-    """Print build, save and load seconds (median over ``repeat`` rounds)
-    and the saved bytes per file of an index over each of ``corpora``
-    (name -> paragraphs), and the postings sort of its rows' term ids,
+    """Print build, save and load seconds (median over ``repeat`` rounds),
+    the saved bytes per file and the traced set-up memory (see
+    ``index_memory``) of an index over each of ``corpora`` (name ->
+    paragraph file), and the postings sort of its rows' term ids,
     ``_stable_argsort`` next to ``np.argsort(kind="stable")``, also over
     keys past 16 bits (it exits if the permutations differ)."""
     import tempfile
 
+    from mindstone.corpus import load_paragraph_map
     from mindstone.index import InvertedIndex, _stable_argsort
 
-    for name, paragraphs in corpora.items():
+    for name, path in corpora.items():
+        paragraphs = list(load_paragraph_map(path).values())
         times: dict[str, list] = {"build": [], "save": [], "load": []}
         with tempfile.TemporaryDirectory() as tmp:
             for _ in range(repeat):
@@ -418,6 +462,8 @@ def bench_index(corpora: dict, repeat: int = 3) -> None:
             f"{step} {np.median(t):.3f} s" for step, t in times.items()))
         print("  bytes: " + ", ".join(f"{file} {size:,}"
                                       for file, size in sizes.items()))
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"  traced MiB: {index_memory(path, tmp)}")
         keys, bound = index._doc_term_ids, len(index._terms)
         wide = np.random.default_rng(0).integers(0, 2**20, len(keys))
         for keys_of, call in ((f"{bound} terms", (keys, bound)),
@@ -568,12 +614,16 @@ def main(argv=None) -> int:
           f"{np.median(postings):.0f}, {len(postings)} calls per batch); "
           "scores bit-identical")
 
+    import tempfile
     sys.path.insert(0, str(ROOT / "cascadebench"))
     from synth import generate
 
-    from mindstone.corpus import Paragraph
-    bench_index({"F2": list(f2[1].values()), "synth100k": [
-        Paragraph(**rec) for rec in generate(1, SYNTH_PARAGRAPHS)[0]]})
+    from mindstone.corpus import write_json_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        synth = Path(tmp) / "paragraphs.jsonl"
+        write_json_lines(generate(1, SYNTH_PARAGRAPHS)[0], synth)
+        bench_index({"F2": FIXTURES / "f2_paragraphs.jsonl",
+                     "synth100k": synth})
 
     label = "echo scorer spawn + hello (one CPU)"
     print(f"{label:<44} {describe(bench_spawn(16))}")

@@ -62,7 +62,7 @@ class Article:
             raise ValueError("article_id must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Paragraph:
     """A title-prepended corpus unit with stable identity."""
 
@@ -254,6 +254,17 @@ def read_records(cls, path: str | Path) -> Iterator:
     ignoring other keys. A malformed line, a value of another JSON type
     (``true`` is not an integer) or a rejected record is a ValueError
     naming its file:line."""
+    for lineno, args in _record_values(cls, path):
+        try:
+            record = cls(*args)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        yield record
+
+
+def _record_values(cls, path: str | Path) -> Iterator[tuple[int, tuple]]:
+    """(line number, field values in field order) per record of
+    :func:`read_records`, the values checked but no record made."""
     hints = get_type_hints(cls)
     names = [f.name for f in fields(cls)]
     types = tuple(hints[name] for name in names)
@@ -263,15 +274,14 @@ def read_records(cls, path: str | Path) -> Iterator:
             args = values(rec)
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-        try:
-            # One comparison per record; the helper only names the field.
-            if tuple(map(type, args)) != types:
+        # One comparison per record; the helper only names the field.
+        if tuple(map(type, args)) != types:
+            try:
                 for name, t, value in zip(names, types, args):
                     json_value(value, STRING if t is str else INTEGER, name)
-            record = cls(*args)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        yield record
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        yield lineno, args
 
 
 def write_records(records: Iterable, path: str | Path) -> int:
@@ -281,10 +291,15 @@ def write_records(records: Iterable, path: str | Path) -> int:
 
 
 def load_paragraph_map(path: str | Path) -> dict[str, Paragraph]:
-    """Load a paragraphs JSONL file into a para_id -> Paragraph mapping."""
+    """Load a paragraphs JSONL file into a para_id -> Paragraph mapping.
+    Equal ``article_id`` and ``title`` strings are one object, so an
+    article's paragraphs hold one copy of each, not one per JSON line."""
     out: dict[str, Paragraph] = {}
-    for p in read_records(Paragraph, path):
-        if p.para_id in out:
-            raise ValueError(f"duplicate para_id in paragraph file: {p.para_id}")
-        out[p.para_id] = p
+    share = {}.setdefault
+    for _, (para_id, article_id, title, body, position) in _record_values(
+            Paragraph, path):
+        if para_id in out:
+            raise ValueError(f"duplicate para_id in paragraph file: {para_id}")
+        out[para_id] = Paragraph(para_id, share(article_id, article_id),
+                                 share(title, title), body, position)
     return out

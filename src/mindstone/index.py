@@ -5,8 +5,9 @@ documents; defaults k1=0.9, b=0.4. Only per-document term rows (CSR-style
 numpy arrays, which RM3 feedback reads) are built and saved. The per-term
 postings that the kernels in :mod:`mindstone._kernels` score, and the
 document lengths, are derived from the rows on build and on load, the
-postings by a stable radix sort of the rows' term ids. The rows are saved
-as the narrowest unsigned integers that hold their largest value. Each
+postings by a stable radix sort of the rows' term ids. The rows' term ids
+and counts are held, and saved, as the narrowest unsigned integers that
+hold their largest value; the postings stay int64 and float64. Each
 posting's BM25 denominator ``tf + norm[doc]`` is derived at the first
 scoring call and never saved, so neither the format nor the checksum
 covers it.
@@ -51,9 +52,9 @@ from .errors import IndexBuildError, UnknownDocumentError
 # 3: only the per-document term rows are saved; postings are derived.
 # 4: the rows are saved as the narrowest unsigned integers that hold them.
 FORMAT_VERSION = 4
-# The in-memory dtype of each saved row array.
-_ARRAY_DTYPES = {"doc_offsets": np.int64, "doc_term_ids": np.int64,
-                 "doc_tfs": np.float64}
+_ROW_ARRAYS = ("doc_offsets", "doc_term_ids", "doc_tfs")
+# Elements per slice that ``_checksum`` widens and hashes at a time.
+_HASH_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,21 +106,27 @@ class InvertedIndex:
         self._terms = list(terms)
         self._term_id = {t: i for i, t in enumerate(self._terms)}
         self._doc_offsets = np.asarray(doc_offsets, dtype=np.int64)
-        self._doc_term_ids = np.asarray(doc_term_ids, dtype=np.int64)
-        self._doc_tfs = np.asarray(doc_tfs, dtype=np.float64)
+        self._doc_term_ids = _narrowest(doc_term_ids)
+        self._doc_tfs = _narrowest(doc_tfs)
 
         n = len(self._doc_ids)
-        # Postings: the same counts read by term. A stable sort by term id
-        # keeps each term's documents in ascending ordinal order.
-        row_doc = np.repeat(np.arange(n, dtype=np.int64),
-                            np.diff(self._doc_offsets))
-        by_term = _stable_argsort(self._doc_term_ids, len(self._terms))
-        self._post_doc_ids = row_doc[by_term]
-        self._post_tfs = self._doc_tfs[by_term]
         self._term_offsets = np.zeros(len(self._terms) + 1, dtype=np.int64)
         np.cumsum(np.bincount(self._doc_term_ids, minlength=len(self._terms)),
                   out=self._term_offsets[1:])
-        self._doc_len = np.bincount(row_doc, weights=self._doc_tfs,
+        # Postings: the same counts read by term. A stable sort by term id
+        # keeps each term's documents in ascending ordinal order. Each row's
+        # document is gathered as the narrowest integer that holds it, so
+        # that beside the arrays kept, one full-size int64 array is live.
+        by_term = _stable_argsort(self._doc_term_ids, len(self._terms))
+        self._post_tfs = self._doc_tfs[by_term].astype(np.float64)
+        row_doc = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)),
+                            np.diff(self._doc_offsets))
+        self._post_doc_ids = row_doc[by_term]
+        del row_doc, by_term
+        self._post_doc_ids = self._post_doc_ids.astype(np.int64)
+        # Whole-number counts sum exactly in float64, in any order.
+        self._doc_len = np.bincount(self._post_doc_ids,
+                                    weights=self._post_tfs,
                                     minlength=n).astype(np.int64)
 
         self.doc_count = n
@@ -179,10 +186,13 @@ class InvertedIndex:
         keys += tids[kept]
         del tids, kept
         keys, tfs = np.unique(keys, return_counts=True)
-        row_docs, doc_term_ids = np.divmod(keys, max(len(terms), 1))
-        doc_offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_docs, minlength=len(doc_ids)),
-                  out=doc_offsets[1:])
+        # Document d's rows are the keys in [d * n_terms, (d + 1) * n_terms).
+        n_terms = max(len(terms), 1)
+        doc_offsets = np.searchsorted(
+            keys, np.arange(len(doc_ids) + 1, dtype=np.int64) * n_terms)
+        keys %= n_terms
+        doc_term_ids, tfs = _narrowest(keys), _narrowest(tfs)
+        del keys
 
         return cls(params=params, stopwords=stopwords, doc_ids=doc_ids,
                    terms=terms, doc_offsets=doc_offsets,
@@ -356,7 +366,7 @@ class InvertedIndex:
         if top_terms == 0 or s == e:
             return QueryVector({})
         tids = self._doc_term_ids[s:e]
-        tfs = self._doc_tfs[s:e]
+        tfs = self._doc_tfs[s:e].astype(np.float64)
         order = np.lexsort((tids, -tfs))[:top_terms]
         weights = {self._terms[tids[i]]: float(tfs[i] * self._idf[tids[i]])
                    for i in order}
@@ -365,16 +375,26 @@ class InvertedIndex:
     # -- persistence -----------------------------------------------------
 
     def _checksum(self) -> str:
+        """SHA-256 of the parameters, the strings and the seven arrays, each
+        array as int64 or float64 bytes whatever dtype it is held in. The
+        arrays are hashed in slices, so a narrow row is never widened
+        whole."""
         h = hashlib.sha256()
         h.update(json.dumps({
             "k1": self.params.k1, "b": self.params.b,
             "stopwords": stopword_digest(self.stopwords),
             "doc_ids": self._doc_ids, "terms": self._terms,
         }, sort_keys=True).encode("utf-8"))
-        for arr in (self._term_offsets, self._post_doc_ids, self._post_tfs,
-                    self._doc_len, self._doc_offsets, self._doc_term_ids,
-                    self._doc_tfs):
-            h.update(np.ascontiguousarray(arr).tobytes())
+        for arr, dtype in ((self._term_offsets, np.int64),
+                           (self._post_doc_ids, np.int64),
+                           (self._post_tfs, np.float64),
+                           (self._doc_len, np.int64),
+                           (self._doc_offsets, np.int64),
+                           (self._doc_term_ids, np.int64),
+                           (self._doc_tfs, np.float64)):
+            for start in range(0, len(arr), _HASH_CHUNK):
+                h.update(np.ascontiguousarray(arr[start:start + _HASH_CHUNK],
+                                              dtype=dtype))
         return h.hexdigest()
 
     def manifest(self) -> dict:
@@ -399,13 +419,9 @@ class InvertedIndex:
                         "stopwords": sorted(self.stopwords)},
                        ensure_ascii=False) + "\n",
             encoding="utf-8")
-        # Counts are whole numbers, so the int64 cast is exact.
-        rows = {"doc_offsets": self._doc_offsets,
-                "doc_term_ids": self._doc_term_ids,
-                "doc_tfs": self._doc_tfs.astype(np.int64)}
-        np.savez(directory / "arrays.npz", **{
-            name: arr.astype(np.min_scalar_type(arr.max(initial=0)))
-            for name, arr in rows.items()})
+        np.savez(directory / "arrays.npz",
+                 doc_offsets=_narrowest(self._doc_offsets),
+                 doc_term_ids=self._doc_term_ids, doc_tfs=self._doc_tfs)
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
@@ -439,6 +455,11 @@ class InvertedIndex:
             stopword = min(idx.stopwords.intersection(terms))
             raise IndexBuildError(f"strings.json: term {stopword!r} is a "
                                   f"stopword")
+        # Build writes lowercased tokens, and lowering one again is a no-op.
+        if (unlowered := next((t for t in terms if not t or t != t.lower()),
+                              None)) is not None:
+            raise IndexBuildError(f"strings.json: term {unlowered!r} is not "
+                                  f"a lowercase token")
         if (unused := np.flatnonzero(np.diff(idx._term_offsets) == 0)).size:
             raise IndexBuildError(f"strings.json: term {terms[unused[0]]!r} "
                                   f"is in no document")
@@ -460,46 +481,46 @@ def _read_manifest(manifest: dict) -> tuple[Bm25Params, str]:
 def _read_arrays(path: Path, n_docs: int, n_terms: int
                  ) -> dict[str, np.ndarray]:
     """The document term rows saved at ``path``, for ``n_docs`` documents
-    over ``n_terms`` terms, widened to their in-memory dtypes. An
-    unreadable or damaged archive, or rows that lack an array, are not 1-D
-    unsigned integers, do not fit together, or hold what no build writes (a
-    count of 0, or term ids that do not rise within a document), is an
+    over ``n_terms`` terms, in their saved dtypes but for ``doc_offsets``,
+    which is widened to int64. An unreadable or damaged archive, or rows
+    that lack an array, are not 1-D unsigned integers, hold a value past the
+    int64 range, do not fit together, or hold what no build writes (a count
+    of 0, or term ids that do not rise within a document), is an
     IndexBuildError naming the file: postings are derived by indexing with
     these values."""
     try:
         # Opened apart from the archive, so a damaged zip cannot leak it.
         with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as archive:
-            missing = [name for name in _ARRAY_DTYPES if name not in archive]
+            missing = [name for name in _ROW_ARRAYS if name not in archive]
             if missing:
                 raise IndexBuildError(
                     f"{path.name} has no array {missing[0]!r}")
-            arrays = {name: archive[name] for name in _ARRAY_DTYPES}
+            arrays = {name: archive[name] for name in _ROW_ARRAYS}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile,
             zlib.error) as exc:
         raise IndexBuildError(f"{path.name} is unreadable: {exc}") from None
-    for name, dtype in _ARRAY_DTYPES.items():
-        if arrays[name].dtype.kind != "u" or arrays[name].ndim != 1:
+    for name, arr in arrays.items():
+        if arr.dtype.kind != "u" or arr.ndim != 1:
             raise IndexBuildError(
                 f"{path.name}: {name} is not a 1-D unsigned integer array")
-        # A uint64 value past the int64 range turns negative here, and the
-        # checks below refuse it.
-        arrays[name] = arrays[name].astype(np.int64).astype(dtype,
-                                                            copy=False)
-    offsets, ids = arrays["doc_offsets"], arrays["doc_term_ids"]
-    tfs = arrays["doc_tfs"]
+        if arr.max(initial=0) > np.iinfo(np.int64).max:
+            raise IndexBuildError(
+                f"{path.name}: {name} hold a value past the int64 range")
+    offsets = arrays["doc_offsets"] = arrays["doc_offsets"].astype(np.int64)
+    ids, tfs = arrays["doc_term_ids"], arrays["doc_tfs"]
     if not (len(offsets) == n_docs + 1 and offsets[0] == 0
             and offsets[-1] == len(ids) == len(tfs)
             and (np.diff(offsets) >= 0).all()):
         raise IndexBuildError(
             f"{path.name}: doc_offsets do not delimit {n_docs} rows of "
             f"{len(ids)} doc_term_ids and {len(tfs)} doc_tfs")
-    if len(ids) and not (0 <= ids.min() and ids.max() < n_terms):
+    if len(ids) and ids.max() >= n_terms:
         raise IndexBuildError(
             f"{path.name}: doc_term_ids outside [0, {n_terms})")
-    if not (tfs > 0).all():
+    if not tfs.all():
         raise IndexBuildError(f"{path.name}: doc_tfs hold a count below 1")
     # Each id but a document's first must exceed the one before it.
-    rising = np.diff(ids) > 0
+    rising = ids[1:] > ids[:-1]
     starts = offsets[1:-1]
     rising[starts[(0 < starts) & (starts < len(ids))] - 1] = True
     if not rising.all():
@@ -513,11 +534,20 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     ``[0, bound)``, by least-significant-digit passes over 16-bit digits:
     numpy sorts 16-bit keys stably by radix, several times faster than
     64-bit ones. One pass when ``bound <= 2**16``. A stable order is
-    unique, so the result is the same permutation."""
-    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    unique, so the result is the same permutation. The cast to uint16
+    keeps a key's low 16 bits."""
+    order = np.argsort(keys.astype(np.uint16, copy=False), kind="stable")
     shift = 16
     while (bound - 1) >> shift > 0:
-        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        digit = (keys[order] >> shift).astype(np.uint16)
         order = order[np.argsort(digit, kind="stable")]
         shift += 16
     return order
+
+
+def _narrowest(values) -> np.ndarray:
+    """``values``, whole numbers >= 0, as the narrowest unsigned integers
+    that hold the largest of them: the dtype that format 4 saves."""
+    arr = np.asarray(values)
+    return arr.astype(np.min_scalar_type(int(arr.max(initial=0))),
+                      copy=False)

@@ -225,6 +225,9 @@ class TestParagraphFiles:
         path.write_text(f"\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{path}:2: {message}$"):
             list(read_records(cls, path))
+        if cls is Paragraph:
+            with pytest.raises(ValueError, match=f"^{path}:2: {message}$"):
+                load_paragraph_map(path)
 
     def test_duplicate_para_id_rejected(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -233,6 +236,31 @@ class TestParagraphFiles:
         path.write_text(rec + rec, encoding="utf-8")
         with pytest.raises(ValueError, match="p#0"):
             load_paragraph_map(path)
+
+    def test_paragraph_map_shares_article_strings(self, tmp_path):
+        """An article's paragraphs hold one ``article_id`` and one
+        ``title`` object, and are the paragraphs the file holds."""
+        paras = [p for article in (Article("a", "Alpha", "x\n\ny\n\nz"),
+                                   Article("b", "Beta", "u\n\nv"),
+                                   Article("c", "", "w"))
+                 for p in split_article(article)]
+        path = tmp_path / "p.jsonl"
+        write_records(paras[3:4] + paras[:3] + paras[4:], path)
+        loaded = load_paragraph_map(path)
+        assert loaded == {p.para_id: p for p in read_records(Paragraph, path)}
+        for article in ("a", "b"):
+            first, *rest = [p for p in loaded.values()
+                            if p.article_id == article]
+            assert rest
+            for p in rest:
+                assert p.article_id is first.article_id
+                assert p.title is first.title
+
+    def test_paragraph_has_no_instance_dict(self):
+        p = Paragraph("a#0", "a", "Title", "body text", 0)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            p.title = "Other"
 
     def test_full_text_property(self):
         p = Paragraph("a#0", "a", "Title", "body text", 0)

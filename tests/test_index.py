@@ -161,6 +161,43 @@ class TestBuild:
             got, want = getattr(idx, name), getattr(oracle, name)
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist(), name
+        # The readers of the narrow rows: top terms by count, then term.
+        for i, para in enumerate(paragraphs):
+            counts = Counter(tokenize(para.full_text, stopwords))
+            top = sorted(counts, key=lambda t: (-counts[t], t))[:3]
+            vec = idx.doc_tfidf_top(para.para_id, 3)
+            assert vec == oracle.doc_tfidf_top(para.para_id, 3)
+            assert vec.weights == {t: counts[t] * idx.idf(t) for t in top}
+            assert list(vec.weights) == top
+            assert idx.matches_text(i, para.full_text)
+            assert oracle.matches_text(i, para.full_text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=12), _TEXT | st.text()),
+                    max_size=6),
+           _STOPWORDS)
+    def test_every_build_loads_as_built(self, texts, stopwords):
+        """Whatever Unicode text it indexes, a build writes only terms and
+        rows that load accepts, and loads back holding the same rows, which
+        save writes to the same bytes."""
+        paragraphs = [Paragraph(f"d{i}", "a", title, body, i)
+                      for i, (title, body) in enumerate(texts)]
+        idx = InvertedIndex.build(paragraphs, stopwords=stopwords)
+        assert all(t and t == t.lower() for t in idx._terms)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            idx.save(first)
+            loaded = InvertedIndex.load(first)
+            loaded.save(second)
+            for name in ("arrays.npz", "strings.json", "manifest.json"):
+                assert (first / name).read_bytes() == \
+                    (second / name).read_bytes(), name
+        assert loaded.build_checksum == idx.build_checksum
+        for name in ("_doc_offsets", "_doc_term_ids", "_doc_tfs",
+                     "_post_doc_ids", "_post_tfs"):
+            got, want = getattr(loaded, name), getattr(idx, name)
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -482,7 +519,12 @@ class TestPersistence:
          "doc_ids repeat 'd0'"),
         (lambda s: s["terms"].__setitem__(1, s["terms"][0]),
          "terms repeat 'cat'"),
-    ], ids=["term_in_no_document", "repeated_doc_id", "repeated_term"])
+        (lambda s: s["terms"].__setitem__(0, ""),
+         "term '' is not a lowercase token"),
+        (lambda s: s["terms"].__setitem__(0, "Cat"),
+         "term 'Cat' is not a lowercase token"),
+    ], ids=["term_in_no_document", "repeated_doc_id", "repeated_term",
+            "empty_term", "unlowered_term"])
     def test_strings_build_cannot_produce_are_refused(self, tmp_path, edit,
                                                        message):
         """Strings that no build writes are refused even when the manifest
@@ -517,9 +559,12 @@ class TestPersistence:
         (lambda a, s: a.__setitem__("doc_tfs",
                                     a["doc_tfs"].astype(np.int64)),
          "arrays.npz: doc_tfs is not a 1-D unsigned integer array"),
+        (lambda a, s: a.__setitem__("doc_tfs", a["doc_tfs"].astype(np.uint64)
+                                    + np.uint64(2**63)),
+         "arrays.npz: doc_tfs hold a value past the int64 range"),
     ], ids=["zero_count", "repeated_term_id", "term_ids_out_of_order",
             "terms_out_of_order", "stopword_term", "float_counts",
-            "fractional_counts", "signed_counts"])
+            "fractional_counts", "signed_counts", "counts_past_int64"])
     def test_rows_build_cannot_produce_are_refused(self, tmp_path, edit,
                                                    message):
         """Rows and terms that no build writes are refused even when the
@@ -545,15 +590,24 @@ class TestPersistence:
     ], ids=["count_past_255", "terms_past_65536", "rows_past_65535"])
     def test_wide_rows_round_trip(self, tmp_path, texts, dtypes):
         """Rows are saved in the narrowest unsigned dtype that holds them,
-        and a wider one loads back the same index."""
+        the dtype the term ids and counts are held in, and a wider one
+        loads back the same index."""
         idx = InvertedIndex.build(_paras(*texts))
+        assert (str(idx._doc_term_ids.dtype), str(idx._doc_tfs.dtype)) == \
+            dtypes[1:]
         idx.save(tmp_path)
         with np.load(tmp_path / "arrays.npz") as archive:
-            saved = tuple(str(archive[name].dtype) for name in
-                          ("doc_offsets", "doc_term_ids", "doc_tfs"))
-        assert saved == dtypes
+            saved = {name: archive[name] for name in archive.files}
+        assert tuple(str(saved[name].dtype) for name in
+                     ("doc_offsets", "doc_term_ids", "doc_tfs")) == dtypes
         assert InvertedIndex.load(tmp_path).build_checksum == \
             idx.build_checksum
+        np.savez(tmp_path / "arrays.npz", **{
+            name: arr.astype(np.uint64) for name, arr in saved.items()})
+        loaded = InvertedIndex.load(tmp_path)
+        assert loaded.build_checksum == idx.build_checksum
+        assert loaded._doc_term_ids.dtype == idx._doc_term_ids.dtype
+        assert loaded._doc_tfs.dtype == idx._doc_tfs.dtype
 
     def test_truncated_arrays_are_an_index_error(self, f1_index, tmp_path):
         f1_index.save(tmp_path / "idx")
@@ -624,9 +678,10 @@ class TestPersistence:
         """A format-3 directory, whose rows are int64 and float64, must be
         rebuilt."""
         f1_index.save(tmp_path)
-        np.savez(tmp_path / "arrays.npz", doc_offsets=f1_index._doc_offsets,
-                 doc_term_ids=f1_index._doc_term_ids,
-                 doc_tfs=f1_index._doc_tfs)
+        np.savez(tmp_path / "arrays.npz",
+                 doc_offsets=f1_index._doc_offsets.astype(np.int64),
+                 doc_term_ids=f1_index._doc_term_ids.astype(np.int64),
+                 doc_tfs=f1_index._doc_tfs.astype(np.float64))
         mpath = tmp_path / "manifest.json"
         manifest = json.loads(mpath.read_text("utf-8"))
         manifest["format_version"] = 3
@@ -667,10 +722,12 @@ def _resign(directory, strings, arrays):
     ``arrays``, as if a build had written them."""
     mpath = directory / "manifest.json"
     manifest = json.loads(mpath.read_text("utf-8"))
-    manifest["build_checksum"] = InvertedIndex(
-        params=Bm25Params(), stopwords=strings["stopwords"],
-        doc_ids=strings["doc_ids"], terms=strings["terms"],
-        **arrays).build_checksum
+    # Counts past the int64 range overflow the int64 document lengths.
+    with np.errstate(invalid="ignore"):
+        manifest["build_checksum"] = InvertedIndex(
+            params=Bm25Params(), stopwords=strings["stopwords"],
+            doc_ids=strings["doc_ids"], terms=strings["terms"],
+            **arrays).build_checksum
     mpath.write_text(json.dumps(manifest), encoding="utf-8")
 
 
