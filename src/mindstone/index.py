@@ -9,8 +9,8 @@ postings by a stable radix sort of the rows' term ids. The rows' term ids
 and counts are held, and saved, as the narrowest unsigned integers that
 hold their largest value; the postings stay int64 and float64. Each
 posting's BM25 denominator ``tf + norm[doc]`` is derived at the first
-scoring call and never saved, so neither the format nor the checksum
-covers it.
+scoring call and never saved. The build checksum covers what is saved:
+the parameters, the strings and the rows.
 
 Top-n selection can take seed documents, whose scores bound the n-th
 largest score from below (WAND's initial threshold): RM3's second pass
@@ -18,11 +18,13 @@ seeds it with the first-pass pool, so it sorts out only the documents
 scoring at least that bound, not every document the expanded query
 touches.
 
+Documents are held in para_id order (a direct construction must pass
+``doc_ids`` rising), so hits that tie on score come out in ordinal order.
 The build counts with arrays, not per-document Counters: each raw token
 gets an id in first-seen order as it is tokenized, each distinct raw token
 is lowercased and stopword-checked once (the same terms as lowering every
-token), and one ``np.unique`` over ``doc * n_terms + term_id`` keys gives
-the rows, by document and then by term, with their counts.
+token), and one ``np.unique`` over ``rank * n_terms + term_id`` keys (a
+document's rank in para_id order) gives the rows, with their counts.
 """
 
 from __future__ import annotations
@@ -48,13 +50,10 @@ from .corpus import (_TOKEN_RE, ARRAY, DEFAULT_STOPWORDS, INTEGER, NUMBER,
                      tokenize, write_json_object)
 from .errors import IndexBuildError, UnknownDocumentError
 
-# 2: terms are tokens of the original text lowercased one by one.
-# 3: only the per-document term rows are saved; postings are derived.
-# 4: the rows are saved as the narrowest unsigned integers that hold them.
-FORMAT_VERSION = 4
+# 5: documents in para_id order; the checksum covers what ``save`` writes.
+FORMAT_VERSION = 5
+# The saved arrays, which the checksum hashes as held.
 _ROW_ARRAYS = ("doc_offsets", "doc_term_ids", "doc_tfs")
-# Elements per slice that ``_checksum`` widens and hashes at a time.
-_HASH_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -131,10 +130,6 @@ class InvertedIndex:
 
         self.doc_count = n
         self.avg_doc_len = float(self._doc_len.mean()) if n else 0.0
-        # Tie-break rank: position of each para_id in lexicographic order.
-        order = sorted(range(n), key=self._doc_ids.__getitem__)
-        self._id_rank = np.empty(n, dtype=np.int64)
-        self._id_rank[order] = np.arange(n)
         # Per-term idf and per-doc BM25 length normalization.
         df = np.diff(self._term_offsets).astype(np.float64)
         self._idf = np.log(1.0 + (n - df + 0.5) / (df + 0.5))
@@ -148,7 +143,6 @@ class InvertedIndex:
               params: Bm25Params = Bm25Params(),
               stopwords=DEFAULT_STOPWORDS) -> "InvertedIndex":
         doc_ids: list[str] = []
-        seen: set[str] = set()
         # Raw token -> id in first-seen order, assigned without per-token
         # Python code: a missing key's id is the dict's size.
         raw: defaultdict[str, int] = defaultdict()
@@ -156,9 +150,6 @@ class InvertedIndex:
         token_ids = array("q")
         token_counts = array("q")
         for para in paragraphs:
-            if para.para_id in seen:
-                raise IndexBuildError(f"duplicate para_id: {para.para_id!r}")
-            seen.add(para.para_id)
             doc_ids.append(para.para_id)
             before = len(token_ids)
             token_ids.extend(map(raw.__getitem__,
@@ -167,6 +158,14 @@ class InvertedIndex:
         # The factory refers back to the dict: break that cycle, so the raw
         # tokens are freed when the build returns, not at the next GC pass.
         raw.default_factory = None
+        # Each document's rank in para_id order; a repeat sorts by its copy.
+        order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+        doc_ids = [doc_ids[i] for i in order]
+        if (repeat := _first_not_rising(doc_ids)) is not None:
+            raise IndexBuildError(f"duplicate para_id: {repeat!r}")
+        rank = np.empty(len(doc_ids), dtype=np.int64)
+        rank[order] = np.arange(len(doc_ids))
+        del order
 
         # Each distinct raw token is lowercased (and stopword-checked) once;
         # tokens sharing a lowercase form share its term id.
@@ -177,14 +176,14 @@ class InvertedIndex:
         tids = remap[np.frombuffer(token_ids, dtype=np.int64)]
         del token_ids
         kept = tids >= 0
-        # One (doc, term) key per kept token, made in place to bound the
-        # peak: the sorted unique keys are the rows, by document and then
-        # by term id, which is the order of ``terms``.
-        keys = np.repeat(np.arange(len(doc_ids), dtype=np.int64),
-                         np.frombuffer(token_counts, dtype=np.int64))[kept]
+        # One (rank, term) key per kept token, made in place to bound the
+        # peak: the sorted unique keys are the rows, by document in para_id
+        # order and then by term id, which is the order of ``terms``.
+        keys = np.repeat(rank, np.frombuffer(token_counts,
+                                             dtype=np.int64))[kept]
         keys *= len(terms)
         keys += tids[kept]
-        del tids, kept
+        del tids, kept, rank
         keys, tfs = np.unique(keys, return_counts=True)
         # Document d's rows are the keys in [d * n_terms, (d + 1) * n_terms).
         n_terms = max(len(terms), 1)
@@ -312,7 +311,8 @@ class InvertedIndex:
         at least n distinct documents, the n-th largest of their scores is
         a lower bound on the n-th largest overall; if it is positive, only
         documents scoring at least that are candidates. The hits are the
-        same either way."""
+        same either way. Candidates are in ordinal order, which is para_id
+        order, so a stable sort by score breaks ties by para_id."""
         if n <= 0:
             return RetrievalResult([])
         # A set, not np.unique: in numpy 2 its first plain call imports
@@ -327,8 +327,7 @@ class InvertedIndex:
             # so ties across the cut reach the para_id tie-break below.
             cut = np.partition(scores[cand], cand.size - n)[cand.size - n]
             cand = cand[scores[cand] >= cut]
-        order = np.lexsort((self._id_rank[cand], -scores[cand]))
-        top = cand[order[:n]]
+        top = cand[np.argsort(-scores[cand], kind="stable")[:n]]
         hits = [(self._doc_ids[d], float(scores[d])) for d in top]
         return RetrievalResult(hits)
 
@@ -375,26 +374,17 @@ class InvertedIndex:
     # -- persistence -----------------------------------------------------
 
     def _checksum(self) -> str:
-        """SHA-256 of the parameters, the strings and the seven arrays, each
-        array as int64 or float64 bytes whatever dtype it is held in. The
-        arrays are hashed in slices, so a narrow row is never widened
-        whole."""
+        """SHA-256 of the parameters, the strings and the saved row arrays
+        as held. The derived arrays are a function of the rows, so they are
+        not hashed."""
         h = hashlib.sha256()
         h.update(json.dumps({
             "k1": self.params.k1, "b": self.params.b,
             "stopwords": stopword_digest(self.stopwords),
             "doc_ids": self._doc_ids, "terms": self._terms,
         }, sort_keys=True).encode("utf-8"))
-        for arr, dtype in ((self._term_offsets, np.int64),
-                           (self._post_doc_ids, np.int64),
-                           (self._post_tfs, np.float64),
-                           (self._doc_len, np.int64),
-                           (self._doc_offsets, np.int64),
-                           (self._doc_term_ids, np.int64),
-                           (self._doc_tfs, np.float64)):
-            for start in range(0, len(arr), _HASH_CHUNK):
-                h.update(np.ascontiguousarray(arr[start:start + _HASH_CHUNK],
-                                              dtype=dtype))
+        for name in _ROW_ARRAYS:
+            h.update(np.ascontiguousarray(getattr(self, "_" + name)))
         return h.hexdigest()
 
     def manifest(self) -> dict:
@@ -419,9 +409,9 @@ class InvertedIndex:
                         "stopwords": sorted(self.stopwords)},
                        ensure_ascii=False) + "\n",
             encoding="utf-8")
-        np.savez(directory / "arrays.npz",
-                 doc_offsets=_narrowest(self._doc_offsets),
-                 doc_term_ids=self._doc_term_ids, doc_tfs=self._doc_tfs)
+        np.savez(directory / "arrays.npz", **{
+            name: _narrowest(getattr(self, "_" + name))
+            for name in _ROW_ARRAYS})
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
@@ -439,18 +429,14 @@ class InvertedIndex:
                               len(terms))
         idx = cls(params=params, stopwords=frozenset(stopwords),
                   doc_ids=doc_ids, terms=terms, **arrays)
-        # Strings no build writes: a repeat (its last copy would shadow
-        # the others), terms out of order or holding a stopword, or a term
-        # in no document (it has no postings).
-        for name, items, ids in (("doc_ids", doc_ids, idx._ord_of),
-                                 ("terms", terms, idx._term_id)):
-            if len(ids) < len(items):
-                repeat = next(x for i, x in enumerate(items) if ids[x] != i)
-                raise IndexBuildError(f"strings.json: {name} repeat {repeat!r}")
-        if terms != sorted(terms):
-            later = next(b for a, b in zip(terms, terms[1:]) if a > b)
-            raise IndexBuildError(f"strings.json: term {later!r} is out of "
-                                  f"order")
+        # Strings no build writes: a list that does not rise strictly (a
+        # repeat would shadow its copy), a stopword among the terms, or a
+        # term in no document (it has no postings).
+        for name, items in (("doc_ids", doc_ids), ("terms", terms),
+                            ("stopwords", stopwords)):
+            if (later := _first_not_rising(items)) is not None:
+                raise IndexBuildError(f"strings.json: {name} do not rise "
+                                      f"strictly at {later!r}")
         if not idx.stopwords.isdisjoint(terms):
             stopword = min(idx.stopwords.intersection(terms))
             raise IndexBuildError(f"strings.json: term {stopword!r} is a "
@@ -529,6 +515,11 @@ def _read_arrays(path: Path, n_docs: int, n_terms: int
     return arrays
 
 
+def _first_not_rising(items: list[str]) -> str | None:
+    """The first of ``items`` not above the one before it, or None."""
+    return next((b for a, b in zip(items, items[1:]) if not a < b), None)
+
+
 def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for integer ``keys`` in
     ``[0, bound)``, by least-significant-digit passes over 16-bit digits:
@@ -547,7 +538,7 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
 
 def _narrowest(values) -> np.ndarray:
     """``values``, whole numbers >= 0, as the narrowest unsigned integers
-    that hold the largest of them: the dtype that format 4 saves."""
+    that hold the largest of them: the dtype that the index saves."""
     arr = np.asarray(values)
     return arr.astype(np.min_scalar_type(int(arr.max(initial=0))),
                       copy=False)

@@ -5,6 +5,7 @@ lines. Thresholds are pinned here; fixture-measured values are frozen in
 tests/fixtures/README.md.
 """
 
+import math
 import time
 from collections import Counter
 
@@ -252,9 +253,12 @@ def test_criterion_08_timing_methodology(f2_index, f2_paragraphs,
                                          f2_reader):
     """Benchmark protocol: min of 5 run means over 200 queries, stage
     breakdown within 5% of total, and a strict latency gap between
-    n_retriever=20 and n_retriever=100."""
+    n_retriever=20 and n_retriever=100. Each configuration is measured
+    twice, in the order 20, 100, 100, 20, and keeps its lower figure, so
+    that one slow phase of the host cannot land on one configuration
+    alone."""
     reported = {}
-    for n_retriever in (20, 100):
+    for n_retriever in (20, 100, 100, 20):
         pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker, f2_reader,
                         PipelineConfig(n_retriever=n_retriever))
         latency = run_benchmark(f2_records, pipe, runs=5,
@@ -266,7 +270,8 @@ def test_criterion_08_timing_methodology(f2_index, f2_paragraphs,
         assert breakdown_total == pytest.approx(latency.reported_ms,
                                                 rel=0.05), \
             (breakdown_total, latency.reported_ms)
-        reported[n_retriever] = latency.reported_ms
+        reported[n_retriever] = min(latency.reported_ms,
+                                    reported.get(n_retriever, math.inf))
     assert reported[20] < reported[100], reported
     _report(8, f"min-of-5 protocol held; {reported[20]:.2f} ms/query at "
                f"n=20 < {reported[100]:.2f} ms/query at n=100")

@@ -54,7 +54,7 @@ class TestIngestAndIndex:
             (workdir / "idx" / "manifest.json").read_text("utf-8"))
         assert manifest["k1"] == 0.9
         assert manifest["b"] == 0.4
-        assert manifest["format_version"] == 4
+        assert manifest["format_version"] == 5
 
     def test_squad_ingest(self, tmp_path):
         squad = {"data": [{"title": "T", "paragraphs": [

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from conftest import BruteForceBm25, make_random_corpus
 from mindstone.corpus import DEFAULT_STOPWORDS, Paragraph, tokenize
 from mindstone.errors import IndexBuildError, UnknownDocumentError
-from mindstone.index import (Bm25Params, InvertedIndex, QueryVector,
-                             _stable_argsort)
+from mindstone.index import (_ROW_ARRAYS, Bm25Params, InvertedIndex,
+                             QueryVector, _stable_argsort)
 
 
 def _paras(*bodies, title=""):
@@ -29,13 +29,13 @@ def _paras(*bodies, title=""):
 
 def _counter_build(paragraphs, params=Bm25Params(),
                    stopwords=DEFAULT_STOPWORDS):
-    """The per-paragraph Counter build that ``InvertedIndex.build`` replaced:
-    the oracle of its array build."""
+    """The per-paragraph Counter build that ``InvertedIndex.build`` replaced,
+    with documents in para_id order: the oracle of its array build."""
     doc_ids = []
     seen = set()
     doc_counts = []
     vocab = set()
-    for para in paragraphs:
+    for para in sorted(paragraphs, key=lambda p: p.para_id):
         if para.para_id in seen:
             raise IndexBuildError(f"duplicate para_id: {para.para_id!r}")
         seen.add(para.para_id)
@@ -103,12 +103,10 @@ class TestBuild:
             InvertedIndex.build([p, p])
 
     def test_build_checksum_is_pinned(self, f1_index, f2_index):
-        # Recorded under format 2: the checksum hashes the same seven arrays
-        # whichever of them are saved.
         assert f1_index.build_checksum == (
-            "0e7cec388795b32f32ad70c97534dcc590c51f7c2487dbd53be86fad4380d8c8")
+            "790483045e9be23eca7b3c1b46d550d270baad9de17daee75a178f02d917470d")
         assert f2_index.build_checksum == (
-            "ae3f1e08b794d22ebc2722f272c1e30cca87e4ae18db34b22c29bbf9f8b9ab20")
+            "1032143b2b7912d78e793712547ddf958782e006c9249303a503b0f8f57aa198")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -116,9 +114,11 @@ class TestBuild:
         rng = np.random.default_rng(seed)
         paragraphs, stopwords = make_random_corpus(rng)
         idx = InvertedIndex.build(paragraphs, stopwords=stopwords)
-        # Reference postings and lengths from per-document Counters.
+        # Reference postings and lengths from per-document Counters, with
+        # documents in para_id order.
         docs = BruteForceBm25(paragraphs, 0.9, 0.4, stopwords).docs
-        counts = [docs[p.para_id] for p in paragraphs]
+        assert idx._doc_ids == sorted(p.para_id for p in paragraphs)
+        counts = [docs[pid] for pid in idx._doc_ids]
         terms = sorted(set().union(*counts))
         plists = [[(d, c[t]) for d, c in enumerate(counts) if t in c]
                   for t in terms]
@@ -151,7 +151,8 @@ class TestBuild:
                     max_size=8),
            _STOPWORDS)
     def test_build_equals_counter_oracle(self, texts, stopwords):
-        paragraphs = [Paragraph(f"d{i}", "a", title, body, i)
+        # Para_ids in reverse of input order, so the build must sort.
+        paragraphs = [Paragraph(f"d{len(texts) - i}", "a", title, body, i)
                       for i, (title, body) in enumerate(texts)]
         idx = InvertedIndex.build(paragraphs, stopwords=stopwords)
         oracle = _counter_build(paragraphs, stopwords=stopwords)
@@ -162,15 +163,16 @@ class TestBuild:
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist(), name
         # The readers of the narrow rows: top terms by count, then term.
-        for i, para in enumerate(paragraphs):
+        for para in paragraphs:
             counts = Counter(tokenize(para.full_text, stopwords))
             top = sorted(counts, key=lambda t: (-counts[t], t))[:3]
             vec = idx.doc_tfidf_top(para.para_id, 3)
             assert vec == oracle.doc_tfidf_top(para.para_id, 3)
             assert vec.weights == {t: counts[t] * idx.idf(t) for t in top}
             assert list(vec.weights) == top
-            assert idx.matches_text(i, para.full_text)
-            assert oracle.matches_text(i, para.full_text)
+            ordinal = idx.ordinal(para.para_id)
+            assert idx.matches_text(ordinal, para.full_text)
+            assert oracle.matches_text(ordinal, para.full_text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.text(max_size=12), _TEXT | st.text()),
@@ -382,17 +384,21 @@ class TestSeededCut:
         st.just(perm), st.lists(_CUT_SCORES, min_size=24, max_size=24),
         st.lists(st.integers(0, 23), max_size=40), st.integers(0, 28))))
     def test_equals_unseeded_top_n(self, case):
-        # Documents in a build order unrelated to para_id order, scores
-        # drawn from a few values (ties across the cut, zeros, negatives),
-        # seeds with duplicates, and seeds fewer or more than n.
+        # Documents in a build order unrelated to para_id order (which is
+        # not numeric order either: "p10" sorts before "p2"), scores drawn
+        # from a few values (ties across the cut, zeros, negatives), seeds
+        # with duplicates, and seeds fewer or more than n. Scores are by
+        # ordinal, and ordinals follow para_id order.
         perm, scores, seed, n = case
         idx = InvertedIndex.build(
-            [Paragraph(f"p{i:02d}", "a", "", "x", 0) for i in perm])
+            [Paragraph(f"p{i}", "a", "", "x", 0) for i in perm])
+        ids = sorted(f"p{i}" for i in perm)
+        assert idx._doc_ids == ids
         scores = np.array(scores)
-        seed_ids = [f"p{perm[i]:02d}" for i in seed]
+        seed_ids = [ids[i] for i in seed]
         got = idx._top_n(scores, n, seed_ids)
         assert got == idx._top_n(scores, n)
-        want = sorted((-s, f"p{perm[d]:02d}") for d, s in enumerate(scores)
+        want = sorted((-s, ids[d]) for d, s in enumerate(scores)
                       if s > 0.0)[:n]
         assert got.hits == [(pid, -s) for s, pid in want]
 
@@ -495,7 +501,7 @@ class TestPersistence:
         f1_index.save(tmp_path / "idx")
         manifest = json.loads(
             (tmp_path / "idx" / "manifest.json").read_text("utf-8"))
-        assert manifest["format_version"] == 4
+        assert manifest["format_version"] == 5
         assert manifest["k1"] == 0.9 and manifest["b"] == 0.4
         assert manifest["doc_count"] == f1_index.doc_count
         assert manifest["avg_doc_len"] == f1_index.avg_doc_len
@@ -507,7 +513,8 @@ class TestPersistence:
         f1_index.save(tmp_path / "idx")
         strings = tmp_path / "idx" / "strings.json"
         data = json.loads(strings.read_text("utf-8"))
-        data["doc_ids"][0] = "tampered#0"
+        # The last doc_id, so that the doc_ids still rise.
+        data["doc_ids"][-1] = "tampered#0"
         strings.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(IndexBuildError, match="checksum"):
             InvertedIndex.load(tmp_path / "idx")
@@ -516,14 +523,21 @@ class TestPersistence:
         (lambda s: s["terms"].append("zebra"),
          "term 'zebra' is in no document"),
         (lambda s: s["doc_ids"].__setitem__(1, s["doc_ids"][0]),
-         "doc_ids repeat 'd0'"),
+         "doc_ids do not rise strictly at 'd0'"),
+        (lambda s: s["doc_ids"].reverse(),
+         "doc_ids do not rise strictly at 'd0'"),
         (lambda s: s["terms"].__setitem__(1, s["terms"][0]),
-         "terms repeat 'cat'"),
+         "terms do not rise strictly at 'cat'"),
+        (lambda s: s["stopwords"].insert(1, s["stopwords"][0]),
+         "stopwords do not rise strictly at 'a'"),
+        (lambda s: s["stopwords"].reverse(),
+         "stopwords do not rise strictly at 'will'"),
         (lambda s: s["terms"].__setitem__(0, ""),
          "term '' is not a lowercase token"),
         (lambda s: s["terms"].__setitem__(0, "Cat"),
          "term 'Cat' is not a lowercase token"),
-    ], ids=["term_in_no_document", "repeated_doc_id", "repeated_term",
+    ], ids=["term_in_no_document", "repeated_doc_id", "doc_ids_out_of_order",
+            "repeated_term", "repeated_stopword", "stopwords_out_of_order",
             "empty_term", "unlowered_term"])
     def test_strings_build_cannot_produce_are_refused(self, tmp_path, edit,
                                                        message):
@@ -549,7 +563,7 @@ class TestPersistence:
         (lambda a, s: a["doc_term_ids"].__setitem__(np.s_[:2], [1, 0]),
          "arrays.npz: doc_term_ids do not rise within a document"),
         (lambda a, s: s["terms"].__setitem__(np.s_[:2], ["dog", "cat"]),
-         "strings.json: term 'cat' is out of order"),
+         "strings.json: terms do not rise strictly at 'cat'"),
         (lambda a, s: s["terms"].__setitem__(2, "the"),
          "strings.json: term 'the' is a stopword"),
         (lambda a, s: a.__setitem__("doc_tfs", a["doc_tfs"] + 0.0),
@@ -664,6 +678,56 @@ class TestPersistence:
             else:
                 assert loaded.build_checksum == f1_index.build_checksum
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_TEXT, min_size=1, max_size=5), _STOPWORDS, st.data())
+    def test_resigned_element_edit_is_refused_or_loads_as_built(
+            self, bodies, stopwords, data):
+        """Change one element of a saved string list or row array and sign
+        the manifest with the edited payload's checksum. ``load`` either
+        refuses it, naming the file, or returns the index the files
+        describe, which holds every invariant a build holds and saves and
+        loads back unchanged."""
+        idx = InvertedIndex.build(
+            [Paragraph(f"d{i}", "a", "", body, i)
+             for i, body in enumerate(bodies)], stopwords=stopwords)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            idx.save(tmp / "edited")
+            strings = json.loads((tmp / "edited" / "strings.json")
+                                 .read_text("utf-8"))
+            with np.load(tmp / "edited" / "arrays.npz") as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            _edit_one_element(strings, arrays, data.draw)
+            (tmp / "edited" / "strings.json").write_text(
+                json.dumps(strings), encoding="utf-8")
+            np.savez(tmp / "edited" / "arrays.npz", **arrays)
+            try:
+                _resign(tmp / "edited", strings, arrays)
+            except (ValueError, IndexError):
+                pass  # rows no index can be made of: load must refuse them
+            try:
+                loaded = InvertedIndex.load(tmp / "edited")
+            except IndexBuildError as exc:
+                assert str(exc).startswith(("arrays.npz: ",
+                                            "strings.json: ")), exc
+                return
+            assert loaded._doc_ids == strings["doc_ids"]
+            assert loaded._terms == strings["terms"]
+            assert sorted(loaded.stopwords) == strings["stopwords"]
+            for name in _ROW_ARRAYS:
+                assert getattr(loaded, "_" + name).tolist() == \
+                    arrays[name].tolist(), name
+            _check_build_invariants(loaded)
+            loaded.save(tmp / "first")
+            again = InvertedIndex.load(tmp / "first")
+            again.save(tmp / "second")
+            for name in ("arrays.npz", "strings.json", "manifest.json"):
+                assert (tmp / "first" / name).read_bytes() == \
+                    (tmp / "second" / name).read_bytes(), name
+            assert json.loads((tmp / "first" / "strings.json").read_text(
+                "utf-8")) == strings
+        assert again.build_checksum == loaded.build_checksum
+
     def test_format_version_guard(self, f1_index, tmp_path):
         import json
         f1_index.save(tmp_path / "idx")
@@ -674,20 +738,28 @@ class TestPersistence:
         with pytest.raises(IndexBuildError, match="format_version"):
             InvertedIndex.load(tmp_path / "idx")
 
-    def test_format_3_index_is_refused(self, f1_index, tmp_path):
-        """A format-3 directory, whose rows are int64 and float64, must be
-        rebuilt."""
+    @pytest.mark.parametrize("version, row_dtypes", [
+        (3, (np.int64, np.int64, np.float64)), (4, None)])
+    def test_older_format_is_refused(self, f1_index, tmp_path, version,
+                                     row_dtypes):
+        """A format-3 directory, whose rows are int64 and float64, or a
+        format-4 one, whose documents are in input order and whose checksum
+        also hashed the derived arrays, must be rebuilt. F1's para_ids are
+        in order, so each is F1's index as that format saved it."""
         f1_index.save(tmp_path)
-        np.savez(tmp_path / "arrays.npz",
-                 doc_offsets=f1_index._doc_offsets.astype(np.int64),
-                 doc_term_ids=f1_index._doc_term_ids.astype(np.int64),
-                 doc_tfs=f1_index._doc_tfs.astype(np.float64))
+        if row_dtypes:
+            np.savez(tmp_path / "arrays.npz", **{
+                name: getattr(f1_index, "_" + name).astype(dtype)
+                for name, dtype in zip(_ROW_ARRAYS, row_dtypes)})
         mpath = tmp_path / "manifest.json"
         manifest = json.loads(mpath.read_text("utf-8"))
-        manifest["format_version"] = 3
+        manifest["format_version"] = version
+        manifest["build_checksum"] = (
+            "0e7cec388795b32f32ad70c97534dcc590c51f7c2487dbd53be86fad4380d8c8")
         mpath.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(IndexBuildError,
-                           match="unsupported index format_version 3"):
+                           match=f"unsupported index format_version "
+                                 f"{version}"):
             InvertedIndex.load(tmp_path)
 
     @pytest.mark.parametrize("field, value, message", [
@@ -729,6 +801,50 @@ def _resign(directory, strings, arrays):
             doc_ids=strings["doc_ids"], terms=strings["terms"],
             **arrays).build_checksum
     mpath.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _edit_one_element(strings, arrays, draw):
+    """Set one element of a non-empty string list or row array in place:
+    a string to another of the index's strings (a repeat, or one out of
+    order), to a changed copy, or to any text; a row value to any value of
+    its dtype, most often a small one."""
+    name = draw(st.sampled_from(sorted(
+        name for name, items in (*strings.items(), *arrays.items())
+        if len(items))))
+    if name in strings:
+        items = strings[name]
+        i = draw(st.integers(0, len(items) - 1))
+        pool = sorted({x for values in strings.values() for x in values})
+        items[i] = draw(st.sampled_from(pool)
+                        | st.sampled_from([items[i] + "a", items[i][:-1],
+                                           items[i].upper(), "", "the"])
+                        | st.text(max_size=4))
+    else:
+        arr = arrays[name]
+        top = int(np.iinfo(arr.dtype).max)
+        arr[draw(st.integers(0, len(arr) - 1))] = draw(
+            st.integers(0, min(int(arr.max()) + 2, top))
+            | st.integers(0, top))
+
+
+def _check_build_invariants(idx):
+    """Fail unless ``idx`` holds what every build writes, checked here
+    with plain Python."""
+    def rising(items):
+        return all(a < b for a, b in zip(items, items[1:]))
+
+    assert rising(idx._doc_ids)
+    assert rising(idx._terms)
+    for term in idx._terms:
+        assert term and term == term.lower() and term not in idx.stopwords
+    offsets = idx._doc_offsets.tolist()
+    term_ids = idx._doc_term_ids.tolist()
+    assert len(offsets) == idx.doc_count + 1 and offsets[0] == 0
+    assert offsets[-1] == len(term_ids) == len(idx._doc_tfs)
+    assert all(tf >= 1 for tf in idx._doc_tfs.tolist())
+    for start, end in zip(offsets, offsets[1:]):
+        assert rising(term_ids[start:end])
+    assert sorted(set(term_ids)) == list(range(len(idx._terms)))
 
 
 def _mutate_rows(arrays, draw):
