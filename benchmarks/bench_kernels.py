@@ -1,41 +1,43 @@
-"""Time the two numeric kernels, the fusion grid search, the ranker's
-feature path, pool product and rank stage, the builtin reader, a BM25
-retrieval batch, index build, save and load, scorer spawn and a batch's
-fan-out over external scorers.
+"""In-process timings of the cascade's kernels and stages.
 
-Times BM25 postings accumulation over synthetic postings shaped like a
-desk-scale corpus and over the F2 retrieval batch's queries, next to the
-formula that gathers ``norm`` per posting (``tests/test_kernels.py`` keeps
-it as the oracle; the two must give the same bytes); span scoring over
-synthetic paragraphs of 30 tokens (an F2-sized paragraph) and 384 tokens
-(the reader's token limit), next to the position-at-a-time loop kernel
-that ``tests/test_kernels.py`` keeps as its oracle; the fusion weight grid
-search at F2's shape (100 dev questions of 3 candidates, 231 grid points),
-next to the per-point loop that ``tests/test_fusion.py`` keeps as its
-oracle; the ranker's training features over F2's paired-paragraph and
-retrieve-rerank (m=100, n=5) examples, next to the per-pair loop that
-``tests/test_scorers.py`` keeps as its oracle; the builtin reader over the
-paragraphs the F2 pipeline reads, next to the per-token loop that
-``tests/test_scorers.py`` keeps as its oracle; the ranker's product of
-feature rows and weights over F2's top-100 pools, next to one dot per row;
-the warm rank stage (``scorers.rank``) over the same pools, next to the
-``Paragraph``-keyed memo that ``rank_pool`` kept when it truncated its own
-input (it exits if any of these pairs differs in a bit); a retrieval batch
-over the frozen F2 fixture; index build, save and load seconds and the
-bytes of each saved file over F2 and a seeded 100k-paragraph synthetic
-corpus, with the ``tracemalloc`` peak and held MiB of reading the
-paragraph file (and its bytes per paragraph), the build, and the load
-while the built index is still alive, in ``cascadebench``'s set-up order
-(it exits if a loaded index's checksum differs from its build's), and
-the postings sort, ``_stable_argsort`` next to
-``np.argsort(kind="stable")`` (it exits if the permutations differ); spawn
-plus hello of the bundled echo scorer, the start-up that every
-external-scorer spawn and respawn pays, pinned to one CPU; and ``Pipeline.answer_batch`` over F2's questions, whose reader is
-a ``ScorerPool`` of a protocol-1 scorer that busy-waits ``--fanout-ms``
-per request, next to answering the same questions one by one (it exits if
-the answers differ). Kernel, grid-search, feature, reader, product, rank,
-spawn and batch times are the median and interquartile range over
-repeated calls, passes, spawns or batches.
+Each section that times a path next to another goes through one helper,
+``ab``: it runs every path once and exits, naming the paths, unless their
+results are equal bit for bit, then times them in pairs, alternating which
+path runs first. Each row prints the median and interquartile range of the
+per-pair times, and each such section how many pairs its first path won.
+Most reference paths are oracles that ``tests/`` keeps, so the bench
+needs the test dependencies.
+
+- BM25 accumulation over synthetic postings (``--docs``, ``--terms``), with
+  per-posting denominators next to the formula that gathers ``norm`` per
+  posting; alternating pairs; exits on any bit difference.
+- Span scores at ``--span-tokens`` tokens (30: an F2-sized paragraph; 384:
+  the reader's token limit), the banded kernel next to the loop kernel;
+  alternating pairs; exits on any bit difference.
+- The fusion grid search at F2's shape (100 questions of 3 candidates, 231
+  points) next to the per-point loop; alternating pairs; exits on any bit
+  difference.
+- The ranker's training features over F2's finetune and aug2 (m=100, n=5)
+  examples, one call per phase next to the per-pair loop; alternating
+  pairs; exits on any bit difference.
+- F2 ``read_text`` over the paragraphs the pipeline reads next to the
+  per-token loop; alternating pairs; exits on any bit difference.
+- The rank pool product over F2's top-100 pools, one ``vecdot`` next to one
+  dot per row; alternating pairs; exits on any bit difference. Also the
+  warm rank stage (``scorers.rank``) over the same pools, alone.
+- An F2 retrieval batch (``--queries``), and its score pass next to the
+  formula; alternating pairs; exits on any bit difference.
+- Index build, save and load seconds, saved bytes and the traced memory of
+  ``cascadebench``'s set-up order over F2 and a seeded 100k-paragraph
+  corpus; exits if a loaded checksum differs from its build's.
+- The postings sort, ``_stable_argsort`` next to
+  ``np.argsort(kind="stable")``, also over keys past 16 bits; alternating
+  pairs; exits on any bit difference.
+- Echo scorer spawn plus hello, pinned to one CPU: the start-up every
+  external-scorer spawn and respawn pays.
+- ``answer_batch`` over F2's questions with a ``ScorerPool`` reader that
+  busy-waits ``--fanout-ms`` per request, next to answering them one by
+  one; alternating pairs; exits on any bit difference.
 
     python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 30 384]
         [--fanout-ms 0 1]
@@ -44,6 +46,7 @@ repeated calls, passes, spawns or batches.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -68,42 +71,70 @@ FIXTURES = ROOT / "tests" / "fixtures"
 SYNTH_PARAGRAPHS = 100_000
 
 
-def time_fn(fn, *args, repeat: int) -> np.ndarray:
-    """Seconds per call, one entry per repeat."""
-    times = np.empty(repeat)
-    for r in range(repeat):
-        start = time.perf_counter()
-        fn(*args)
-        times[r] = time.perf_counter() - start
-    return times
+def bits(result) -> str:
+    """``result`` as text that two results share only when their numbers
+    are equal bit for bit: arrays and numpy scalars become Python numbers,
+    tuples and dataclasses lists, and a float's ``repr`` round-trips."""
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    if isinstance(result, (np.ndarray, np.generic)):
+        result = result.tolist()
+    if isinstance(result, (list, tuple)):
+        return "[" + ", ".join(map(bits, result)) + "]"
+    return repr(result)
 
 
-def describe(times: np.ndarray) -> str:
-    q1, med, q3 = np.percentile(times * 1000, [25, 50, 75])
-    return f"{med:9.3f} ms  (IQR {q1:.3f}-{q3:.3f}, {len(times)} calls)"
+def ab(paths: dict, calls: list[tuple], pairs: int = 10, repeat: int = 1
+       ) -> tuple[dict[str, np.ndarray], dict[str, int]]:
+    """Time each ``name -> fn`` over ``calls`` (argument tuples). Every path
+    first runs once over the calls; unless their results have the same
+    ``bits``, this exits naming the paths. Then each of ``pairs`` pairs runs
+    every path ``repeat`` times over the calls, in order in even pairs and
+    reversed in odd ones, so drift hits them alike. Returns each path's
+    seconds per call, one entry per pair, and the pairs in which it alone
+    was fastest."""
+    def run(fn):
+        return [fn(*call) for call in calls]
 
-
-def describe_us(times: np.ndarray) -> str:
-    q1, med, q3 = np.percentile(times * 1e6, [25, 50, 75])
-    return f"{med:9.2f} us  (IQR {q1:.2f}-{q3:.2f}, {len(times)} passes)"
-
-
-def time_bm25(kernels: dict, repeat: int = 10) -> dict[str, np.ndarray]:
-    """Time each ``name -> run()`` BM25 kernel call, alternating so drift
-    hits them alike. Each ``run`` returns the score vector it filled; the
-    vectors must have the same bytes."""
-    times: dict[str, list] = {name: [] for name in kernels}
-    for _ in range(repeat):
-        for name, run in kernels.items():
-            times[name].append(time_fn(run, repeat=5))
-    first, *rest = (run().tobytes() for run in kernels.values())
+    names = list(paths)
+    first, *rest = (bits(run(paths[name])) for name in names)
     if any(other != first for other in rest):
-        raise SystemExit("bm25 kernels disagree: scores not bit-identical")
-    return {name: np.concatenate(t) for name, t in times.items()}
+        raise SystemExit(f"{' and '.join(names)} differ: results not "
+                         "bit-identical")
+    times = {name: np.empty(pairs) for name in names}
+    for i in range(pairs):
+        for name in names[::-1] if i % 2 else names:
+            start = time.perf_counter()
+            for _ in range(repeat):
+                run(paths[name])
+            times[name][i] = ((time.perf_counter() - start)
+                              / (repeat * len(calls)))
+    stacked = np.array(list(times.values()))
+    best = stacked.min(axis=0)
+    alone = (stacked == best).sum(axis=0) == 1
+    return times, {name: int(((t == best) & alone).sum())
+                   for name, t in times.items()}
 
 
-def bench_bm25(n_docs: int, n_terms: int, rng
-               ) -> tuple[dict[str, np.ndarray], int]:
+def describe(times: np.ndarray, unit: str = "ms") -> str:
+    """Median and interquartile range of ``times`` (seconds) in ms or us."""
+    scale, digits = {"ms": (1e3, 3), "us": (1e6, 2)}[unit]
+    q1, med, q3 = np.percentile(times * scale, [25, 50, 75])
+    return (f"{med:9.{digits}f} {unit}  (IQR {q1:.{digits}f}-{q3:.{digits}f}"
+            f", {len(times)} runs)")
+
+
+def report(label, times: dict, wins: dict, unit: str = "ms") -> None:
+    """Print one ``describe`` row per path of an ``ab`` result, labelled
+    ``label(name)``, then how many pairs the first path won."""
+    for name, t in times.items():
+        print(f"{label(name):<44} {describe(t, unit)}")
+    first = next(iter(times))
+    print(f"  {first} faster in {wins[first]}/{len(times[first])} pairs; "
+          "results bit-identical")
+
+
+def bench_bm25(n_docs: int, n_terms: int, rng) -> tuple[tuple, int]:
     # Zipf-ish document frequencies over query terms.
     dfs = np.minimum((rng.pareto(1.2, size=n_terms) * 0.02 * n_docs + 5)
                      .astype(np.int64), n_docs)
@@ -129,11 +160,11 @@ def bench_bm25(n_docs: int, n_terms: int, rng
             return scores
         return call
 
-    return time_bm25({"den": run(_kernels.bm25_accumulate, den),
-                      "formula": run(_formula_bm25, norm)}), len(ids)
+    return ab({"den": run(_kernels.bm25_accumulate, den),
+               "formula": run(_formula_bm25, norm)}, [()], repeat=5), len(ids)
 
 
-def bench_spans(length: int, rng) -> dict[str, np.ndarray]:
+def bench_spans(length: int, rng) -> tuple:
     """Time the banded kernel and the loop oracle on one paragraph, with
     the builtin reader's defaults (30-token spans, a 15-token context)."""
     win_w = np.where(rng.random(length) < 0.1,
@@ -147,18 +178,20 @@ def bench_spans(length: int, rng) -> dict[str, np.ndarray]:
         if t in last:
             prev[i] = last[t]
         last[t] = i
+    out = np.empty((length, 30))
 
-    args = (win_w, ctx_w, prev, 30, 15, 0.5, 0.3, np.empty((length, 30)))
-    times = {"banded": [], "loop": []}
-    for _ in range(10):  # alternate, so drift hits both kernels alike
-        times["banded"].append(time_fn(_kernels.span_score_matrix, *args,
-                                       repeat=20))
-        times["loop"].append(time_fn(_loop_span_scores, *args, repeat=20))
-    return {name: np.concatenate(t) for name, t in times.items()}
+    def filled(kernel):
+        def call():
+            kernel(win_w, ctx_w, prev, 30, 15, 0.5, 0.3, out)
+            return out
+        return call
+
+    return ab({"banded": filled(_kernels.span_score_matrix),
+               "loop": filled(_loop_span_scores)}, [()], repeat=20)
 
 
 def bench_tuning(rng, n_questions: int = 100, n_candidates: int = 3
-                 ) -> dict[str, np.ndarray]:
+                 ) -> tuple:
     """Time the array grid search and the loop oracle over synthetic dev
     questions, half of which have a gold answer among their candidates."""
     records, by_q = [], {}
@@ -174,14 +207,8 @@ def bench_tuning(rng, n_questions: int = 100, n_candidates: int = 3
             n_reader=n[2][j]) for j in range(n_candidates)]
         gold = texts[rng.integers(n_candidates)] if i % 2 else "unanswered"
         records.append(GoldRecord(f"q{i}", question, (gold,)))
-    pipeline = _StubPipeline(by_q)
-    times = {"array": [], "loop": []}
-    for _ in range(5):  # alternate, so drift hits both searches alike
-        times["array"].append(time_fn(fusion.tune_weights, records, pipeline,
-                                      0.05, repeat=10))
-        times["loop"].append(time_fn(_loop_tune_weights, records, pipeline,
-                                     0.05, repeat=2))
-    return {name: np.concatenate(t) for name, t in times.items()}
+    return ab({"array": fusion.tune_weights, "loop": _loop_tune_weights},
+              [(records, _StubPipeline(by_q), 0.05)])
 
 
 def f2_setup():
@@ -209,10 +236,11 @@ def f2_setup():
             BuiltinRanker(model, index))
 
 
-def bench_features(f2) -> dict[str, np.ndarray]:
+def bench_features(f2) -> dict[str, tuple]:
     """Time the ranker's training feature matrix over F2's finetune and
     aug2 examples, one phase at a time as training builds it: the array
-    path (one call per phase) and the per-pair loop oracle."""
+    path (one call per phase) and the per-pair loop oracle. Keyed by the
+    phase's label."""
     from mindstone.scorers.builtin import _example_features
 
     index, _, _, finetune, aug2, _ = f2
@@ -221,79 +249,20 @@ def bench_features(f2) -> dict[str, np.ndarray]:
         return np.array([_loop_features(ex.question, ex.text, index)
                          for ex in examples])
 
-    times: dict[str, list] = {}
-    for _ in range(5):  # alternate, so drift hits both paths alike
-        for phase, examples in (("finetune", finetune), ("aug2", aug2)):
-            label = f"{phase} ({len(examples)} F2 examples)"
-            for name, fn in (("array", _example_features), ("loop", loop)):
-                times.setdefault(f"{name}, {label}", []).append(
-                    time_fn(fn, examples, index, repeat=4))
-    return {label: np.concatenate(t) for label, t in times.items()}
+    return {f"{phase} ({len(examples)} F2 examples)":
+            ab({"array": _example_features, "loop": loop},
+               [(examples, index)], repeat=2)
+            for phase, examples in (("finetune", finetune), ("aug2", aug2))}
 
 
-def time_pairs(paths: dict, calls: list, repeat: int
-               ) -> dict[str, np.ndarray]:
-    """Seconds per call of each ``name -> fn(*call)`` over ``calls``, one
-    entry per pass, alternating so drift hits them alike. The paths must
-    return the same floats bit for bit on every call."""
-    def one_pass(fn):
-        return [fn(*call) for call in calls]
-
-    def as_bytes(results):
-        return b"".join(np.asarray(r, dtype=np.float64).tobytes()
-                        for r in results)
-
-    first, *rest = (as_bytes(one_pass(fn)) for fn in paths.values())
-    if any(other != first for other in rest):
-        raise SystemExit(f"{' and '.join(paths)} disagree: not "
-                         "bit-identical")
-    times: dict[str, list] = {name: [] for name in paths}
-    for _ in range(repeat):
-        for name, fn in paths.items():
-            times[name].append(time_fn(one_pass, fn, repeat=1)
-                               / len(calls))
-    return {name: np.concatenate(t) for name, t in times.items()}
-
-
-def paragraph_keyed_rank(ranker, limits):
-    """The builtin rank stage as it was while ``rank_pool`` truncated its
-    own input: paragraphs past the token limit truncated and resolved
-    afresh, the others resolved once and memoized by ``Paragraph``."""
-    from mindstone.scorers import truncate_to_tokens
-    from mindstone.scorers.builtin import _candidate, feature_rows
-
-    index, max_tokens = ranker.index, limits.ranker_para_tokens
-    memo = {}
-
-    def rank(question, paragraphs):
-        candidates = []
-        for para in paragraphs:
-            text = para.full_text
-            if len(text) > 2 * max_tokens:  # may hold more tokens
-                found = _candidate(index, {}, None,
-                                   truncate_to_tokens(text, max_tokens))
-            elif (found := memo.get(para)) is None:
-                found = memo[para] = _candidate(index, {}, para.para_id,
-                                                text)
-            candidates.append(found)
-        x = feature_rows(index, [(question, candidates)])
-        scores = np.vecdot(x, ranker._w) + ranker.model.bias
-        if not np.isfinite(scores).all():
-            raise SystemExit("non-finite rank score")
-        return scores
-
-    return rank
-
-
-def bench_read_and_rank(f2) -> tuple[dict, dict, dict, int]:
+def bench_read_and_rank(f2) -> tuple[tuple, tuple, np.ndarray, int]:
     """Time the builtin reader over the paragraphs the F2 pipeline reads
     for each question (its top 3 of 100), next to the per-token loop that
     ``tests/test_scorers.py`` keeps as its oracle; the ranker's product of
     feature rows and weights over each question's top-100 pool, one
     ``vecdot`` against one dot per row; and the warm rank stage over the
-    same pools, against the ``Paragraph``-keyed path it replaced. Returns
-    the times, and the pool rows on which a column sum of products differs
-    in a bit."""
+    same pools. Returns the times, and the pool rows on which a column sum
+    of products differs in a bit."""
     from mindstone import scorers
     from mindstone.pipeline import Pipeline
     from mindstone.scorers import BuiltinReader
@@ -333,11 +302,9 @@ def bench_read_and_rank(f2) -> tuple[dict, dict, dict, int]:
 
     column_sum = sum(int(((x * w).sum(axis=1) != np.vecdot(x, w)).sum())
                      for x, in products)
-    return (time_pairs({"array": read, "loop": loop_read}, reads, 10),
-            time_pairs({"vecdot": vecdot, "per-row dot": per_row}, products,
-                       10),
-            time_pairs({"para_id memo": rank, "Paragraph memo (before)":
-                        paragraph_keyed_rank(ranker, limits)}, pools, 20),
+    return (ab({"array": read, "loop": loop_read}, reads),
+            ab({"vecdot": vecdot, "per-row dot": per_row}, products),
+            ab({"para_id memo": rank}, pools, pairs=20)[0]["para_id memo"],
             column_sum)
 
 
@@ -390,8 +357,8 @@ def bench_fixture_retrieval(n_queries: int):
         return call
 
     batch(counting)()
-    return seconds, time_bm25({"den": batch(kernel),
-                               "formula": batch(formula)}, repeat=4), postings
+    return seconds, ab({"den": batch(kernel), "formula": batch(formula)},
+                       [()], repeat=2), postings
 
 
 def index_memory(path: Path, directory: str) -> str:
@@ -436,7 +403,7 @@ def bench_index(corpora: dict, repeat: int = 3) -> None:
     ``index_memory``) of an index over each of ``corpora`` (name ->
     paragraph file), and the postings sort of its rows' term ids,
     ``_stable_argsort`` next to ``np.argsort(kind="stable")``, also over
-    keys past 16 bits (it exits if the permutations differ)."""
+    keys past 16 bits."""
     import tempfile
 
     from mindstone.corpus import load_paragraph_map
@@ -468,13 +435,11 @@ def bench_index(corpora: dict, repeat: int = 3) -> None:
         wide = np.random.default_rng(0).integers(0, 2**20, len(keys))
         for keys_of, call in ((f"{bound} terms", (keys, bound)),
                               ("2**20 keys", (wide, 2**20))):
-            for path, t in time_pairs(
-                    {"radix": _stable_argsort,
-                     "np.argsort": lambda k, _: np.argsort(k, kind="stable")},
-                    [call], 5).items():
-                label = f"{name} sort, {path} ({keys_of})"
-                print(f"{label:<44} {describe(t)}")
-        print(f"  {len(keys):,} rows; permutations identical")
+            report(lambda side: f"{name} sort, {side} ({keys_of})", *ab(
+                {"radix": _stable_argsort,
+                 "np.argsort": lambda k, _: np.argsort(k, kind="stable")},
+                [call]))
+        print(f"  {len(keys):,} rows")
 
 
 def bench_spawn(repeat: int) -> np.ndarray:
@@ -523,41 +488,35 @@ for line in sys.stdin:
 """
 
 
-def bench_fanout(f2, busy_ms: float, repeat: int = 10
-                 ) -> dict[str, np.ndarray]:
+def bench_fanout(f2, busy_ms: float) -> tuple:
     """Seconds per question of ``answer_batch`` over F2's questions, which
     fans out over one thread per usable CPU because the reader is a
-    ``ScorerPool``, and of answering them one by one, in ``repeat``
-    alternating pairs. The reader busy-waits ``busy_ms`` per request; the
-    ranker is the trained builtin one."""
+    ``ScorerPool``, and of answering them one by one. The reader busy-waits
+    ``busy_ms`` per request; the ranker is the trained builtin one."""
     from mindstone.pipeline import Pipeline
     from mindstone.scorers.external import ScorerPool
 
     index, paragraphs, records, _, _, ranker = f2
     questions = [r.question for r in records]
     command = [sys.executable, "-c", BUSY_SCORER, str(busy_ms)]
+
+    def outcomes(results):
+        return [(r.error, r.answers) for r in results]
+
+    # The check's first batch spawns the pool's scorers.
     with ScorerPool(command, "read") as reader:
         pipeline = Pipeline(index, paragraphs, ranker, reader)
-        paths = {"fan-out": pipeline.answer_batch,
-                 "serial": lambda qs: [pipeline.answer_or_error(q)
-                                       for q in qs]}
-        # The first batch spawns the pool's scorers; both paths must give
-        # the same answers.
-        first, *rest = ([(r.error, r.answers) for r in fn(questions)]
-                        for fn in paths.values())
-        if any(other != first for other in rest):
-            raise SystemExit("answer_batch and serial answers differ")
-        times: dict[str, list] = {name: [] for name in paths}
-        for i in range(repeat):
-            # Alternate which path runs first, so drift hits both alike.
-            for name in list(paths)[::1 if i % 2 == 0 else -1]:
-                times[name].append(time_fn(paths[name], questions,
-                                           repeat=1) / len(questions))
-    return {name: np.concatenate(t) for name, t in times.items()}
+        times, wins = ab(
+            {"fan-out": lambda: outcomes(pipeline.answer_batch(questions)),
+             "serial": lambda: outcomes(map(pipeline.answer_or_error,
+                                            questions))}, [()])
+    return {name: t / len(questions) for name, t in times.items()}, wins
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--docs", type=int, default=50_000)
     parser.add_argument("--terms", type=int, default=8)
     parser.add_argument("--span-tokens", type=int, nargs="+",
@@ -567,52 +526,38 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(0)
-    times, postings = bench_bm25(args.docs, args.terms, rng)
-    for name, t in times.items():
-        label = f"bm25 accumulate, {name} ({args.docs} docs)"
-        print(f"{label:<44} {describe(t)}")
-    print(f"  {postings} postings per call; scores bit-identical")
+    result, postings = bench_bm25(args.docs, args.terms, rng)
+    report(lambda name: f"bm25 accumulate, {name} ({args.docs} docs)",
+           *result)
+    print(f"  {postings} postings per call")
 
     for length in args.span_tokens:
-        for name, times in bench_spans(length, rng).items():
-            label = f"span scores, {name} ({length} tokens x 30)"
-            print(f"{label:<44} {describe(times)}")
+        report(lambda name: f"span scores, {name} ({length} tokens x 30)",
+               *bench_spans(length, rng))
 
-    for name, times in bench_tuning(rng).items():
-        label = f"fusion grid search, {name} (100 q x 231 pts)"
-        print(f"{label:<44} {describe(times)}")
+    report(lambda name: f"fusion grid search, {name} (100 q x 231 pts)",
+           *bench_tuning(rng))
 
     f2 = f2_setup()
-    for name, times in bench_features(f2).items():
-        label = f"ranker features, {name}"
-        print(f"{label:<44} {describe(times)}")
+    for phase, result in bench_features(f2).items():
+        report(lambda name: f"ranker features, {name}, {phase}", *result)
 
     reads, products, ranks, column_sum = bench_read_and_rank(f2)
-    for name, times in reads.items():
-        label = f"F2 read_text, {name} (per paragraph)"
-        print(f"{label:<44} {describe_us(times)}")
-    for name, times in products.items():
-        label = f"F2 rank pool product, {name} (per pool)"
-        print(f"{label:<44} {describe_us(times)}")
-    for name, times in ranks.items():
-        label = f"F2 warm rank stage, {name}"
-        print(f"{label:<44} {describe_us(times)}")
-    faster = int((ranks["para_id memo"]
-                  < ranks["Paragraph memo (before)"]).sum())
-    print(f"  spans and scores bit-identical; para_id memo faster in "
-          f"{faster}/{len(ranks['para_id memo'])} passes; a column sum "
-          f"would differ on {column_sum} pool rows")
+    report(lambda name: f"F2 read_text, {name} (per paragraph)", *reads,
+           unit="us")
+    report(lambda name: f"F2 rank pool product, {name} (per pool)",
+           *products, unit="us")
+    print(f"  a column sum would differ on {column_sum} pool rows")
+    label = "F2 warm rank stage, para_id memo"
+    print(f"{label:<44} {describe(ranks, 'us')}")
 
-    seconds, times, postings = bench_fixture_retrieval(args.queries)
+    seconds, result, postings = bench_fixture_retrieval(args.queries)
     print(f"F2 retrieval batch, {args.queries} queries, n=100: "
           f"{seconds:.3f} s total "
           f"({seconds / args.queries * 1000:.3f} ms/query)")
-    for name, t in times.items():
-        label = f"F2 batch score pass, {name}"
-        print(f"{label:<44} {describe(t)}")
+    report(lambda name: f"F2 batch score pass, {name}", *result)
     print(f"  {np.mean(postings):.1f} postings per call (median "
-          f"{np.median(postings):.0f}, {len(postings)} calls per batch); "
-          "scores bit-identical")
+          f"{np.median(postings):.0f}, {len(postings)} calls per batch)")
 
     import tempfile
     sys.path.insert(0, str(ROOT / "cascadebench"))
@@ -629,13 +574,8 @@ def main(argv=None) -> int:
     print(f"{label:<44} {describe(bench_spawn(16))}")
 
     for busy_ms in args.fanout_ms:
-        times = bench_fanout(f2, busy_ms)
-        for name, t in times.items():
-            label = f"F2 batch per question, busy {busy_ms:g} ms, {name}"
-            print(f"{label:<44} {describe(t)}")
-        faster = int((times["fan-out"] < times["serial"]).sum())
-        print(f"  answers identical; fan-out faster in {faster}/"
-              f"{len(times['fan-out'])} pairs")
+        report(lambda name: f"F2 batch per question, busy {busy_ms:g} ms, "
+                            f"{name}", *bench_fanout(f2, busy_ms))
     return 0
 
 

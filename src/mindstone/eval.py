@@ -210,7 +210,6 @@ class EvalReport:
     n_questions: int
     strict_excluded: int
     malformed_skipped: int = 0
-    latency: LatencyReport | None = None
     manifest_key: str | None = None
 
     def to_dict(self) -> dict:

@@ -10,7 +10,8 @@ with character offsets into the provided text. The module-level
 :func:`rank` (one call per candidate pool) and :func:`read` (one call per
 paragraph) are the only places that apply the truncation contract, so
 scorer output never depends on content beyond the truncation limits, and
-they reject NaN and infinite scores, which fusion cannot order.
+they reject NaN and infinite scores, which fusion cannot order; :func:`rank`
+also rejects any count of scores other than one per paragraph.
 
 Importing this package loads no numpy, so a scorer subprocess such as
 ``echo_scorer`` starts fast. The names of ``builtin``, ``datasets`` and
@@ -85,7 +86,8 @@ def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
     """Ranker stage for a candidate pool: one score per paragraph, in order.
     Each paragraph is truncated to ``limits.ranker_para_tokens``, then
     scored by the scorer's ``rank_pool`` when it has one, else pair by pair
-    with ``rank_text``."""
+    with ``rank_text``. Scores of another shape than one per paragraph, or
+    not finite, are a ``StageError``."""
     import numpy as np
     texts = [truncate_to_tokens(p.full_text, limits.ranker_para_tokens)
              for p in paragraphs]
@@ -95,6 +97,10 @@ def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
     else:
         scores = np.array([float(scorer.rank_text(question, text))
                            for text in texts], dtype=np.float64)
+    if np.shape(scores) != (len(paragraphs),):
+        raise StageError("rank", f"ranker returned scores of shape "
+                                 f"{np.shape(scores)} for {len(paragraphs)} "
+                                 "paragraphs")
     finite = np.isfinite(scores)
     if not finite.all():
         i = int(np.argmin(finite))

@@ -40,6 +40,32 @@ def resolve_gold_paragraph(record: GoldRecord,
                               -p.position))
 
 
+def _lookup(paragraphs: Mapping[str, Paragraph],
+            para_ids: Sequence[str]) -> list[Paragraph]:
+    """The paragraphs of ``para_ids``; one that ``paragraphs`` lacks is an
+    error naming it and, for a map read by ``load_paragraph_map``, the
+    paragraph file."""
+    try:
+        return [paragraphs[pid] for pid in para_ids]
+    except KeyError as exc:
+        source = getattr(paragraphs, "path", "paragraphs")
+        raise ValueError(f"{source}: no paragraph text for "
+                         f"{exc.args[0]!r}") from None
+
+
+def _labelled(record: GoldRecord,
+              paras: Sequence[Paragraph]) -> list[RankExample]:
+    """One example per paragraph, labeled by answer containment."""
+    examples = []
+    for p in paras:
+        text = p.full_text
+        label = int(contains_answer(text, record.gold_answers))
+        examples.append(RankExample(question=record.question,
+                                    para_id=p.para_id, text=text,
+                                    label=label))
+    return examples
+
+
 def build_dataset_finetune(records: Sequence[GoldRecord],
                            paragraphs: Iterable[Paragraph],
                            ) -> list[RankExample]:
@@ -72,12 +98,8 @@ def build_dataset_aug1(records: Sequence[GoldRecord], index: InvertedIndex,
     """Top-n retrieved paragraphs per question, labeled by containment."""
     examples: list[RankExample] = []
     for record in records:
-        for para_id, _ in index.retrieve(record.question, n).hits:
-            text = paragraphs[para_id].full_text
-            label = int(contains_answer(text, record.gold_answers))
-            examples.append(RankExample(question=record.question,
-                                        para_id=para_id, text=text,
-                                        label=label))
+        para_ids = index.retrieve(record.question, n).para_ids()
+        examples += _labelled(record, _lookup(paragraphs, para_ids))
     return examples
 
 
@@ -91,15 +113,10 @@ def build_dataset_aug2(records: Sequence[GoldRecord], index: InvertedIndex,
         raise ValueError(f"m must be >= n, got m={m}, n={n}")
     examples: list[RankExample] = []
     for record in records:
-        para_ids = index.retrieve(record.question, m).para_ids()
-        scores = rank(ranker, record.question,
-                      [paragraphs[pid] for pid in para_ids], limits)
-        scored = sorted(zip(scores.tolist(), para_ids),
-                        key=lambda t: (-t[0], t[1]))
-        for _, para_id in scored[:n]:
-            text = paragraphs[para_id].full_text
-            label = int(contains_answer(text, record.gold_answers))
-            examples.append(RankExample(question=record.question,
-                                        para_id=para_id, text=text,
-                                        label=label))
+        pool = _lookup(paragraphs,
+                       index.retrieve(record.question, m).para_ids())
+        scores = rank(ranker, record.question, pool, limits)
+        scored = sorted(zip(scores.tolist(), pool),
+                        key=lambda t: (-t[0], t[1].para_id))
+        examples += _labelled(record, [p for _, p in scored[:n]])
     return examples

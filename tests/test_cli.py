@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import platform
+import re
 from operator import attrgetter
 from pathlib import Path
 
@@ -84,6 +85,26 @@ class TestDatasetsAndTraining:
                      "--paragraphs", str(workdir / "paragraphs.jsonl"),
                      "--out", str(workdir / "x.jsonl")])
         assert code == 1
+
+    @pytest.mark.parametrize("method", ["aug1", "aug2"])
+    def test_missing_paragraph_names_id_and_file(self, workdir, tmp_path,
+                                                 capsys, method):
+        lines = (workdir / "paragraphs.jsonl").read_text("utf-8")
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text("".join(lines.splitlines(True)[:100]), "utf-8")
+        code = main(["build-dataset", "--method", method,
+                     "--index", str(workdir / "idx"),
+                     "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                     "--paragraphs", str(partial),
+                     "--ranker-model", str(workdir / "model.json"),
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        match = re.fullmatch(rf"error: {re.escape(str(partial))}: no "
+                             r"paragraph text for '(.+)'", line)
+        assert match, line
+        assert f'"para_id": "{match[1]}"' in lines
+        assert f'"para_id": "{match[1]}"' not in partial.read_text("utf-8")
 
     def test_model_file_is_loadable(self, workdir):
         model = json.loads((workdir / "model.json").read_text("utf-8"))
@@ -171,7 +192,6 @@ class TestEvalAndBench:
         assert code == 0
         report = json.loads((out_dir / "report.json").read_text("utf-8"))
         assert 0.0 <= report["em"] <= report["f1"] <= 1.0
-        assert report["latency"] is None
         manifest = json.loads(
             (out_dir / "run_manifest.json").read_text("utf-8"))
         assert report["manifest_key"] == manifest["manifest_key"]

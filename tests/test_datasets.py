@@ -5,14 +5,17 @@ import inspect
 import re
 import string
 
+import numpy as np
 import pytest
 
 from mindstone.corpus import Paragraph, read_records, write_records
+from mindstone.errors import StageError
 from mindstone.eval import GoldRecord
 from mindstone.scorers import RankExample
 from mindstone.scorers.datasets import (build_dataset_aug1,
                                         build_dataset_aug2,
-                                        build_dataset_finetune)
+                                        build_dataset_finetune,
+                                        resolve_gold_paragraph)
 
 
 def independent_contains(text: str, answers) -> bool:
@@ -92,6 +95,23 @@ class TestFinetune:
         assert [(ex.para_id, ex.label) for ex in out] == \
             [("a#0", 1), ("a#2", 0)]
 
+    def test_inexact_gold_paragraph_resolves_by_jaccard(self):
+        # No body equals the annotation, so the highest token-set Jaccard
+        # wins, and of a#1 and a#3 (equal Jaccard) the earlier position.
+        paras = [
+            Paragraph("a#0", "a", "", "rome is a city", 0),
+            Paragraph("a#3", "a", "", "paris is the capital", 3),
+            Paragraph("a#1", "a", "", "the capital is paris", 1),
+            Paragraph("a#2", "a", "", "nothing here", 2),
+        ]
+        record = GoldRecord("q", "capital?", ("paris",),
+                            gold_article_id="a",
+                            gold_paragraph="Paris is the capital of France")
+        assert resolve_gold_paragraph(record, paras).para_id == "a#1"
+        out = build_dataset_finetune([record], paras)
+        assert [(ex.para_id, ex.label) for ex in out] == \
+            [("a#1", 1), ("a#0", 0)]
+
     def test_fixture_counts(self, f2_records, f2_paragraphs):
         out = build_dataset_finetune(f2_records, f2_paragraphs.values())
         positives = [ex for ex in out if ex.label == 1]
@@ -157,6 +177,33 @@ class TestAug2:
                                  OrderScorer(), m=100, n=5)
         expected = build_dataset_aug1(records, f2_index, f2_paragraphs, n=5)
         assert got == expected
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_score_count_rejected(self, f2_index, f2_paragraphs,
+                                        f2_records, extra):
+        class MiscountRanker:
+            def rank_pool(self, question, para_ids, texts):
+                return np.zeros(len(para_ids) + extra)
+
+        n = len(f2_index.retrieve(f2_records[0].question, 100).hits)
+        with pytest.raises(StageError, match=rf"^\[rank\] ranker returned "
+                           rf"scores of shape \({n + extra},\) for {n} "
+                           "paragraphs$"):
+            build_dataset_aug2(f2_records[:1], f2_index, f2_paragraphs,
+                               MiscountRanker(), m=100, n=5)
+
+    @pytest.mark.parametrize("build", [
+        lambda *args: build_dataset_aug1(*args, n=5),
+        lambda *args: build_dataset_aug2(*args, ConstantScorer(), m=10, n=5),
+    ], ids=["aug1", "aug2"])
+    def test_missing_paragraph_is_named(self, f2_index, f2_paragraphs,
+                                        f2_records, build):
+        missing = f2_index.retrieve(f2_records[0].question, 5).para_ids()[-1]
+        partial = {pid: p for pid, p in f2_paragraphs.items()
+                   if pid != missing}
+        with pytest.raises(ValueError, match=rf"^paragraphs: no paragraph "
+                           rf"text for '{re.escape(missing)}'$"):
+            build(f2_records[:1], f2_index, partial)
 
     def test_oracle_ranker_front_loads_positives(self, f2_index,
                                                  f2_paragraphs, f2_records,

@@ -391,6 +391,43 @@ class TestStageErrors:
             result = pipe.answer_or_error("secret number filler body")
         assert result.error.startswith(f"[{stage}] "), result.error
 
+    class MiscountRanker:
+        def __init__(self, extra):
+            self.extra = extra
+
+        def rank_pool(self, question, para_ids, texts):
+            return np.zeros(len(para_ids) + self.extra)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_score_count_lands_in_result(self, extra):
+        index, paras = TestAnswer._gold_corpus()
+        pipe = Pipeline(index, paras, self.MiscountRanker(extra),
+                        GoldSpanReader("4821"),
+                        PipelineConfig(n_retriever=3, n_reader=3))
+        [result] = pipe.answer_batch(["secret number filler body"])
+        assert result.error == (f"[rank] ranker returned scores of shape "
+                                f"({3 + extra},) for 3 paragraphs")
+
+    class NoSpanReader:
+        def read_text(self, question, text, k):
+            return []
+
+    class OverlongReader:
+        def read_text(self, question, text, k):
+            return [(0, len(text) + 1, 1.0)]
+
+    @pytest.mark.parametrize("reader, error", [
+        (NoSpanReader(), "[read] scorer returned no spans for g#0"),
+        (OverlongReader(), "[read] span [0, 37) outside truncated text of "
+                           "g#0"),
+    ])
+    def test_refused_reader_reply_lands_in_record(self, reader, error):
+        index, paras = TestAnswer._gold_corpus()
+        pipe = Pipeline(index, paras, ConstantRanker(), reader,
+                        PipelineConfig(n_retriever=3, n_reader=1))
+        [result] = pipe.answer_batch(["what is the secret number"])
+        assert answer_record("q0", result)["error"] == error
+
     def test_missing_paragraph_text(self, f2_index, f2_paragraphs,
                                     trained_ranker, f2_reader, f2_records):
         partial = dict(list(f2_paragraphs.items())[:5])

@@ -518,6 +518,10 @@ class TestRead:
         scores = [s.s_reader for s in spans]
         assert scores == sorted(scores, reverse=True)
 
+    def test_empty_paragraph_rejected(self, f2_reader):
+        with pytest.raises(ValueError, match=r"^paragraph e#0 is empty$"):
+            read(f2_reader, "q", Paragraph("e#0", "e", "", "", 0), k=1)
+
     def test_k_must_be_positive(self, f2_reader, f2_paragraphs):
         para = next(iter(f2_paragraphs.values()))
         with pytest.raises(ValueError):
