@@ -24,9 +24,11 @@ needs the test dependencies.
   per-token loop; alternating pairs; exits on any bit difference.
 - The rank pool product over F2's top-100 pools, one ``vecdot`` next to one
   dot per row; alternating pairs; exits on any bit difference. Also the
-  warm rank stage (``scorers.rank``) over the same pools, alone.
-- An F2 retrieval batch (``--queries``), and its score pass next to the
-  formula; alternating pairs; exits on any bit difference.
+  warm rank stage (``scorers.rank``) over the same pools, alone, and the
+  warm read stage (``scorers.read``) over each question's read slice,
+  alone.
+- An F2 retrieval batch (``--queries``), alone, and its score pass next to
+  the formula; alternating pairs; exits on any bit difference.
 - Index build, save and load seconds, saved bytes and the traced memory of
   ``cascadebench``'s set-up order over F2 and a seeded 100k-paragraph
   corpus; exits if a loaded checksum differs from its build's.
@@ -255,13 +257,15 @@ def bench_features(f2) -> dict[str, tuple]:
             for phase, examples in (("finetune", finetune), ("aug2", aug2))}
 
 
-def bench_read_and_rank(f2) -> tuple[tuple, tuple, np.ndarray, int]:
+def bench_read_and_rank(f2) -> tuple[tuple, tuple, np.ndarray, np.ndarray,
+                                     int]:
     """Time the builtin reader over the paragraphs the F2 pipeline reads
     for each question (its top 3 of 100), next to the per-token loop that
     ``tests/test_scorers.py`` keeps as its oracle; the ranker's product of
     feature rows and weights over each question's top-100 pool, one
-    ``vecdot`` against one dot per row; and the warm rank stage over the
-    same pools. Returns the times, and the pool rows on which a column sum
+    ``vecdot`` against one dot per row; the warm rank stage over the same
+    pools; and the warm read stage over each question's read slice (the
+    same top 3). Returns the times, and the pool rows on which a column sum
     of products differs in a bit."""
     from mindstone import scorers
     from mindstone.pipeline import Pipeline
@@ -273,11 +277,12 @@ def bench_read_and_rank(f2) -> tuple[tuple, tuple, np.ndarray, int]:
     pipeline = Pipeline(index, paragraphs, ranker, reader)
     limits = pipeline.config.limits
     n_read = pipeline.config.n_reader_effective
-    reads, pools, products = [], [], []
+    reads, slices, pools, products = [], [], [], []
     for r in records:
         result = pipeline.answer(r.question)
-        reads += [(r.question, paragraphs[pid].full_text)
-                  for pid, _ in result.ranked[:n_read]]
+        read_slice = [paragraphs[pid] for pid, _ in result.ranked[:n_read]]
+        reads += [(r.question, p.full_text) for p in read_slice]
+        slices.append((r.question, read_slice))
         pool = [paragraphs[pid] for pid, _ in result.retrieved]
         pools.append((r.question, pool))
         products.append((feature_rows(index, [(r.question, [
@@ -300,18 +305,24 @@ def bench_read_and_rank(f2) -> tuple[tuple, tuple, np.ndarray, int]:
     def rank(question, pool):
         return scorers.rank(ranker, question, pool, limits)
 
+    def read_stage(question, read_slice):
+        return scorers.read(reader, question, read_slice,
+                            pipeline.config.k_spans_per_paragraph, limits)
+
     column_sum = sum(int(((x * w).sum(axis=1) != np.vecdot(x, w)).sum())
                      for x, in products)
     return (ab({"array": read, "loop": loop_read}, reads),
             ab({"vecdot": vecdot, "per-row dot": per_row}, products),
             ab({"para_id memo": rank}, pools, pairs=20)[0]["para_id memo"],
+            ab({"read": read_stage}, slices, pairs=20)[0]["read"],
             column_sum)
 
 
 def bench_fixture_retrieval(n_queries: int):
-    """Seconds for a batch of F2 retrievals at n=100, and the score pass
-    of the same questions through the BM25 kernel and through the formula
-    (times per batch, postings per kernel call)."""
+    """Seconds per query of a batch of F2 retrievals at n=100, one entry
+    per run, and the score pass of the same questions through the BM25
+    kernel and through the formula (times per batch, postings per kernel
+    call)."""
     from collections import Counter
 
     from mindstone.corpus import Paragraph, read_records, tokenize
@@ -324,11 +335,11 @@ def bench_fixture_retrieval(n_queries: int):
     questions = [r.question for r in records]
     questions = (questions * ((n_queries // len(questions)) + 1))[:n_queries]
 
-    index.retrieve(questions[0], 100)  # warm
-    start = time.perf_counter()
-    for q in questions:
-        index.retrieve(q, 100)
-    seconds = time.perf_counter() - start
+    def retrieve_batch():
+        for q in questions:
+            index.retrieve(q, 100)
+
+    retrieve_times = ab({"retrieve": retrieve_batch}, [()])[0]["retrieve"]
 
     # The index's own score pass, with the kernel it calls swapped for the
     # formula over its per-document norms.
@@ -357,8 +368,9 @@ def bench_fixture_retrieval(n_queries: int):
         return call
 
     batch(counting)()
-    return seconds, ab({"den": batch(kernel), "formula": batch(formula)},
-                       [()], repeat=2), postings
+    return (retrieve_times / n_queries,
+            ab({"den": batch(kernel), "formula": batch(formula)}, [()],
+               repeat=2), postings)
 
 
 def index_memory(path: Path, directory: str) -> str:
@@ -542,7 +554,7 @@ def main(argv=None) -> int:
     for phase, result in bench_features(f2).items():
         report(lambda name: f"ranker features, {name}, {phase}", *result)
 
-    reads, products, ranks, column_sum = bench_read_and_rank(f2)
+    reads, products, ranks, read_stage, column_sum = bench_read_and_rank(f2)
     report(lambda name: f"F2 read_text, {name} (per paragraph)", *reads,
            unit="us")
     report(lambda name: f"F2 rank pool product, {name} (per pool)",
@@ -550,11 +562,12 @@ def main(argv=None) -> int:
     print(f"  a column sum would differ on {column_sum} pool rows")
     label = "F2 warm rank stage, para_id memo"
     print(f"{label:<44} {describe(ranks, 'us')}")
+    label = "F2 warm read stage"
+    print(f"{label:<44} {describe(read_stage, 'us')}")
 
-    seconds, result, postings = bench_fixture_retrieval(args.queries)
-    print(f"F2 retrieval batch, {args.queries} queries, n=100: "
-          f"{seconds:.3f} s total "
-          f"({seconds / args.queries * 1000:.3f} ms/query)")
+    per_query, result, postings = bench_fixture_retrieval(args.queries)
+    label = f"F2 retrieval batch of {args.queries}, n=100, per query"
+    print(f"{label:<44} {describe(per_query)}")
     report(lambda name: f"F2 batch score pass, {name}", *result)
     print(f"  {np.mean(postings):.1f} postings per call (median "
           f"{np.median(postings):.0f}, {len(postings)} calls per batch)")

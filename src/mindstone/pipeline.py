@@ -202,15 +202,9 @@ class Pipeline:
 
     def _rank(self, question: str, para_ids: Sequence[str]) -> list[float]:
         """Ranker scores of a candidate pool, in ``para_ids`` order."""
-        paras = self._paragraphs(para_ids, "rank")
-        try:
-            scores = scorers.rank(self.ranker, question, paras,
-                                  self.config.limits)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("rank", str(exc))
-        return scores.tolist()
+        return scorers.rank(self.ranker, question,
+                            self._paragraphs(para_ids, "rank"),
+                            self.config.limits).tolist()
 
     def answer(self, question: str) -> PipelineResult:
         cfg = self.config
@@ -260,18 +254,12 @@ class Pipeline:
         trace.counts["read"] = len(to_read)
 
         t0 = time.perf_counter()
-        # (pool position, span) for every span read.
-        raw: list[tuple[int, scorers.AnswerSpan]] = []
         paras = self._paragraphs([pool_ids[i] for i in to_read], "read")
-        for i, para in zip(to_read, paras):
-            try:
-                spans = scorers.read(self.reader, question, para,
-                                     cfg.k_spans_per_paragraph, cfg.limits)
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError("read", f"{pool_ids[i]}: {exc}")
-            raw.extend((i, span) for span in spans)
+        read_slice = scorers.read(self.reader, question, paras,
+                                  cfg.k_spans_per_paragraph, cfg.limits)
+        # (pool position, span) for every span read.
+        raw = [(i, span) for i, spans in zip(to_read, read_slice)
+               for span in spans]
         trace.times_ms["read"] = (time.perf_counter() - t0) * 1000.0
         trace.counts["spans"] = len(raw)
 

@@ -7,11 +7,11 @@ A ranker exposes ``rank_text(question, text) -> float`` (a relevance logit,
 candidate pool at once, equal to ``rank_text`` on each text. A reader
 exposes ``read_text(question, text, k) -> [(start, end, score), ...]``
 with character offsets into the provided text. The module-level
-:func:`rank` (one call per candidate pool) and :func:`read` (one call per
-paragraph) are the only places that apply the truncation contract, so
-scorer output never depends on content beyond the truncation limits, and
-they reject NaN and infinite scores, which fusion cannot order; :func:`rank`
-also rejects any count of scores other than one per paragraph.
+:func:`rank` and :func:`read`, each one call per question, are the only
+places that apply the truncation contract, so scorer output never depends
+on content beyond the truncation limits, and they reject NaN and infinite
+scores, which fusion cannot order; :func:`rank` also rejects any count of
+scores other than one per paragraph.
 
 Importing this package loads no numpy, so a scorer subprocess such as
 ``echo_scorer`` starts fast. The names of ``builtin``, ``datasets`` and
@@ -59,7 +59,6 @@ class RankExample:
 
 @dataclass(frozen=True)
 class AnswerSpan:
-    para_id: str
     start_char: int
     end_char: int
     text: str
@@ -83,23 +82,28 @@ def truncate_to_tokens(text: str, max_tokens: int) -> str:
 
 def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
          limits: TruncationLimits = TruncationLimits()) -> np.ndarray:
-    """Ranker stage for a candidate pool: one score per paragraph, in order.
-    Each paragraph is truncated to ``limits.ranker_para_tokens``, then
-    scored by the scorer's ``rank_pool`` when it has one, else pair by pair
-    with ``rank_text``. Scores of another shape than one per paragraph, or
-    not finite, are a ``StageError``."""
+    """Ranker stage for a candidate pool: one float64 score per paragraph,
+    in order. Each paragraph is truncated to ``limits.ranker_para_tokens``,
+    then scored by the scorer's ``rank_pool`` when it has one, else pair by
+    pair with ``rank_text``. A scorer that raises, or scores of another
+    shape than one per paragraph, or not finite, are a ``StageError``."""
     import numpy as np
     texts = [truncate_to_tokens(p.full_text, limits.ranker_para_tokens)
              for p in paragraphs]
-    if hasattr(scorer, "rank_pool"):
-        scores = scorer.rank_pool(question,
-                                  [p.para_id for p in paragraphs], texts)
-    else:
-        scores = np.array([float(scorer.rank_text(question, text))
-                           for text in texts], dtype=np.float64)
-    if np.shape(scores) != (len(paragraphs),):
+    try:
+        if hasattr(scorer, "rank_pool"):
+            scores = scorer.rank_pool(question,
+                                      [p.para_id for p in paragraphs], texts)
+        else:
+            scores = [scorer.rank_text(question, text) for text in texts]
+        scores = np.asarray(scores, dtype=np.float64)
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError("rank", str(exc))
+    if scores.shape != (len(paragraphs),):
         raise StageError("rank", f"ranker returned scores of shape "
-                                 f"{np.shape(scores)} for {len(paragraphs)} "
+                                 f"{scores.shape} for {len(paragraphs)} "
                                  "paragraphs")
     finite = np.isfinite(scores)
     if not finite.all():
@@ -109,38 +113,46 @@ def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
     return scores
 
 
-def read(scorer, question: str, paragraph: Paragraph, k: int,
-         limits: TruncationLimits = TruncationLimits()) -> list[AnswerSpan]:
-    """Reader stage for one paragraph: truncate question+paragraph to the
-    combined token budget (paragraph first), then extract up to k spans."""
+def read(scorer, question: str, paragraphs: Sequence[Paragraph], k: int,
+         limits: TruncationLimits = TruncationLimits()
+         ) -> list[list[AnswerSpan]]:
+    """Reader stage for one question's read slice: up to k spans per
+    paragraph, best first. The question is cut once to the combined token
+    budget, each paragraph to the rest of it and read by one ``read_text``
+    call. Any failure on a paragraph is a ``StageError`` naming it."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not paragraph.full_text:
-        raise ValueError(f"paragraph {paragraph.para_id} is empty")
     budget = limits.reader_total_tokens
     q_count = len(segment(question))
     if q_count >= budget:
         question = truncate_to_tokens(question, budget - 1)
         q_count = budget - 1
-    text = truncate_to_tokens(paragraph.full_text, max(1, budget - q_count))
-    raw = scorer.read_text(question, text, k)
-    if not raw:
-        raise StageError("read", f"scorer returned no spans for "
-                                 f"{paragraph.para_id}")
-    spans = []
-    for start, end, score in raw[:k]:
-        if not 0 <= start < end <= len(text):
-            raise StageError("read", f"span [{start}, {end}) outside "
-                                     f"truncated text of {paragraph.para_id}")
-        score = float(score)
-        if not math.isfinite(score):
-            raise StageError("read", f"non-finite score {score} "
-                                     f"for {paragraph.para_id}")
-        spans.append(AnswerSpan(para_id=paragraph.para_id, start_char=start,
-                                end_char=end, text=text[start:end],
-                                s_reader=score))
-    spans.sort(key=lambda s: (-s.s_reader, s.start_char, s.end_char))
-    return spans
+    room = max(1, budget - q_count)
+    read_slice = []
+    for paragraph in paragraphs:
+        try:
+            text = truncate_to_tokens(paragraph.full_text, room)
+            if not text:
+                raise ValueError("paragraph is empty")
+            raw = scorer.read_text(question, text, k)
+            if not raw:
+                raise ValueError("scorer returned no spans")
+            spans = []
+            for start, end, score in raw[:k]:
+                if not 0 <= start < end <= len(text):
+                    raise ValueError(f"span [{start}, {end}) outside the "
+                                     "truncated text")
+                score = float(score)
+                if not math.isfinite(score):
+                    raise ValueError(f"non-finite score {score}")
+                spans.append(AnswerSpan(start, end, text[start:end], score))
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError("read", f"{paragraph.para_id}: {exc}")
+        spans.sort(key=lambda s: (-s.s_reader, s.start_char, s.end_char))
+        read_slice.append(spans)
+    return read_slice
 
 
 _LAZY = {

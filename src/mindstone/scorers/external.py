@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 from ..corpus import ARRAY, INTEGER, NUMBER, OBJECT, STRING, json_field
 from ..errors import (HandshakeTimeoutError, MalformedResponseError,
-                      ScorerExitError, ScorerProtocolError, StageError)
+                      MindstoneError, ScorerExitError, ScorerProtocolError)
 
 PROTOCOL_VERSION = 1
 
@@ -112,7 +112,7 @@ class ExternalScorer:
         if not isinstance(obj, dict) or "type" not in obj:
             raise MalformedResponseError("response has no 'type' field", line)
         if obj["type"] == "error":
-            raise StageError(self.role, str(obj.get("message", "")))
+            raise MindstoneError(str(obj.get("message", "")))
         if expected_type is not None and obj["type"] != expected_type:
             raise MalformedResponseError(
                 f"expected type {expected_type!r}", line)

@@ -178,19 +178,23 @@ class TestAug2:
         expected = build_dataset_aug1(records, f2_index, f2_paragraphs, n=5)
         assert got == expected
 
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_wrong_score_count_rejected(self, f2_index, f2_paragraphs,
-                                        f2_records, extra):
-        class MiscountRanker:
+    @pytest.mark.parametrize("extra", [-1, 1, None])
+    def test_ranker_fault_is_rank_stage_error(self, f2_index, f2_paragraphs,
+                                              f2_records, extra):
+        class FaultyRanker:
+            """Scores one too few or too many, or raises (extra None)."""
             def rank_pool(self, question, para_ids, texts):
+                if extra is None:
+                    raise RuntimeError("model exploded")
                 return np.zeros(len(para_ids) + extra)
 
         n = len(f2_index.retrieve(f2_records[0].question, 100).hits)
-        with pytest.raises(StageError, match=rf"^\[rank\] ranker returned "
-                           rf"scores of shape \({n + extra},\) for {n} "
-                           "paragraphs$"):
+        message = ("model exploded" if extra is None else
+                   rf"ranker returned scores of shape \({n + extra},\) for "
+                   rf"{n} paragraphs")
+        with pytest.raises(StageError, match=rf"^\[rank\] {message}$"):
             build_dataset_aug2(f2_records[:1], f2_index, f2_paragraphs,
-                               MiscountRanker(), m=100, n=5)
+                               FaultyRanker(), m=100, n=5)
 
     @pytest.mark.parametrize("build", [
         lambda *args: build_dataset_aug1(*args, n=5),

@@ -15,8 +15,8 @@ import pytest
 import mindstone
 from mindstone import scorers
 from mindstone.errors import (HandshakeTimeoutError, MalformedResponseError,
-                              ScorerExitError, ScorerProtocolError,
-                              StageError)
+                              MindstoneError, ScorerExitError,
+                              ScorerProtocolError, StageError)
 from mindstone.scorers import datasets, rank, read
 from mindstone.scorers.external import ExternalScorer, ScorerPool
 
@@ -60,9 +60,8 @@ class TestEchoScorer:
                             "rank") as ranker:
             assert rank(ranker, "q", [para]).tolist() == [2.0]
         with ExternalScorer(ECHO, "read") as reader:
-            spans = read(reader, "q", para, k=1)
+            [spans] = read(reader, "q", [para], k=1)
             assert spans[0].text == para.full_text
-            assert spans[0].para_id == para.para_id
 
 
 class TestLightImports:
@@ -120,7 +119,7 @@ class TestFailureModes:
         with pytest.raises(MalformedResponseError, match="read"):
             ExternalScorer(ECHO + ["--roles", "rank"], "read")
 
-    def test_error_response_becomes_stage_error(self):
+    def test_error_response_becomes_stage_error(self, f2_paragraphs):
         script = py_script(
             "import sys, json\n"
             "print(json.dumps({'type':'hello','protocol':1,"
@@ -129,12 +128,19 @@ class TestFailureModes:
             "    req = json.loads(line)\n"
             "    print(json.dumps({'type':'error','id':req['id'],"
             "'message':'model exploded'}), flush=True)\n")
+        para = next(iter(f2_paragraphs.values()))
         with ExternalScorer(script, "rank") as scorer:
-            # The stage is the handle's role, and the handle stays usable.
+            # The handle raises the scorer's message, which is no protocol
+            # fault, so the handle stays usable; the rank stage labels it.
             for _ in range(2):
-                with pytest.raises(StageError,
-                                   match=r"^\[rank\] model exploded$"):
+                with pytest.raises(MindstoneError,
+                                   match=r"^model exploded$") as info:
                     scorer.rank_text("q", "t")
+                assert type(info.value) is MindstoneError
+            assert not scorer._closed
+            with pytest.raises(StageError,
+                               match=r"^\[rank\] model exploded$"):
+                rank(scorer, "q", [para])
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_score_is_stage_error(self, f2_paragraphs, score):
@@ -415,8 +421,7 @@ class TestReplyFraming:
 
             assert call("q", "some text") == (
                 9.0 if role == "rank" else [(0, 9, 1.0)])
-            with pytest.raises(StageError,
-                               match=f"^\\[{role}\\] café \U0001F600$"):
+            with pytest.raises(MindstoneError, match="^café \U0001F600$"):
                 call("fail", "t")
             assert call("q", "other") == (
                 5.0 if role == "rank" else [(0, 5, 1.0)])

@@ -259,8 +259,11 @@ class TestAnswer:
         score = {"f1": 1.0, "f2": -0.0, "f3": 0.5, "e1": 1.0, "g2": 0.0}
 
         class TiedRanker:
+            def __init__(self, convert=np.array):
+                self.convert = convert
+
             def rank_pool(self, question, para_ids, texts):
-                return np.array([score[pid] for pid in para_ids])
+                return self.convert([score[pid] for pid in para_ids])
 
         class WholeTextReader:
             def read_text(self, question, text, k):
@@ -286,6 +289,12 @@ class TestAnswer:
         for c in result.candidates:
             assert c.s_ranker.hex() == score[c.para_id].hex()
             assert c.s_retriever.hex() == first.get(c.para_id, 0.0).hex()
+        # A rank_pool that returns a list gives the same answers.
+        listed = Pipeline(pipe.index, paras, TiedRanker(list),
+                          WholeTextReader(), cfg).answer("alpha beta")
+        assert listed.answers == result.answers
+        assert ([(pid, s.hex()) for pid, s in listed.ranked]
+                == [(pid, s.hex()) for pid, s in result.ranked])
 
     def test_rm3_disabled_records_zero_additions(self, f2_index,
                                                  f2_paragraphs,
@@ -354,6 +363,10 @@ class TestStageErrors:
         def read_text(self, question, text, k):
             return [(0, 1, float("nan"))]
 
+    class StringRanker:
+        def rank_pool(self, question, para_ids, texts):
+            return ["high"] * len(para_ids)
+
     class FarApartRanker:
         def rank_text(self, question, text):
             return 1e308 if "4821" in text else -1e308
@@ -366,9 +379,16 @@ class TestStageErrors:
         "    req = json.loads(line)\n"
         "    print(json.dumps({'type':'error','id':req['id'],"
         "'message':'model exploded'}), flush=True)\n")
+    NOT_JSON_REPLY = (
+        "import sys, json\n"
+        "print(json.dumps({'type':'hello','protocol':1,"
+        "'roles':['read']}), flush=True)\n"
+        "for line in sys.stdin:\n"
+        "    print('not json', flush=True)\n")
 
     @pytest.mark.parametrize("fault, stage", [
-        ("nan ranker", "rank"), ("nan reader", "read"),
+        ("nan ranker", "rank"), ("string ranker", "rank"),
+        ("nan reader", "read"),
         ("error reply", "rank"), ("error reply", "read"),
         ("missing paragraph", "rank"), ("far-apart ranker", "fuse")])
     def test_error_starts_with_pipeline_stage(self, fault, stage):
@@ -377,6 +397,8 @@ class TestStageErrors:
         with contextlib.ExitStack() as stack:
             if fault == "nan ranker":
                 stages["rank"] = ConstantRanker(float("nan"))
+            elif fault == "string ranker":
+                stages["rank"] = self.StringRanker()
             elif fault == "nan reader":
                 stages["read"] = self.NanReader()
             elif fault == "error reply":
@@ -416,17 +438,34 @@ class TestStageErrors:
         def read_text(self, question, text, k):
             return [(0, len(text) + 1, 1.0)]
 
+    class RaisingReader:
+        def read_text(self, question, text, k):
+            raise RuntimeError("model exploded")
+
     @pytest.mark.parametrize("reader, error", [
-        (NoSpanReader(), "[read] scorer returned no spans for g#0"),
-        (OverlongReader(), "[read] span [0, 37) outside truncated text of "
-                           "g#0"),
-    ])
+        (NoSpanReader(), "scorer returned no spans"),
+        (OverlongReader(), "span [0, 37) outside the truncated text"),
+        (NanReader(), "non-finite score nan"),
+        (RaisingReader(), "model exploded"),
+        (ERROR_REPLY, "model exploded"),
+        (NOT_JSON_REPLY, "response is not valid JSON: 'not json'"),
+        (None, "paragraph is empty"),
+    ], ids=["no spans", "overlong", "nan", "raises", "error reply",
+            "protocol fault", "empty paragraph"])
     def test_refused_reader_reply_lands_in_record(self, reader, error):
         index, paras = TestAnswer._gold_corpus()
-        pipe = Pipeline(index, paras, ConstantRanker(), reader,
-                        PipelineConfig(n_retriever=3, n_reader=1))
-        [result] = pipe.answer_batch(["what is the secret number"])
-        assert answer_record("q0", result)["error"] == error
+        with contextlib.ExitStack() as stack:
+            if isinstance(reader, str):
+                reader = stack.enter_context(ExternalScorer(
+                    [sys.executable, "-c", reader], "read"))
+            elif reader is None:
+                paras["g#0"] = Paragraph("g#0", "g", "", "", 0)
+                reader = GoldSpanReader("4821")
+            pipe = Pipeline(index, paras, ConstantRanker(), reader,
+                            PipelineConfig(n_retriever=3, n_reader=1))
+            [result] = pipe.answer_batch(["what is the secret number"])
+        # The stage and the paragraph are named once each.
+        assert answer_record("q0", result)["error"] == f"[read] g#0: {error}"
 
     def test_missing_paragraph_text(self, f2_index, f2_paragraphs,
                                     trained_ranker, f2_reader, f2_records):

@@ -163,7 +163,8 @@ class TestTruncation:
         question = "tok1 tok2 tok3"
         budget = limits.reader_total_tokens - len(segment(question))
         surviving = truncate_to_tokens(para.full_text, budget)
-        for span in read(f2_reader, question, para, k=3, limits=limits):
+        for span in read(f2_reader, question, [para], k=3,
+                         limits=limits)[0]:
             assert span.end_char <= len(surviving)
             assert span.text == surviving[span.start_char:span.end_char]
 
@@ -177,7 +178,7 @@ class TestTruncation:
         # mark, which must not split a token in two.
         reader = WholeTextReader()
         para = Paragraph("p#0", "a", "", "w1 w2 w3 w4 w5 w6", 0)
-        read(reader, "\u0130a \u0130b", para, k=1,
+        read(reader, "\u0130a \u0130b", [para], k=1,
              limits=TruncationLimits(reader_total_tokens=6))
         assert reader.text == "w1 w2 w3 w4"
 
@@ -192,7 +193,7 @@ class TestTruncation:
         # The reader budget, counted with token_spans alone.
         q_count = min(len(token_spans(question)), budget - 1)
         surviving = _truncate_by_counting(body, max(1, budget - q_count))
-        for span in read(reader, question, para, k=3, limits=limits):
+        for span in read(reader, question, [para], k=3, limits=limits)[0]:
             assert 0 <= span.start_char < span.end_char <= len(surviving)
             assert span.text == surviving[span.start_char:span.end_char]
 
@@ -503,29 +504,31 @@ class TestRead:
                  Paragraph("x#1", "x", "", "farming was common here", 0),
                  Paragraph("x#2", "x", "", "other filler words", 0)]
         idx = InvertedIndex.build(paras)
-        spans = read(BuiltinReader(idx), "what is the battle of hastings",
-                     paras[0], k=3)
+        [spans] = read(BuiltinReader(idx), "what is the battle of hastings",
+                       paras[:1], k=3)
         assert spans[0].text == "battle of hastings"
 
     def test_k_one_returns_exactly_one_span(self, f2_reader, f2_paragraphs):
         para = next(iter(f2_paragraphs.values()))
-        assert len(read(f2_reader, "what was the height", para, k=1)) == 1
+        [spans] = read(f2_reader, "what was the height", [para], k=1)
+        assert len(spans) == 1
 
     def test_k_bounds_span_count(self, f2_reader, f2_paragraphs):
         para = next(iter(f2_paragraphs.values()))
-        spans = read(f2_reader, "what was the height", para, k=4)
+        [spans] = read(f2_reader, "what was the height", [para], k=4)
         assert 1 <= len(spans) <= 4
         scores = [s.s_reader for s in spans]
         assert scores == sorted(scores, reverse=True)
 
     def test_empty_paragraph_rejected(self, f2_reader):
-        with pytest.raises(ValueError, match=r"^paragraph e#0 is empty$"):
-            read(f2_reader, "q", Paragraph("e#0", "e", "", "", 0), k=1)
+        with pytest.raises(StageError,
+                           match=r"^\[read\] e#0: paragraph is empty$"):
+            read(f2_reader, "q", [Paragraph("e#0", "e", "", "", 0)], k=1)
 
     def test_k_must_be_positive(self, f2_reader, f2_paragraphs):
         para = next(iter(f2_paragraphs.values()))
         with pytest.raises(ValueError):
-            read(f2_reader, "q", para, k=0)
+            read(f2_reader, "q", [para], k=0)
 
     def test_span_text_matches_slice(self, f2_reader, f2_paragraphs,
                                      f2_records):
@@ -533,13 +536,13 @@ class TestRead:
             grouped = _by_article(f2_paragraphs.values())
             gold = resolve_gold_paragraph(record,
                                           grouped[record.gold_article_id])
-            for span in read(f2_reader, record.question, gold, k=2):
+            for span in read(f2_reader, record.question, [gold], k=2)[0]:
                 assert span.text == gold.full_text[span.start_char:
                                                    span.end_char]
 
     def test_tokenless_text_falls_back_to_whole_span(self, f2_index):
         para = Paragraph("p#0", "a", "", "!!! ---", 0)
-        spans = read(BuiltinReader(f2_index), "question", para, k=1)
+        [spans] = read(BuiltinReader(f2_index), "question", [para], k=1)
         assert len(spans) == 1
         assert spans[0].text == "!!! ---"
 
@@ -552,7 +555,7 @@ class TestRead:
         for record in f2_records:
             gold = resolve_gold_paragraph(record,
                                           grouped[record.gold_article_id])
-            top = read(f2_reader, record.question, gold, k=1)[0]
+            [[top]] = read(f2_reader, record.question, [gold], k=1)
             good += f1_score(top.text, list(record.gold_answers)) >= 0.5
         assert good / len(f2_records) >= 0.70
 
@@ -595,9 +598,9 @@ class TestNonFiniteScores:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_read_score_rejected(self, value):
         with pytest.raises(StageError,
-                           match=rf"\[read\] non-finite score {value} "
-                                 rf"for p#1"):
-            read(self.SpanScorer(value), "q", self.PARAS[1], k=2)
+                           match=rf"^\[read\] p#1: non-finite score "
+                                 rf"{value}$"):
+            read(self.SpanScorer(value), "q", self.PARAS[1:], k=2)
 
 
 class TestTraining:
