@@ -37,12 +37,16 @@ needs the test dependencies.
   pairs; exits on any bit difference.
 - Echo scorer spawn plus hello, pinned to one CPU: the start-up every
   external-scorer spawn and respawn pays.
-- ``answer_batch`` over F2's questions with a ``ScorerPool`` reader that
-  busy-waits ``--fanout-ms`` per request, next to answering them one by
-  one; alternating pairs; exits on any bit difference.
+- The F2 read stage over each question's read slice with the echo scorer
+  as reader, at protocol 2 (one ``read_batch`` request per slice) next to
+  protocol 1 (one ``read`` request per paragraph), pinned to one CPU with
+  both scorers; alternating pairs; exits on any bit difference.
+- ``answer_batch`` over F2's questions with a protocol-2 ``ScorerPool``
+  reader that busy-waits ``--fanout-ms`` per text, next to answering them
+  one by one; alternating pairs; exits on any bit difference.
 
     python3 benchmarks/bench_kernels.py [--docs 50000] [--span-tokens 30 384]
-        [--fanout-ms 0 1]
+        [--fanout-ms 0 1 5]
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import os
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +262,26 @@ def bench_features(f2) -> dict[str, tuple]:
             for phase, examples in (("finetune", finetune), ("aug2", aug2))}
 
 
+def f2_pools(f2) -> tuple:
+    """The F2 pipeline (trained ranker, builtin reader, default config),
+    and for each question its read slice (its top 3 of 100) and its
+    first-pass pool, each as (question, paragraphs)."""
+    from mindstone.pipeline import Pipeline
+    from mindstone.scorers import BuiltinReader
+
+    index, paragraphs, records, _, _, ranker = f2
+    pipeline = Pipeline(index, paragraphs, ranker, BuiltinReader(index))
+    n_read = pipeline.config.n_reader_effective
+    slices, pools = [], []
+    for r in records:
+        result = pipeline.answer(r.question)
+        slices.append((r.question, [paragraphs[pid]
+                                    for pid, _ in result.ranked[:n_read]]))
+        pools.append((r.question, [paragraphs[pid]
+                                   for pid, _ in result.retrieved]))
+    return pipeline, slices, pools
+
+
 def bench_read_and_rank(f2) -> tuple[tuple, tuple, np.ndarray, np.ndarray,
                                      int]:
     """Time the builtin reader over the paragraphs the F2 pipeline reads
@@ -268,25 +293,17 @@ def bench_read_and_rank(f2) -> tuple[tuple, tuple, np.ndarray, np.ndarray,
     same top 3). Returns the times, and the pool rows on which a column sum
     of products differs in a bit."""
     from mindstone import scorers
-    from mindstone.pipeline import Pipeline
-    from mindstone.scorers import BuiltinReader
     from mindstone.scorers.builtin import _candidate, feature_rows
 
-    index, paragraphs, records, _, _, ranker = f2
-    reader = BuiltinReader(index)
-    pipeline = Pipeline(index, paragraphs, ranker, reader)
+    index, _, _, _, _, ranker = f2
+    pipeline, slices, pools = f2_pools(f2)
+    reader = pipeline.reader
     limits = pipeline.config.limits
-    n_read = pipeline.config.n_reader_effective
-    reads, slices, pools, products = [], [], [], []
-    for r in records:
-        result = pipeline.answer(r.question)
-        read_slice = [paragraphs[pid] for pid, _ in result.ranked[:n_read]]
-        reads += [(r.question, p.full_text) for p in read_slice]
-        slices.append((r.question, read_slice))
-        pool = [paragraphs[pid] for pid, _ in result.retrieved]
-        pools.append((r.question, pool))
-        products.append((feature_rows(index, [(r.question, [
-            _candidate(index, {}, p.para_id, p.full_text) for p in pool])]),))
+    reads = [(question, p.full_text) for question, read_slice in slices
+             for p in read_slice]
+    products = [(feature_rows(index, [(question, [
+        _candidate(index, {}, p.para_id, p.full_text) for p in pool])]),)
+        for question, pool in pools]
 
     def read(question, text):
         return reader.read_text(question, text, 1)
@@ -454,49 +471,88 @@ def bench_index(corpora: dict, repeat: int = 3) -> None:
         print(f"  {len(keys):,} rows")
 
 
-def bench_spawn(repeat: int) -> np.ndarray:
-    """Seconds from spawning ``python -m mindstone.scorers.echo_scorer``
-    (this checkout's) to its hello, over ``repeat`` spawns pinned to one
-    CPU; each scorer is closed before the next spawn."""
-    from mindstone.scorers.external import ExternalScorer
+ECHO = [sys.executable, "-m", "mindstone.scorers.echo_scorer"]
 
-    command = [sys.executable, "-m", "mindstone.scorers.echo_scorer"]
+
+@contextmanager
+def one_cpu():
+    """Pin this process, and so the scorers it spawns, to one CPU, with
+    this checkout's ``src`` first on their ``PYTHONPATH``."""
     saved_env = os.environ.get("PYTHONPATH")
     saved_cpus = os.sched_getaffinity(0)
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), saved_env]))
-    os.sched_setaffinity(0, {min(saved_cpus)})  # the scorers inherit it
+    os.sched_setaffinity(0, {min(saved_cpus)})
     try:
-        ExternalScorer(command, "read").close()  # warm the bytecode cache
-        times = np.empty(repeat)
-        for r in range(repeat):
-            start = time.perf_counter()
-            scorer = ExternalScorer(command, "read")
-            times[r] = time.perf_counter() - start
-            scorer.close()
+        yield
     finally:
         os.sched_setaffinity(0, saved_cpus)
         if saved_env is None:
             del os.environ["PYTHONPATH"]
         else:
             os.environ["PYTHONPATH"] = saved_env
+
+
+def bench_spawn(repeat: int) -> np.ndarray:
+    """Seconds from spawning ``python -m mindstone.scorers.echo_scorer``
+    (this checkout's) to its hello, over ``repeat`` spawns pinned to one
+    CPU; each scorer is closed before the next spawn."""
+    from mindstone.scorers.external import ExternalScorer
+
+    with one_cpu():
+        ExternalScorer(ECHO, "read").close()  # warm the bytecode cache
+        times = np.empty(repeat)
+        for r in range(repeat):
+            start = time.perf_counter()
+            scorer = ExternalScorer(ECHO, "read")
+            times[r] = time.perf_counter() - start
+            scorer.close()
     return times
 
 
-# A protocol-1 reader that busy-waits the given milliseconds per request,
+def bench_external_read(f2) -> tuple:
+    """Time the F2 read stage (``scorers.read``) over each question's read
+    slice (its top 3 of 100) with the echo scorer as reader, at protocol 2
+    next to protocol 1, all pinned to one CPU."""
+    from mindstone import scorers
+    from mindstone.scorers.external import ExternalScorer
+
+    pipeline, slices, _ = f2_pools(f2)
+    k, limits = pipeline.config.k_spans_per_paragraph, pipeline.config.limits
+
+    def stage(reader):
+        return lambda question, read_slice: scorers.read(
+            reader, question, read_slice, k, limits)
+
+    with one_cpu(), \
+            ExternalScorer(ECHO + ["--protocol", "2"], "read") as v2, \
+            ExternalScorer(ECHO + ["--protocol", "1"], "read") as v1:
+        return ab({"protocol 2": stage(v2), "protocol 1": stage(v1)},
+                  slices)
+
+
+# A protocol-2 reader that busy-waits the given milliseconds per text,
 # standing in for a model's compute, then reads the whole text as one span.
 BUSY_SCORER = """
 import json, sys, time
 busy = float(sys.argv[1]) / 1000
-print(json.dumps({"type": "hello", "protocol": 1, "roles": ["read"]}),
+print(json.dumps({"type": "hello", "protocol": 2, "roles": ["read"]}),
       flush=True)
-for line in sys.stdin:
-    req = json.loads(line)
+
+def read(text):
     end = time.perf_counter() + busy
     while time.perf_counter() < end:
         pass
-    print(json.dumps({"type": "read_result", "id": req["id"], "spans": [
-        {"start": 0, "end": len(req["text"]), "score": 1.0}]}), flush=True)
+    return [{"start": 0, "end": len(text), "score": 1.0}]
+
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["type"] == "read_batch":
+        reply = {"type": "read_batch_result",
+                 "spans": [read(text) for text in req["texts"]]}
+    else:
+        reply = {"type": "read_result", "spans": read(req["text"])}
+    print(json.dumps(dict(reply, id=req["id"])), flush=True)
 """
 
 
@@ -504,7 +560,7 @@ def bench_fanout(f2, busy_ms: float) -> tuple:
     """Seconds per question of ``answer_batch`` over F2's questions, which
     fans out over one thread per usable CPU because the reader is a
     ``ScorerPool``, and of answering them one by one. The reader busy-waits
-    ``busy_ms`` per request; the ranker is the trained builtin one."""
+    ``busy_ms`` per text; the ranker is the trained builtin one."""
     from mindstone.pipeline import Pipeline
     from mindstone.scorers.external import ScorerPool
 
@@ -534,7 +590,8 @@ def main(argv=None) -> int:
     parser.add_argument("--span-tokens", type=int, nargs="+",
                         default=[30, 384])
     parser.add_argument("--queries", type=int, default=300)
-    parser.add_argument("--fanout-ms", type=float, nargs="+", default=[0, 1])
+    parser.add_argument("--fanout-ms", type=float, nargs="+",
+                        default=[0, 1, 5])
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(0)
@@ -564,6 +621,8 @@ def main(argv=None) -> int:
     print(f"{label:<44} {describe(ranks, 'us')}")
     label = "F2 warm read stage"
     print(f"{label:<44} {describe(read_stage, 'us')}")
+    report(lambda name: f"F2 external read stage, echo {name}",
+           *bench_external_read(f2), unit="us")
 
     per_query, result, postings = bench_fixture_retrieval(args.queries)
     label = f"F2 retrieval batch of {args.queries}, n=100, per query"

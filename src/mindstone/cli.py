@@ -83,9 +83,23 @@ def _read_questions(path: str) -> tuple[list[eval_mod.GoldRecord], int]:
     return records, skipped
 
 
+def _check_paragraphs(index: InvertedIndex, paragraphs, path: str):
+    """Refuse a paragraph file whose para_ids are not the index's doc_ids,
+    naming the first indexed para_id it lacks or else its first extra."""
+    missing = next((pid for pid in index.doc_ids if pid not in paragraphs),
+                   None)
+    if missing is not None:
+        raise ValueError(f"{path}: no paragraph text for indexed para_id "
+                         f"{missing!r}")
+    extra = next((pid for pid in paragraphs if pid not in index), None)
+    if extra is not None:
+        raise ValueError(f"{path}: para_id {extra!r} is not in the index")
+
+
 def _build_pipeline(args, config: PipelineConfig):
     index = InvertedIndex.load(args.index)
     paragraphs = load_paragraph_map(args.paragraphs)
+    _check_paragraphs(index, paragraphs, args.paragraphs)
     ranker, ranker_desc = _build_ranker(args, index)
 
     if args.external_reader:
@@ -100,12 +114,25 @@ def _build_pipeline(args, config: PipelineConfig):
     return pipeline, scorer_descs
 
 
-def _run_manifest(config: PipelineConfig, index: InvertedIndex,
+def _texts_digest(index: InvertedIndex, paragraphs) -> str:
+    """SHA-256 of the paragraphs' full texts in the index's ordinal order,
+    each as one JSON string line."""
+    digest = hashlib.sha256()
+    for pid in index.doc_ids:
+        digest.update(json.dumps(paragraphs[pid].full_text).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _run_manifest(config: PipelineConfig, index: InvertedIndex, paragraphs,
                   scorer_descs: dict, seed: int) -> dict:
+    # The index checksum covers the rows, not the texts, which the ranker
+    # and reader read: texts with the same tokens in another order index
+    # alike but answer differently.
     core = {
         "tool_version": __version__,
         "config": config.to_dict(),
         "index_checksum": index.build_checksum,
+        "paragraphs_sha256": _texts_digest(index, paragraphs),
         "scorers": scorer_descs,
         "seed": seed,
     }
@@ -245,7 +272,8 @@ def cmd_eval(args) -> int:
                                        tau=args.tau, malformed_skipped=skipped)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _run_manifest(config, pipeline.index, scorer_descs, args.seed)
+    manifest = _run_manifest(config, pipeline.index, pipeline.paragraphs,
+                             scorer_descs, args.seed)
     report.manifest_key = manifest["manifest_key"]
     write_json_object(report.to_dict(), out_dir / "report.json")
     eval_mod.write_curves_csv(curves, out_dir / "curves.csv")
@@ -263,7 +291,8 @@ def cmd_bench(args) -> int:
                                      queries_per_run=args.queries_per_run)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _run_manifest(config, pipeline.index, scorer_descs, args.seed)
+    manifest = _run_manifest(config, pipeline.index, pipeline.paragraphs,
+                             scorer_descs, args.seed)
     payload = dataclasses.asdict(latency)
     payload["manifest_key"] = manifest["manifest_key"]
     write_json_object(payload, out_dir / "latency.json")
@@ -282,9 +311,11 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="run config JSON")
     p.add_argument("--ranker-model", help="builtin ranker model JSON")
     p.add_argument("--external-ranker",
-                   help="external ranker command line (wire protocol v1)")
+                   help="external ranker command line (wire protocol v1 "
+                        "or v2)")
     p.add_argument("--external-reader",
-                   help="external reader command line (wire protocol v1)")
+                   help="external reader command line (wire protocol v1 "
+                        "or v2)")
     p.add_argument("--n-retriever", type=int, help="first-pass depth")
     p.add_argument("--read-fraction", type=float,
                    help="fraction of retrieved docs sent to the reader")

@@ -202,6 +202,12 @@ class InvertedIndex:
     def __contains__(self, para_id: str) -> bool:
         return para_id in self._ord_of
 
+    @property
+    def doc_ids(self) -> list[str]:
+        """The indexed para_ids in ordinal order (which is para_id order);
+        the list is the index's own, not a copy."""
+        return self._doc_ids
+
     def ordinal(self, para_id: str) -> int:
         try:
             return self._ord_of[para_id]

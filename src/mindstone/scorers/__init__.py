@@ -1,17 +1,17 @@
 """Ranker and reader stages: builtin lexical scorers, ranker-dataset
 builders, and the subprocess wire protocol for external scorers.
 
-A ranker exposes ``rank_text(question, text) -> float`` (a relevance logit,
-> 0 meaning "contains an answer"), and may also expose
-``rank_pool(question, para_ids, texts) -> ndarray`` that scores a whole
-candidate pool at once, equal to ``rank_text`` on each text. A reader
-exposes ``read_text(question, text, k) -> [(start, end, score), ...]``
-with character offsets into the provided text. The module-level
-:func:`rank` and :func:`read`, each one call per question, are the only
-places that apply the truncation contract, so scorer output never depends
-on content beyond the truncation limits, and they reject NaN and infinite
-scores, which fusion cannot order; :func:`rank` also rejects any count of
-scores other than one per paragraph.
+The scorer contract is pool-only. A ranker exposes
+``rank_pool(question, para_ids, texts) -> scores``, one relevance logit
+per text (> 0 meaning "contains an answer"). A reader exposes
+``read_pool(question, para_ids, texts, k) -> [[(start, end, score), ...],
+...]``, one span list per text, with character offsets into that text.
+The module-level :func:`rank` and :func:`read` call their scorer once per
+question. They are the only places that apply the truncation contract, so
+scorer output never depends on content beyond the truncation limits, and
+they check the reply: one score or one span list per paragraph, spans
+inside their text, and no NaN or infinite score, which fusion cannot
+order.
 
 Importing this package loads no numpy, so a scorer subprocess such as
 ``echo_scorer`` starts fast. The names of ``builtin``, ``datasets`` and
@@ -84,19 +84,18 @@ def rank(scorer, question: str, paragraphs: Sequence[Paragraph],
          limits: TruncationLimits = TruncationLimits()) -> np.ndarray:
     """Ranker stage for a candidate pool: one float64 score per paragraph,
     in order. Each paragraph is truncated to ``limits.ranker_para_tokens``,
-    then scored by the scorer's ``rank_pool`` when it has one, else pair by
-    pair with ``rank_text``. A scorer that raises, or scores of another
-    shape than one per paragraph, or not finite, are a ``StageError``."""
+    then the pool is scored by one ``rank_pool`` call (none for an empty
+    pool). A scorer that raises, or scores of another shape than one per
+    paragraph, or not finite, are a ``StageError``."""
     import numpy as np
+    if not paragraphs:
+        return np.zeros(0)
     texts = [truncate_to_tokens(p.full_text, limits.ranker_para_tokens)
              for p in paragraphs]
     try:
-        if hasattr(scorer, "rank_pool"):
-            scores = scorer.rank_pool(question,
-                                      [p.para_id for p in paragraphs], texts)
-        else:
-            scores = [scorer.rank_text(question, text) for text in texts]
-        scores = np.asarray(scores, dtype=np.float64)
+        scores = np.asarray(scorer.rank_pool(
+            question, [p.para_id for p in paragraphs], texts),
+            dtype=np.float64)
     except StageError:
         raise
     except Exception as exc:
@@ -118,23 +117,37 @@ def read(scorer, question: str, paragraphs: Sequence[Paragraph], k: int,
          ) -> list[list[AnswerSpan]]:
     """Reader stage for one question's read slice: up to k spans per
     paragraph, best first. The question is cut once to the combined token
-    budget, each paragraph to the rest of it and read by one ``read_text``
-    call. Any failure on a paragraph is a ``StageError`` naming it."""
+    budget, each paragraph to the rest of it, and the slice is read by one
+    ``read_pool`` call (none for an empty slice). A failure of that call
+    is a ``StageError`` naming the paragraphs of the slice; a failure in
+    one paragraph's reply, or an empty paragraph, names that paragraph."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not paragraphs:
+        return []
     budget = limits.reader_total_tokens
     q_count = len(segment(question))
     if q_count >= budget:
         question = truncate_to_tokens(question, budget - 1)
         q_count = budget - 1
     room = max(1, budget - q_count)
+    para_ids = [p.para_id for p in paragraphs]
+    texts = [truncate_to_tokens(p.full_text, room) for p in paragraphs]
+    if "" in texts:
+        empty = para_ids[texts.index("")]
+        raise StageError("read", f"{empty}: paragraph is empty")
+    try:
+        replies = list(scorer.read_pool(question, para_ids, texts, k))
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError("read", f"{', '.join(para_ids)}: {exc}")
+    if len(replies) != len(paragraphs):
+        raise StageError("read", f"reader returned {len(replies)} span "
+                                 f"lists for {len(paragraphs)} paragraphs")
     read_slice = []
-    for paragraph in paragraphs:
+    for para_id, text, raw in zip(para_ids, texts, replies):
         try:
-            text = truncate_to_tokens(paragraph.full_text, room)
-            if not text:
-                raise ValueError("paragraph is empty")
-            raw = scorer.read_text(question, text, k)
             if not raw:
                 raise ValueError("scorer returned no spans")
             spans = []
@@ -146,10 +159,8 @@ def read(scorer, question: str, paragraphs: Sequence[Paragraph], k: int,
                 if not math.isfinite(score):
                     raise ValueError(f"non-finite score {score}")
                 spans.append(AnswerSpan(start, end, text[start:end], score))
-        except StageError:
-            raise
         except Exception as exc:
-            raise StageError("read", f"{paragraph.para_id}: {exc}")
+            raise StageError("read", f"{para_id}: {exc}")
         spans.sort(key=lambda s: (-s.s_reader, s.start_char, s.end_char))
         read_slice.append(spans)
     return read_slice

@@ -2,14 +2,13 @@
 
 The ranker is a logistic-loss linear model over six cheap lexical features
 (feature_spec_version 1); it exercises the same training pipeline a neural
-ranker would attach to. Pools (``rank_pool``), single pairs
-(``rank_text``, a pool of one) and training (``train_builtin_ranker``)
-compute features through one path, :func:`feature_rows`, over candidates
-that one helper resolves, :func:`_candidate`: an indexed paragraph whose
-text is the indexed text is read from its postings, any other text from
-its own tokens. The ranker scores texts as given; ``scorers.rank``
-truncates them. A pool's scores are one ``np.vecdot`` of its feature rows
-and the weights.
+ranker would attach to. Pools (``rank_pool``) and training
+(``train_builtin_ranker``) compute features through one path,
+:func:`feature_rows`, over candidates that one helper resolves,
+:func:`_candidate`: an indexed paragraph whose text is the indexed text is
+read from its postings, any other text from its own tokens. The ranker
+scores texts as given; ``scorers.rank`` truncates them. A pool's scores
+are one ``np.vecdot`` of its feature rows and the weights.
 
 The reader scores every token window up to 30 tokens by idf-weighted
 question-term overlap (in-window, plus half-weight overlap in a
@@ -52,7 +51,7 @@ IDF_FLOOR = 2.0
 # of a document, else -1 and its term counts; its title terms).
 Candidate = tuple[int, Counter | None, frozenset[str]]
 # para_id -> (the last text resolved under it, that text's candidate).
-Memo = dict[str | None, tuple[str, Candidate]]
+Memo = dict[str, tuple[str, Candidate]]
 # A question and the candidates to score against it.
 Pool = tuple[str, Sequence[Candidate]]
 
@@ -63,7 +62,7 @@ def _title_terms(text: str, stopwords: frozenset[str]) -> frozenset[str]:
     return frozenset(tokenize(head, stopwords) if sep else ())
 
 
-def _candidate(index: InvertedIndex, memo: Memo, para_id: str | None,
+def _candidate(index: InvertedIndex, memo: Memo, para_id: str,
                text: str) -> Candidate:
     """The candidate of ``text``, read from the index when it is the
     indexed text of ``para_id``. ``memo`` keeps it under ``para_id`` and
@@ -182,7 +181,7 @@ class BuiltinRankerModel:
 
 
 class BuiltinRanker:
-    """Scores (question, text) pairs with a linear model. The model is
+    """Scores a question's candidate pool with a linear model. The model is
     immutable, and each memo entry is one (text, candidate) tuple, read and
     replaced whole, so concurrent scoring is safe."""
 
@@ -192,10 +191,7 @@ class BuiltinRanker:
         self._w = np.array(model.feature_weights)
         self._memo: Memo = {}
 
-    def rank_text(self, question: str, text: str) -> float:
-        return float(self.rank_pool(question, [None], [text])[0])
-
-    def rank_pool(self, question: str, para_ids: Sequence[str | None],
+    def rank_pool(self, question: str, para_ids: Sequence[str],
                   texts: Sequence[str]) -> np.ndarray:
         """Scores of ``texts``, the texts of ``para_ids``, from one
         :func:`feature_rows` call. A text that is the indexed text of its
@@ -358,6 +354,12 @@ class BuiltinReader:
 
     def __init__(self, index: InvertedIndex):
         self.index = index
+
+    def read_pool(self, question: str, para_ids: Sequence[str],
+                  texts: Sequence[str],
+                  k: int) -> list[list[tuple[int, int, float]]]:
+        """One :meth:`read_text` span list per text."""
+        return [self.read_text(question, text, k) for text in texts]
 
     def read_text(self, question: str, text: str,
                   k: int) -> list[tuple[int, int, float]]:

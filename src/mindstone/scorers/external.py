@@ -1,13 +1,21 @@
-"""Line-delimited JSON wire protocol (v1) for external scorer subprocesses.
+"""Line-delimited JSON wire protocol (v1 and v2) for external scorer
+subprocesses.
 
-The scorer speaks first: ``{"type":"hello","protocol":1,"roles":[...]}``.
+The scorer speaks first: ``{"type":"hello","protocol":2,"roles":[...]}``.
 The host then sends one request per line and reads one response per line
 on the calling thread, polling stdout until a deadline (so POSIX only); ids
-are echoed verbatim. Each handle is a serial channel; a batch fans out over
-threads only through a :class:`ScorerPool` of them. A protocol fault (a
-timeout, a malformed, non-UTF-8 or mismatched reply, or a scorer that exits
-or closes its stdout) kills the scorer and closes its handle; a pool then
-spawns a fresh one.
+are echoed verbatim. Protocol 1 has one request per text (``rank``,
+``read``). Protocol 2 adds ``rank_batch`` and ``read_batch``, which carry a
+question's whole pool or read slice in one message; the hello's
+``protocol`` field says which one a scorer speaks. ``rank_pool`` and
+``read_pool`` send one batch request at protocol 2 and fall back to one
+request per text at protocol 1.
+
+Each handle is a serial channel; a batch fans out over threads only
+through a :class:`ScorerPool` of them. A protocol fault (a timeout, a
+malformed, non-UTF-8 or mismatched reply, or a scorer that exits or closes
+its stdout) kills the scorer and closes its handle; a pool then spawns a
+fresh one.
 """
 
 from __future__ import annotations
@@ -20,12 +28,33 @@ import subprocess
 import threading
 import time
 from contextlib import contextmanager
+from typing import Sequence
 
-from ..corpus import ARRAY, INTEGER, NUMBER, OBJECT, STRING, json_field
+from ..corpus import (ARRAY, INTEGER, NUMBER, OBJECT, STRING, json_field,
+                      json_value)
 from ..errors import (HandshakeTimeoutError, MalformedResponseError,
                       MindstoneError, ScorerExitError, ScorerProtocolError)
 
-PROTOCOL_VERSION = 1
+PROTOCOLS = (1, 2)  # the protocol versions this host speaks
+
+
+def _spans(items: list, where: str) -> list[tuple[int, int, float]]:
+    """(start, end, score) of each span object of a reply's array at
+    ``where``; a ValueError names a field of the wrong kind."""
+    spans = []
+    for i, span in enumerate(items):
+        at = f"{where}[{i}]"
+        json_value(span, OBJECT, at)
+        spans.append((json_field(span, "start", INTEGER, at),
+                      json_field(span, "end", INTEGER, at),
+                      float(json_field(span, "score", NUMBER, at))))
+    return spans
+
+
+def _span_lists(reply: dict) -> list[list[tuple[int, int, float]]]:
+    """The span list of each text of a ``read_batch_result``."""
+    return [_spans(json_value(items, ARRAY, f"spans[{i}]"), f"spans[{i}]")
+            for i, items in enumerate(json_field(reply, "spans", ARRAY))]
 
 
 class ExternalScorer:
@@ -53,6 +82,7 @@ class ExternalScorer:
         self._closed = False
         try:
             self.hello = self._handshake()
+            self.protocol = self.hello["protocol"]
         except BaseException:
             # The caller never gets this handle, so nothing else can stop
             # the scorer or release its pipes.
@@ -95,7 +125,7 @@ class ExternalScorer:
             roles = json_field(hello, "roles", ARRAY, items=STRING)
         except ValueError as exc:
             raise MalformedResponseError(str(exc), line) from None
-        if protocol != PROTOCOL_VERSION:
+        if protocol not in PROTOCOLS:
             raise MalformedResponseError(
                 f"unsupported protocol {protocol!r}", line)
         if self.role not in roles:
@@ -118,7 +148,11 @@ class ExternalScorer:
                 f"expected type {expected_type!r}", line)
         return obj
 
-    def _request(self, payload: dict, expected_type: str) -> dict:
+    def _request(self, payload: dict, expected_type: str, fields):
+        """Send ``payload`` and return ``fields`` of its reply of type
+        ``expected_type``. A ValueError from ``fields`` (a field of another
+        kind) is a MalformedResponseError that keeps the handle, since the
+        channel is still in step."""
         with self._lock:
             if self._closed:
                 raise ScorerProtocolError("scorer handle is closed")
@@ -150,29 +184,47 @@ class ExternalScorer:
                 self._proc.kill()
                 self.close()
                 raise
-            return obj
-
-    def rank_text(self, question: str, text: str) -> float:
-        obj = self._request({"type": "rank", "question": question,
-                             "text": text}, expected_type="rank_result")
         try:
-            return float(json_field(obj, "score", NUMBER))
+            return fields(obj)
         except ValueError as exc:
             raise MalformedResponseError(str(exc), json.dumps(obj)) from None
+
+    def rank_text(self, question: str, text: str) -> float:
+        return self._request(
+            {"type": "rank", "question": question, "text": text},
+            "rank_result",
+            lambda reply: float(json_field(reply, "score", NUMBER)))
 
     def read_text(self, question: str, text: str,
                   k: int) -> list[tuple[int, int, float]]:
-        obj = self._request({"type": "read", "question": question,
-                             "text": text, "k": k},
-                            expected_type="read_result")
-        try:
-            spans = json_field(obj, "spans", ARRAY, items=OBJECT)
-            return [(json_field(s, "start", INTEGER, f"spans[{i}]"),
-                     json_field(s, "end", INTEGER, f"spans[{i}]"),
-                     float(json_field(s, "score", NUMBER, f"spans[{i}]")))
-                    for i, s in enumerate(spans)]
-        except ValueError as exc:
-            raise MalformedResponseError(str(exc), json.dumps(obj)) from None
+        return self._request(
+            {"type": "read", "question": question, "text": text, "k": k},
+            "read_result",
+            lambda reply: _spans(json_field(reply, "spans", ARRAY),
+                                 "spans"))
+
+    def rank_pool(self, question: str, para_ids: Sequence[str],
+                  texts: Sequence[str]) -> list[float]:
+        """One score per text: one ``rank_batch`` request, or at protocol 1
+        one ``rank`` request per text."""
+        if self.protocol == 1:
+            return [self.rank_text(question, text) for text in texts]
+        return self._request(
+            {"type": "rank_batch", "question": question, "texts": texts},
+            "rank_batch_result",
+            lambda reply: [float(score) for score in json_field(
+                reply, "scores", ARRAY, items=NUMBER)])
+
+    def read_pool(self, question: str, para_ids: Sequence[str],
+                  texts: Sequence[str],
+                  k: int) -> list[list[tuple[int, int, float]]]:
+        """One span list per text: one ``read_batch`` request, or at
+        protocol 1 one ``read`` request per text."""
+        if self.protocol == 1:
+            return [self.read_text(question, text, k) for text in texts]
+        return self._request(
+            {"type": "read_batch", "question": question, "texts": texts,
+             "k": k}, "read_batch_result", _span_lists)
 
     def close(self):
         if self._closed:
@@ -201,9 +253,10 @@ class ExternalScorer:
 
 class ScorerPool:
     """ExternalScorer handles shared by concurrent callers, such as the
-    threads of ``Pipeline.answer_batch``. Each call takes an idle handle,
-    spawning one only when all are busy, and returns it after, so k callers
-    share no channel and run at most k scorer processes, batch after batch."""
+    threads of ``Pipeline.answer_batch``. Each call, such as one question's
+    ``read_pool``, takes an idle handle, spawning one only when all are
+    busy, and returns it after, so k callers share no channel and run at
+    most k scorer processes, batch after batch."""
 
     def __init__(self, command: str | list[str], role: str,
                  timeout: float = 30.0):
@@ -239,6 +292,16 @@ class ScorerPool:
     def read_text(self, question: str, text: str, k: int):
         with self._handle() as handle:
             return handle.read_text(question, text, k)
+
+    def rank_pool(self, question: str, para_ids: Sequence[str],
+                  texts: Sequence[str]) -> list[float]:
+        with self._handle() as handle:
+            return handle.rank_pool(question, para_ids, texts)
+
+    def read_pool(self, question: str, para_ids: Sequence[str],
+                  texts: Sequence[str], k: int):
+        with self._handle() as handle:
+            return handle.read_pool(question, para_ids, texts, k)
 
     def close(self):
         with self._lock:

@@ -82,8 +82,10 @@ class ContainmentOracleRanker:
     def __init__(self, records):
         self._golds = {r.question: list(r.gold_answers) for r in records}
 
-    def rank_text(self, question: str, text: str) -> float:
-        return 1.0 if contains_answer(text, self._golds[question]) else -1.0
+    def rank_pool(self, question: str, para_ids, texts) -> list[float]:
+        golds = self._golds[question]
+        return [1.0 if contains_answer(text, golds) else -1.0
+                for text in texts]
 
 
 @pytest.fixture(scope="session")

@@ -309,8 +309,8 @@ def test_criterion_10_dataset_builders(f2_index, f2_paragraphs, f2_records):
     import string
 
     class ConstantScorer:
-        def rank_text(self, question, text):
-            return 0.0
+        def rank_pool(self, question, para_ids, texts):
+            return [0.0] * len(texts)
 
     aug1 = build_dataset_aug1(f2_records, f2_index, f2_paragraphs, n=5)
     aug2 = build_dataset_aug2(f2_records, f2_index, f2_paragraphs,

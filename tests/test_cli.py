@@ -5,6 +5,8 @@ import hashlib
 import json
 import platform
 import re
+import shlex
+import sys
 from operator import attrgetter
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from mindstone import _kernels, cli, fusion
 from mindstone import eval as eval_mod
 from mindstone.cli import build_parser, main
+from mindstone.corpus import load_paragraph_map
 from mindstone.errors import StageError
 from mindstone.index import InvertedIndex
 from mindstone.pipeline import CONFIG_KEYS, Pipeline, PipelineConfig
@@ -154,10 +157,55 @@ class TestAnswer:
         lines = out.read_text("utf-8").splitlines()
         assert len(lines) == 200
 
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_paragraphs_not_the_index_documents_exit_one(self, workdir,
+                                                         tmp_path, capsys,
+                                                         edit):
+        lines = (workdir / "paragraphs.jsonl").read_text(
+            "utf-8").splitlines(True)
+        if edit == "missing":
+            kept, pid = lines[:3] + lines[4:], json.loads(lines[3])["para_id"]
+            message = f"no paragraph text for indexed para_id {pid!r}"
+        else:
+            pid = "zz#extra"
+            kept = lines + [json.dumps(dict(json.loads(lines[0]),
+                                            para_id=pid)) + "\n"]
+            message = f"para_id {pid!r} is not in the index"
+        paragraphs = tmp_path / "paragraphs.jsonl"
+        paragraphs.write_text("".join(kept), encoding="utf-8")
+        code = main(["answer", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(paragraphs), "--question", "q"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paragraphs}: {message}"]
+
+    def test_external_reader_answers_alike_at_both_protocols(self, workdir,
+                                                             tmp_path):
+        answers = []
+        for protocol in ("1", "2"):
+            out = tmp_path / f"v{protocol}.jsonl"
+            reader = shlex.join([sys.executable, "-m",
+                                 "mindstone.scorers.echo_scorer",
+                                 "--protocol", protocol])
+            assert main(["answer", "--index", str(workdir / "idx"),
+                         "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                         "--ranker-model", str(workdir / "model.json"),
+                         "--batch", str(FIXTURES / "f2_questions.jsonl"),
+                         "--external-reader", reader,
+                         "--out", str(out)]) == 0
+            records = [json.loads(line)
+                       for line in out.read_text("utf-8").splitlines()]
+            for record in records:
+                del record["trace"]["times_ms"]
+            answers.append(records)
+        assert len(answers[0]) == 200
+        assert all("error" not in record for record in answers[0])
+        assert answers[0] == answers[1]
+
     def test_failed_question_is_logged(self, workdir, monkeypatch, caplog,
                                        capsys):
         class FailingReader:
-            def read_text(self, question, text, k):
+            def read_pool(self, question, para_ids, texts, k):
                 raise StageError("read", "reader crashed")
 
         build = cli._build_pipeline
@@ -254,15 +302,18 @@ class TestEvalAndBench:
 
     def test_manifest_provenance_is_not_hashed(self, workdir, monkeypatch):
         args = (PipelineConfig(), InvertedIndex.load(workdir / "idx"),
+                load_paragraph_map(workdir / "paragraphs.jsonl"),
                 {"ranker": "builtin:zeros", "reader": "builtin:heuristic-v1"},
                 0)
         manifest = cli._run_manifest(*args)
         assert manifest["provenance"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "kernel_backend": _kernels.backend()}
-        # The key hashes the same five fields as before provenance existed.
+        # The key hashes the core fields alone.
         core = {k: manifest[k] for k in ("tool_version", "config",
-                                         "index_checksum", "scorers", "seed")}
+                                         "index_checksum",
+                                         "paragraphs_sha256", "scorers",
+                                         "seed")}
         assert manifest["manifest_key"] == hashlib.sha256(
             json.dumps(core, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -273,6 +324,34 @@ class TestEvalAndBench:
         assert other["provenance"] == {"python": "3.0.0", "numpy": "1.0.0",
                                        "kernel_backend": "other"}
         assert other["manifest_key"] == manifest["manifest_key"]
+
+    def test_manifest_key_names_the_paragraph_texts(self, workdir,
+                                                    tmp_path):
+        """One index, and a paragraph copy with each body's words reversed:
+        the same tokens and index rows, but other texts to rank and read,
+        so the runs get other keys."""
+        original = workdir / "paragraphs.jsonl"
+        rows = [json.loads(line)
+                for line in original.read_text("utf-8").splitlines()]
+        for row in rows:
+            row["body"] = " ".join(reversed(row["body"].split(" ")))
+        flipped = tmp_path / "reversed.jsonl"
+        flipped.write_text("".join(json.dumps(row) + "\n" for row in rows),
+                           encoding="utf-8")
+        manifests = []
+        for paragraphs in (original, flipped):
+            out_dir = tmp_path / paragraphs.stem
+            assert main(["eval", "--index", str(workdir / "idx"),
+                         "--paragraphs", str(paragraphs),
+                         "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                         "--n-retriever", "5", "--out-dir",
+                         str(out_dir)]) == 0
+            manifests.append(json.loads(
+                (out_dir / "run_manifest.json").read_text("utf-8")))
+        first, second = manifests
+        assert first["index_checksum"] == second["index_checksum"]
+        assert first["paragraphs_sha256"] != second["paragraphs_sha256"]
+        assert first["manifest_key"] != second["manifest_key"]
 
     def test_bench_outputs(self, workdir, tmp_path):
         out_dir = tmp_path / "bench"

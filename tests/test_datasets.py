@@ -30,8 +30,8 @@ def independent_contains(text: str, answers) -> bool:
 
 
 class ConstantScorer:
-    def rank_text(self, question, text):
-        return 0.0
+    def rank_pool(self, question, para_ids, texts):
+        return [0.0] * len(texts)
 
 
 class RetrievalOrderScorer:
@@ -170,8 +170,9 @@ class TestAug2:
         text_to_pid = {p.full_text: pid for pid, p in f2_paragraphs.items()}
 
         class OrderScorer:
-            def rank_text(self, question, text):
-                return -float(order.order_for(question)[text_to_pid[text]])
+            def rank_pool(self, question, para_ids, texts):
+                ranks = order.order_for(question)
+                return [-float(ranks[text_to_pid[text]]) for text in texts]
 
         got = build_dataset_aug2(records, f2_index, f2_paragraphs,
                                  OrderScorer(), m=100, n=5)

@@ -456,16 +456,15 @@ class TestRunEval:
         index = InvertedIndex.build(paras.values())
 
         class OracleReader:
-            def read_text(self, question, text, k):
+            def read_pool(self, question, para_ids, texts, k):
                 answer = golds[question]
-                pos = text.find(answer)
-                if pos < 0:
-                    return [(0, len(text), 0.0)]
-                return [(pos, pos + len(answer), 1.0)]
+                return [[(pos, pos + len(answer), 1.0)]
+                        if (pos := text.find(answer)) >= 0
+                        else [(0, len(text), 0.0)] for text in texts]
 
         class OneRanker:
-            def rank_text(self, question, text):
-                return 1.0
+            def rank_pool(self, question, para_ids, texts):
+                return [1.0] * len(texts)
 
         records = [GoldRecord(f"q{i}", q, (a,))
                    for i, (q, a) in enumerate(golds.items())]
@@ -484,7 +483,7 @@ class TestRunEval:
         from mindstone.pipeline import Pipeline, PipelineConfig
 
         class FailingReader:
-            def read_text(self, question, text, k):
+            def read_pool(self, question, para_ids, texts, k):
                 raise StageError("read", "reader crashed")
 
         pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker,
@@ -560,10 +559,10 @@ class TestRunBenchmark:
         failing = {records[1].question, records[3].question}
 
         class FailingReader:
-            def read_text(self, question, text, k):
+            def read_pool(self, question, para_ids, texts, k):
                 if question in failing:
                     raise StageError("read", "reader crashed")
-                return [(0, min(len(text), 5), 1.0)]
+                return [[(0, min(len(text), 5), 1.0)] for text in texts]
 
         pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker,
                         FailingReader(), PipelineConfig(n_retriever=5))
@@ -591,9 +590,9 @@ class TestRunBenchmark:
                 super().__init__(["unused"], "rank")
                 self.threads = set()
 
-            def rank_text(self, question, text):
+            def rank_pool(self, question, para_ids, texts):
                 self.threads.add(threading.get_ident())
-                return 1.0
+                return [1.0] * len(texts)
 
         pool = InProcessPool()
         pipe = Pipeline(f2_index, f2_paragraphs, pool, f2_reader,

@@ -11,9 +11,12 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mindstone
 from mindstone import scorers
+from mindstone.corpus import Paragraph
 from mindstone.errors import (HandshakeTimeoutError, MalformedResponseError,
                               MindstoneError, ScorerExitError,
                               ScorerProtocolError, StageError)
@@ -45,9 +48,11 @@ class TestEchoScorer:
     def test_handshake_and_constant_rank(self):
         with ExternalScorer(ECHO + ["--rank-score", "0.25"],
                             "rank") as scorer:
-            assert scorer.hello["protocol"] == 1
+            assert scorer.hello["protocol"] == scorer.protocol == 2
             assert scorer.rank_text("question", "paragraph text") == 0.25
             assert scorer.rank_text("another", "text") == 0.25
+            assert scorer.rank_pool("q", ["a", "b"], ["x", "y z"]) == [
+                0.25, 0.25]
 
     def test_read_returns_whole_text_span(self):
         with ExternalScorer(ECHO, "read") as scorer:
@@ -159,12 +164,7 @@ class TestFailureModes:
                                                     trained_ranker,
                                                     f2_reader):
         from mindstone.pipeline import Pipeline, PipelineConfig
-        script = py_script(
-            "import sys, json\n"
-            "print(json.dumps({'type':'hello','protocol':1,"
-            f"'roles':['{role}']}}), flush=True)\n"
-            "for line in sys.stdin:\n"
-            "    print('not json', flush=True)\n")
+        script = ECHO + ["--roles", role, "--garbage-after", "0"]
         with ScorerPool(script, role, timeout=10) as pool:
             ranker, reader = ((pool, f2_reader) if role == "rank"
                               else (trained_ranker, pool))
@@ -192,7 +192,7 @@ class TestFailureModes:
 
     def test_wrong_protocol_version(self):
         script = py_script(
-            "import json; print(json.dumps({'type':'hello','protocol':2,"
+            "import json; print(json.dumps({'type':'hello','protocol':3,"
             "'roles':['rank']}), flush=True)")
         with pytest.raises(MalformedResponseError, match="protocol"):
             ExternalScorer(script, "rank")
@@ -244,16 +244,10 @@ class TestFailureModes:
             assert scorer._proc.poll() is None
 
     def test_death_mid_stream_is_exit_error(self):
-        script = py_script(
-            "import sys, json\n"
-            "print(json.dumps({'type':'hello','protocol':1,"
-            "'roles':['rank']}), flush=True)\n"
-            "sys.stdin.readline()\n"
-            "sys.exit(7)\n")
-        scorer = ExternalScorer(script, "rank")
-        with pytest.raises(ScorerExitError, match="7"):
+        scorer = ExternalScorer(ECHO + ["--exit-after", "0"], "rank")
+        with pytest.raises(ScorerExitError, match=r"\(exit code 3\)"):
             scorer.rank_text("q", "t")
-        scorer.close()
+        assert scorer._closed
 
     def test_close_is_idempotent(self):
         scorer = ExternalScorer(ECHO, "rank")
@@ -281,9 +275,9 @@ class ThreadRecordingPool(ScorerPool):
         super().__init__(*args, **kwargs)
         self.threads = set()
 
-    def rank_text(self, question, text):
+    def rank_pool(self, question, para_ids, texts):
         self.threads.add(threading.get_ident())
-        return super().rank_text(question, text)
+        return super().rank_pool(question, para_ids, texts)
 
 
 class TestScorerPool:
@@ -485,3 +479,196 @@ class TestReaderFaults:
             assert scorer._proc.stdout.closed
         finally:
             os.kill(scorer.hello["pid"], signal.SIGKILL)
+
+
+def _v2_scorer(reply: str) -> list[str]:
+    """A protocol-2 scorer that answers each request with ``reply``, a
+    Python expression over the request ``req``, under the request's id."""
+    return py_script(
+        "import sys, json\n"
+        "print(json.dumps({'type':'hello','protocol':2,"
+        "'roles':['rank','read']}), flush=True)\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        f"    print(json.dumps(dict({reply}, id=req['id'])), flush=True)\n")
+
+
+class TestProtocol2:
+    PARAS = [Paragraph("p#0", "a", "", "first body", 0),
+             Paragraph("p#1", "a", "", "second body", 1)]
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_pool_calls_match_per_text_calls(self, protocol):
+        texts = ["some paragraph", "x", "a longer third text"]
+        with ExternalScorer(ECHO + ["--protocol", str(protocol),
+                                    "--rank-score", "0.5"], "read") as s:
+            assert s.protocol == protocol
+            spans = s.read_pool("q", ["a", "b", "c"], texts, 1)
+            assert spans == [s.read_text("q", text, 1) for text in texts]
+            assert s.rank_pool("q", ["a", "b", "c"], texts) == [0.5] * 3
+            # One request per pool at protocol 2, one per text at 1.
+            per_pool = 1 if protocol == 2 else len(texts)
+            assert s._next_id == 2 * per_pool + len(texts)
+
+    @pytest.mark.parametrize("stage, reply, message", [
+        ("read", "{'type':'read_batch_result','spans':[[]]}",
+         "reader returned 1 span lists for 2 paragraphs"),
+        ("rank", "{'type':'rank_batch_result','scores':[1.0]}",
+         "ranker returned scores of shape (1,) for 2 paragraphs"),
+        ("read", "{'type':'error','message':'model exploded'}",
+         "p#0, p#1: model exploded"),
+        ("read", "{'type':'read_batch_result','spans':"
+                 "[[{'start':0,'end':5,'score':1.0}],"
+                 "[{'start':0,'end':99,'score':1.0}]]}",
+         "p#1: span [0, 99) outside the truncated text"),
+        ("read", "{'type':'read_batch_result','spans':"
+                 "[[{'start':0,'end':5,'score':1.0}], []]}",
+         "p#1: scorer returned no spans"),
+    ], ids=["span list count", "score count", "error reply", "overlong",
+            "no spans"])
+    def test_refused_batch_reply_keeps_the_handle(self, stage, reply,
+                                                  message):
+        with ExternalScorer(_v2_scorer(reply), stage) as scorer:
+            for _ in range(2):
+                with pytest.raises(StageError) as info:
+                    if stage == "rank":
+                        rank(scorer, "q", self.PARAS)
+                    else:
+                        read(scorer, "q", self.PARAS, k=1)
+                assert str(info.value) == f"[{stage}] {message}"
+            assert not scorer._closed and scorer._proc.poll() is None
+
+    def test_v1_echo_refuses_batch_requests(self):
+        from mindstone.scorers import echo_scorer
+        req = {"type": "read_batch", "id": "4", "question": "q",
+               "texts": ["t"], "k": 1}
+        assert echo_scorer.reply(req, 1.0, 1) == {
+            "type": "error", "id": "4",
+            "message": "unknown request type 'read_batch'"}
+        assert echo_scorer.reply(req, 1.0, 2)["type"] == "read_batch_result"
+
+
+class TestEchoFaultFlags:
+    """``echo_scorer`` breaks after answering N requests: it hangs, replies
+    garbage or exits, at either protocol."""
+
+    @pytest.mark.parametrize("protocol", ["1", "2"])
+    @pytest.mark.parametrize("fault, error, message", [
+        ("--hang-after", ScorerProtocolError, "no response from scorer"),
+        ("--garbage-after", MalformedResponseError,
+         "response is not valid JSON: 'not json'"),
+        ("--exit-after", ScorerExitError, r"\(exit code 3\)"),
+    ])
+    def test_fault_after_n_requests(self, spawned, protocol, fault, error,
+                                    message):
+        scorer = ExternalScorer(ECHO + ["--protocol", protocol, fault, "2"],
+                                "read", timeout=1.0)
+        for text in ("one", "two"):
+            assert scorer.read_pool("q", ["p"], [text], 1) == [
+                [(0, len(text), 1.0)]]
+        with pytest.raises(error, match=message):
+            scorer.read_pool("q", ["p"], ["three"], 1)
+        assert scorer._closed
+        assert spawned[0].returncode is not None
+
+
+class TestRoundTrips:
+    """Requests per F2 question, counted on the handle: one per stage at
+    protocol 2, one per paragraph at protocol 1."""
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_read_requests_per_question(self, protocol, f2_index,
+                                        f2_paragraphs, f2_records,
+                                        trained_ranker, f2_reader):
+        from mindstone.pipeline import Pipeline, PipelineConfig
+        config = PipelineConfig()
+        builtin = Pipeline(f2_index, f2_paragraphs, trained_ranker,
+                           f2_reader, config)
+        with ExternalScorer(ECHO + ["--protocol", str(protocol)],
+                            "read") as reader:
+            pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker,
+                            reader, config)
+            for record in f2_records[:10]:
+                before = reader._next_id
+                result = pipe.answer(record.question)
+                assert result.trace.counts["read"] == 3
+                assert reader._next_id - before == (
+                    1 if protocol == 2 else 3)
+                # The echo reader reads each whole (truncated) text.
+                assert result.ranked == builtin.answer(
+                    record.question).ranked
+                assert {a.answer_text for a in result.answers} == {
+                    f2_paragraphs[pid].full_text
+                    for pid, _ in result.ranked[:3]}
+
+    @pytest.mark.parametrize("rm3", [False, True])
+    def test_one_rank_batch_per_pool(self, rm3, f2_index, f2_paragraphs,
+                                     f2_records, f2_reader):
+        from mindstone.pipeline import Pipeline, PipelineConfig
+        config = PipelineConfig(n_retriever=20, rm3_enabled=rm3)
+        with ExternalScorer(ECHO, "rank") as ranker:
+            pipe = Pipeline(f2_index, f2_paragraphs, ranker, f2_reader,
+                            config)
+            for record in f2_records[:10]:
+                before = ranker._next_id
+                result = pipe.answer(record.question)
+                pools = 1 + (result.trace.counts["rm3_added"] > 0)
+                assert ranker._next_id - before == pools
+
+
+def _fault_free_answers(f2_index, f2_paragraphs, ranker, questions):
+    from mindstone.pipeline import Pipeline, PipelineConfig
+    with ScorerPool(ECHO, "read") as reader:
+        pipe = Pipeline(f2_index, f2_paragraphs, ranker, reader,
+                        PipelineConfig(n_retriever=20, n_reader=3))
+        return [r.answers for r in pipe.answer_batch(questions)]
+
+
+_SCHEDULES = st.fixed_dictionaries({}, optional={
+    "--hang-after": st.integers(0, 6),
+    "--garbage-after": st.integers(0, 6),
+    "--exit-after": st.integers(0, 6),
+})
+
+
+@settings(max_examples=20, deadline=None)
+@given(protocol=st.sampled_from(["1", "2"]), schedule=_SCHEDULES,
+       picks=st.lists(st.integers(0, 7), min_size=1, max_size=4))
+def test_fault_schedules_fail_only_read(f2_index, f2_paragraphs, f2_records,
+                                        trained_ranker, protocol, schedule,
+                                        picks):
+    """Random fault schedules through a ScorerPool reader: every question
+    gets its fault-free answer or a ``[read]`` error, never another
+    request's reply (which would change the whole-text spans or fail the
+    id check), and every scorer spawned is stopped with its pipes closed."""
+    from unittest import mock
+
+    from mindstone.pipeline import Pipeline, PipelineConfig
+    questions = [f2_records[i].question for i in picks]
+    want = _fault_free_answers(f2_index, f2_paragraphs, trained_ranker,
+                               questions)
+    procs = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    flags = [str(v) for flag, n in schedule.items() for v in (flag, n)]
+    with mock.patch.object(subprocess, "Popen", spy):
+        # The timeout also bounds each spawn's hello, so it leaves room
+        # for a slow spawn on a busy host.
+        with ScorerPool(ECHO + ["--protocol", protocol] + flags, "read",
+                        timeout=1.0) as reader:
+            pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker, reader,
+                            PipelineConfig(n_retriever=20, n_reader=3))
+            results = pipe.answer_batch(questions)
+    for result, answers in zip(results, want):
+        if result.error is None:
+            assert result.answers == answers
+        else:
+            assert result.error.startswith("[read] "), result.error
+    if not schedule:
+        assert all(r.error is None for r in results)
+    assert procs and all(p.returncode is not None and p.stdout.closed
+                         and p.stdin.closed for p in procs)

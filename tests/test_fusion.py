@@ -200,10 +200,10 @@ class TestTuneWeights:
         records = f2_records[:2]
 
         class FailingReader:
-            def read_text(self, question, text, k):
+            def read_pool(self, question, para_ids, texts, k):
                 if question == records[0].question:
                     raise RuntimeError("reader crashed")
-                return f2_reader.read_text(question, text, k)
+                return f2_reader.read_pool(question, para_ids, texts, k)
 
         pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker,
                         FailingReader(), PipelineConfig(n_retriever=20))

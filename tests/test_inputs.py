@@ -313,7 +313,7 @@ def test_squad(tmp_path_factory, data):
 # Answers every request with the reply its question holds, under its id.
 _MIRROR = [sys.executable, "-c", (
     "import sys, json\n"
-    "print(json.dumps({'type': 'hello', 'protocol': 1, "
+    "print(json.dumps({'type': 'hello', 'protocol': 2, "
     "'roles': ['rank', 'read']}), flush=True)\n"
     "for line in sys.stdin:\n"
     "    req = json.loads(line)\n"
@@ -322,6 +322,9 @@ _MIRROR = [sys.executable, "-c", (
 _RANK_RESULT = {"type": "rank_result", "score": 0.5}
 _READ_RESULT = {"type": "read_result",
                 "spans": [{"start": 0, "end": 3, "score": 1.5}]}
+_RANK_BATCH_RESULT = {"type": "rank_batch_result", "scores": [0.5]}
+_READ_BATCH_RESULT = {"type": "read_batch_result",
+                      "spans": [[{"start": 0, "end": 3, "score": 1.5}]]}
 _REPLY_FIELDS = [
     (_RANK_RESULT, ("score",), "a number", _FINITE),
     (_READ_RESULT, ("spans",), "an array", None),
@@ -329,6 +332,16 @@ _REPLY_FIELDS = [
     (_READ_RESULT, ("spans", 0, "start"), "an integer", st.integers(0, 99)),
     (_READ_RESULT, ("spans", 0, "end"), "an integer", st.integers(0, 99)),
     (_READ_RESULT, ("spans", 0, "score"), "a number", _FINITE),
+    (_RANK_BATCH_RESULT, ("scores",), "an array", None),
+    (_RANK_BATCH_RESULT, ("scores", 0), "a number", _FINITE),
+    (_READ_BATCH_RESULT, ("spans",), "an array", None),
+    (_READ_BATCH_RESULT, ("spans", 0), "an array", None),
+    (_READ_BATCH_RESULT, ("spans", 0, 0), "an object", None),
+    (_READ_BATCH_RESULT, ("spans", 0, 0, "start"), "an integer",
+     st.integers(0, 99)),
+    (_READ_BATCH_RESULT, ("spans", 0, 0, "end"), "an integer",
+     st.integers(0, 99)),
+    (_READ_BATCH_RESULT, ("spans", 0, 0, "score"), "a number", _FINITE),
 ]
 
 
@@ -339,7 +352,7 @@ def mirror():
         yield ranker, reader
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_scorer_reply(mirror, data):
     base, field, kind, right = data.draw(st.sampled_from(_REPLY_FIELDS))
@@ -349,7 +362,11 @@ def test_scorer_reply(mirror, data):
         reply = json.dumps(_replaced(base, field, value))
         if base is _RANK_RESULT:
             return ranker.rank_text(reply, "text")
-        return reader.read_text(reply, "text", 1)
+        if base is _READ_RESULT:
+            return reader.read_text(reply, "text", 1)
+        if base is _RANK_BATCH_RESULT:
+            return ranker.rank_pool(reply, ["p"], ["text"])
+        return reader.read_pool(reply, ["p"], ["text"], 1)
 
     for value, got in _others(data, kind):
         with pytest.raises(MalformedResponseError) as info:
@@ -363,7 +380,10 @@ def test_scorer_reply(mirror, data):
         reply = _replaced(base, field, value)
         if base is _RANK_RESULT:
             assert load(value) == float(value)
+        elif base is _RANK_BATCH_RESULT:
+            assert load(value) == [float(value)]
         else:
-            span = reply["spans"][0]
-            assert load(value) == [(span["start"], span["end"],
-                                    float(span["score"]))]
+            batch = base is _READ_BATCH_RESULT
+            span = reply["spans"][0][0] if batch else reply["spans"][0]
+            want = [(span["start"], span["end"], float(span["score"]))]
+            assert load(value) == ([want] if batch else want)

@@ -23,8 +23,8 @@ class ConstantRanker:
     def __init__(self, value=1.0):
         self.value = value
 
-    def rank_text(self, question, text):
-        return self.value
+    def rank_pool(self, question, para_ids, texts):
+        return [self.value] * len(texts)
 
 
 class GoldSpanReader:
@@ -33,11 +33,10 @@ class GoldSpanReader:
     def __init__(self, gold_text):
         self.gold_text = gold_text
 
-    def read_text(self, question, text, k):
-        pos = text.find(self.gold_text)
-        if pos >= 0:
-            return [(pos, pos + len(self.gold_text), 5.0)]
-        return [(0, min(3, len(text)), 0.1)]
+    def read_pool(self, question, para_ids, texts, k):
+        gold = self.gold_text
+        return [[(pos, pos + len(gold), 5.0)] if (pos := text.find(gold)) >= 0
+                else [(0, min(3, len(text)), 0.1)] for text in texts]
 
 
 class TestConfig:
@@ -266,8 +265,8 @@ class TestAnswer:
                 return self.convert([score[pid] for pid in para_ids])
 
         class WholeTextReader:
-            def read_text(self, question, text, k):
-                return [(0, len(text), 1.0)]
+            def read_pool(self, question, para_ids, texts, k):
+                return [[(0, len(text), 1.0)] for text in texts]
 
         cfg = PipelineConfig(n_retriever=3, n_reader=4, rm3_enabled=True,
                              rm3=ExpansionParams(second_pass_n=5))
@@ -339,7 +338,7 @@ class TestAnswer:
 
 class TestStageErrors:
     class ExplodingRanker:
-        def rank_text(self, question, text):
+        def rank_pool(self, question, para_ids, texts):
             raise RuntimeError("boom")
 
     def test_error_carries_stage_identity(self, f2_index, f2_paragraphs,
@@ -360,16 +359,16 @@ class TestStageErrors:
         assert all(r.answers == [] for r in results)
 
     class NanReader:
-        def read_text(self, question, text, k):
-            return [(0, 1, float("nan"))]
+        def read_pool(self, question, para_ids, texts, k):
+            return [[(0, 1, float("nan"))] for _ in texts]
 
     class StringRanker:
         def rank_pool(self, question, para_ids, texts):
             return ["high"] * len(para_ids)
 
     class FarApartRanker:
-        def rank_text(self, question, text):
-            return 1e308 if "4821" in text else -1e308
+        def rank_pool(self, question, para_ids, texts):
+            return [1e308 if "4821" in text else -1e308 for text in texts]
 
     ERROR_REPLY = (
         "import sys, json\n"
@@ -431,15 +430,15 @@ class TestStageErrors:
                                 f"({3 + extra},) for 3 paragraphs")
 
     class NoSpanReader:
-        def read_text(self, question, text, k):
-            return []
+        def read_pool(self, question, para_ids, texts, k):
+            return [[] for _ in texts]
 
     class OverlongReader:
-        def read_text(self, question, text, k):
-            return [(0, len(text) + 1, 1.0)]
+        def read_pool(self, question, para_ids, texts, k):
+            return [[(0, len(text) + 1, 1.0)] for text in texts]
 
     class RaisingReader:
-        def read_text(self, question, text, k):
+        def read_pool(self, question, para_ids, texts, k):
             raise RuntimeError("model exploded")
 
     @pytest.mark.parametrize("reader, error", [
@@ -503,9 +502,9 @@ class TestBatch:
                 super().__init__()
                 self.threads = set()
 
-            def rank_text(self, question, text):
+            def rank_pool(self, question, para_ids, texts):
                 self.threads.add(threading.get_ident())
-                return self.value
+                return super().rank_pool(question, para_ids, texts)
 
         ranker = ThreadRecordingRanker()
         pipe = Pipeline(f2_index, f2_paragraphs, ranker, f2_reader,

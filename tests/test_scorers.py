@@ -100,8 +100,8 @@ class ConstantScorer:
     def __init__(self, value: float):
         self.value = value
 
-    def rank_text(self, question, text):
-        return self.value
+    def rank_pool(self, question, para_ids, texts):
+        return [self.value] * len(texts)
 
 
 def _truncate_by_counting(text, max_tokens):
@@ -170,9 +170,9 @@ class TestTruncation:
 
     def test_reader_budget_counts_question_tokens_as_spans(self):
         class WholeTextReader:
-            def read_text(self, question, text, k):
-                self.text = text
-                return [(0, len(text), 1.0)]
+            def read_pool(self, question, para_ids, texts, k):
+                [self.text] = texts
+                return [[(0, len(self.text), 1.0)]]
 
         # Two question tokens: "\u0130".lower() is "i" plus a combining
         # mark, which must not split a token in two.
@@ -303,8 +303,9 @@ class TestRankPool:
     @settings(max_examples=200, deadline=None)
     @given(_rank_pool_case())
     def test_pool_ranker_gets_para_ids_and_truncated_texts(self, case):
-        """scorers.rank truncates for every ranker: a pool ranker receives
-        each paragraph's para_id and its text cut to the ranker limit."""
+        """scorers.rank truncates for every ranker: a ranker receives each
+        paragraph's para_id and its text cut to the ranker limit, in one
+        call per pool (none for an empty pool)."""
         limit, _, pool, question, _, _ = case
         calls = []
 
@@ -313,11 +314,12 @@ class TestRankPool:
                 calls.append((question, list(para_ids), list(texts)))
                 return np.zeros(len(texts))
 
-        rank(RecordingRanker(), question, pool,
-             TruncationLimits(ranker_para_tokens=limit))
-        assert calls == [(question, [p.para_id for p in pool],
-                          [truncate_to_tokens(p.full_text, limit)
-                           for p in pool])]
+        scores = rank(RecordingRanker(), question, pool,
+                      TruncationLimits(ranker_para_tokens=limit))
+        assert scores.shape == (len(pool),)
+        assert calls == ([(question, [p.para_id for p in pool],
+                           [truncate_to_tokens(p.full_text, limit)
+                            for p in pool])] if pool else [])
 
     @settings(max_examples=300, deadline=None)
     @given(_rank_pool_case())
@@ -578,11 +580,12 @@ class TestNonFiniteScores:
         def __init__(self, score):
             self.score = score
 
-        def read_text(self, question, text, k):
-            return [(0, 5, 1.0), (6, len(text), self.score)]
+        def read_pool(self, question, para_ids, texts, k):
+            return [[(0, 5, 1.0), (6, len(text), self.score)]
+                    for text in texts]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_rank_text_score_rejected(self, value):
+    def test_constant_score_rejected(self, value):
         with pytest.raises(StageError,
                            match=rf"\[rank\] non-finite score {value} "
                                  rf"for p#0"):
@@ -662,8 +665,10 @@ class TestTraining:
         assert abs(model.bias) < 100
         ranker = BuiltinRanker(model, f2_index)
         for n_tokens in (5, 80):
-            assert ranker.rank_text(question, text(n_tokens, True)) > 0
-            assert ranker.rank_text(question, text(n_tokens, False)) < 0
+            scores = ranker.rank_pool(question, ["new0", "new1"],
+                                      [text(n_tokens, True),
+                                       text(n_tokens, False)])
+            assert scores[0] > 0 > scores[1]
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1), ("learning_rate", 0.0), ("learning_rate", -0.3),
