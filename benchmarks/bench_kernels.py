@@ -38,10 +38,9 @@ needs the test dependencies.
 - Echo scorer spawn plus hello, pinned to one CPU: the start-up every
   external-scorer spawn and respawn pays.
 - The F2 read stage over each question's read slice with the echo scorer
-  as reader, at protocol 2 (one ``read_batch`` request per slice) next to
-  protocol 1 (one ``read`` request per paragraph), pinned to one CPU with
-  both scorers; alternating pairs; exits on any bit difference.
-- ``answer_batch`` over F2's questions with a protocol-2 ``ScorerPool``
+  as reader (one ``read_batch`` request per slice), alone, pinned to one
+  CPU with the scorer.
+- ``answer_batch`` over F2's questions with a ``ScorerPool``
   reader that busy-waits ``--fanout-ms`` per text, next to answering them
   one by one; alternating pairs; exits on any bit difference.
 
@@ -510,29 +509,23 @@ def bench_spawn(repeat: int) -> np.ndarray:
     return times
 
 
-def bench_external_read(f2) -> tuple:
+def bench_external_read(f2) -> np.ndarray:
     """Time the F2 read stage (``scorers.read``) over each question's read
-    slice (its top 3 of 100) with the echo scorer as reader, at protocol 2
-    next to protocol 1, all pinned to one CPU."""
+    slice (its top 3 of 100) with the echo scorer as reader, pinned to one
+    CPU."""
     from mindstone import scorers
     from mindstone.scorers.external import ExternalScorer
 
     pipeline, slices, _ = f2_pools(f2)
     k, limits = pipeline.config.k_spans_per_paragraph, pipeline.config.limits
-
-    def stage(reader):
-        return lambda question, read_slice: scorers.read(
-            reader, question, read_slice, k, limits)
-
-    with one_cpu(), \
-            ExternalScorer(ECHO + ["--protocol", "2"], "read") as v2, \
-            ExternalScorer(ECHO + ["--protocol", "1"], "read") as v1:
-        return ab({"protocol 2": stage(v2), "protocol 1": stage(v1)},
-                  slices)
+    with one_cpu(), ExternalScorer(ECHO, "read") as reader:
+        return ab({"echo": lambda question, read_slice: scorers.read(
+            reader, question, read_slice, k, limits)},
+            slices, pairs=20)[0]["echo"]
 
 
-# A protocol-2 reader that busy-waits the given milliseconds per text,
-# standing in for a model's compute, then reads the whole text as one span.
+# A reader that busy-waits the given milliseconds per text, standing in for
+# a model's compute, then reads the whole text as one span.
 BUSY_SCORER = """
 import json, sys, time
 busy = float(sys.argv[1]) / 1000
@@ -547,12 +540,9 @@ def read(text):
 
 for line in sys.stdin:
     req = json.loads(line)
-    if req["type"] == "read_batch":
-        reply = {"type": "read_batch_result",
-                 "spans": [read(text) for text in req["texts"]]}
-    else:
-        reply = {"type": "read_result", "spans": read(req["text"])}
-    print(json.dumps(dict(reply, id=req["id"])), flush=True)
+    print(json.dumps({"type": "read_batch_result", "id": req["id"],
+                      "spans": [read(text) for text in req["texts"]]}),
+          flush=True)
 """
 
 
@@ -621,8 +611,8 @@ def main(argv=None) -> int:
     print(f"{label:<44} {describe(ranks, 'us')}")
     label = "F2 warm read stage"
     print(f"{label:<44} {describe(read_stage, 'us')}")
-    report(lambda name: f"F2 external read stage, echo {name}",
-           *bench_external_read(f2), unit="us")
+    label = "F2 external read stage, echo"
+    print(f"{label:<44} {describe(bench_external_read(f2), 'us')}")
 
     per_query, result, postings = bench_fixture_retrieval(args.queries)
     label = f"F2 retrieval batch of {args.queries}, n=100, per query"

@@ -191,6 +191,7 @@ def cmd_build_dataset(args) -> int:
         if not args.index:
             raise ValueError(f"--index is required for --method {args.method}")
         index = InvertedIndex.load(args.index)
+        _check_paragraphs(index, paragraphs, args.paragraphs)
         if args.method == "aug1":
             examples = build_dataset_aug1(records, index, paragraphs,
                                           n=args.n)
@@ -311,11 +312,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="run config JSON")
     p.add_argument("--ranker-model", help="builtin ranker model JSON")
     p.add_argument("--external-ranker",
-                   help="external ranker command line (wire protocol v1 "
-                        "or v2)")
+                   help="external ranker command line (wire protocol 2)")
     p.add_argument("--external-reader",
-                   help="external reader command line (wire protocol v1 "
-                        "or v2)")
+                   help="external reader command line (wire protocol 2)")
     p.add_argument("--n-retriever", type=int, help="first-pass depth")
     p.add_argument("--read-fraction", type=float,
                    help="fraction of retrieved docs sent to the reader")

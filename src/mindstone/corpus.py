@@ -290,20 +290,11 @@ def write_records(records: Iterable, path: str | Path) -> int:
                              for r in records), path)
 
 
-class ParagraphMap(dict):
-    """A para_id -> Paragraph dict that remembers the file it was read
-    from, so a lookup that misses can name it."""
-
-    def __init__(self, path: str | Path):
-        super().__init__()
-        self.path = path
-
-
-def load_paragraph_map(path: str | Path) -> ParagraphMap:
+def load_paragraph_map(path: str | Path) -> dict[str, Paragraph]:
     """Load a paragraphs JSONL file into a para_id -> Paragraph mapping.
     Equal ``article_id`` and ``title`` strings are one object, so an
     article's paragraphs hold one copy of each, not one per JSON line."""
-    out = ParagraphMap(path)
+    out = {}
     share = {}.setdefault
     for _, (para_id, article_id, title, body, position) in _record_values(
             Paragraph, path):

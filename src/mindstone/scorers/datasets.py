@@ -43,13 +43,11 @@ def resolve_gold_paragraph(record: GoldRecord,
 def _lookup(paragraphs: Mapping[str, Paragraph],
             para_ids: Sequence[str]) -> list[Paragraph]:
     """The paragraphs of ``para_ids``; one that ``paragraphs`` lacks is an
-    error naming it and, for a map read by ``load_paragraph_map``, the
-    paragraph file."""
+    error naming it."""
     try:
         return [paragraphs[pid] for pid in para_ids]
     except KeyError as exc:
-        source = getattr(paragraphs, "path", "paragraphs")
-        raise ValueError(f"{source}: no paragraph text for "
+        raise ValueError(f"paragraphs: no paragraph text for "
                          f"{exc.args[0]!r}") from None
 
 

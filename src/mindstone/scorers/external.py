@@ -1,15 +1,11 @@
-"""Line-delimited JSON wire protocol (v1 and v2) for external scorer
-subprocesses.
+"""Line-delimited JSON wire protocol 2 for external scorer subprocesses.
 
-The scorer speaks first: ``{"type":"hello","protocol":2,"roles":[...]}``.
-The host then sends one request per line and reads one response per line
-on the calling thread, polling stdout until a deadline (so POSIX only); ids
-are echoed verbatim. Protocol 1 has one request per text (``rank``,
-``read``). Protocol 2 adds ``rank_batch`` and ``read_batch``, which carry a
-question's whole pool or read slice in one message; the hello's
-``protocol`` field says which one a scorer speaks. ``rank_pool`` and
-``read_pool`` send one batch request at protocol 2 and fall back to one
-request per text at protocol 1.
+The scorer speaks first: ``{"type":"hello","protocol":2,"roles":[...]}``;
+a hello with any other ``protocol`` is refused. The host then sends one
+request per line and reads one response per line on the calling thread,
+polling stdout until a deadline (so POSIX only); ids are echoed verbatim.
+There are two requests: ``rank_batch`` carries a question's whole pool and
+``read_batch`` its read slice, each in one message.
 
 Each handle is a serial channel; a batch fans out over threads only
 through a :class:`ScorerPool` of them. A protocol fault (a timeout, a
@@ -35,26 +31,31 @@ from ..corpus import (ARRAY, INTEGER, NUMBER, OBJECT, STRING, json_field,
 from ..errors import (HandshakeTimeoutError, MalformedResponseError,
                       MindstoneError, ScorerExitError, ScorerProtocolError)
 
-PROTOCOLS = (1, 2)  # the protocol versions this host speaks
-
-
-def _spans(items: list, where: str) -> list[tuple[int, int, float]]:
-    """(start, end, score) of each span object of a reply's array at
-    ``where``; a ValueError names a field of the wrong kind."""
-    spans = []
-    for i, span in enumerate(items):
-        at = f"{where}[{i}]"
-        json_value(span, OBJECT, at)
-        spans.append((json_field(span, "start", INTEGER, at),
-                      json_field(span, "end", INTEGER, at),
-                      float(json_field(span, "score", NUMBER, at))))
-    return spans
+# The JSON types of a span's start, end and score in a well-formed reply.
+_SPAN_TYPES = {(int, int, float), (int, int, int)}
 
 
 def _span_lists(reply: dict) -> list[list[tuple[int, int, float]]]:
-    """The span list of each text of a ``read_batch_result``."""
-    return [_spans(json_value(items, ARRAY, f"spans[{i}]"), f"spans[{i}]")
-            for i, items in enumerate(json_field(reply, "spans", ARRAY))]
+    """(start, end, score) of each span, per text, of a
+    ``read_batch_result``; a ValueError names a field of the wrong kind."""
+    lists = []
+    for i, items in enumerate(json_field(reply, "spans", ARRAY)):
+        if type(items) is not list:
+            json_value(items, ARRAY, f"spans[{i}]")
+        spans = []
+        for j, span in enumerate(items):
+            # One comparison per span; the helpers only name what is wrong.
+            if type(span) is not dict or (
+                    type(span.get("start")), type(span.get("end")),
+                    type(span.get("score"))) not in _SPAN_TYPES:
+                at = f"spans[{i}][{j}]"
+                json_value(span, OBJECT, at)
+                json_field(span, "start", INTEGER, at)
+                json_field(span, "end", INTEGER, at)
+                json_field(span, "score", NUMBER, at)
+            spans.append((span["start"], span["end"], float(span["score"])))
+        lists.append(spans)
+    return lists
 
 
 class ExternalScorer:
@@ -82,7 +83,6 @@ class ExternalScorer:
         self._closed = False
         try:
             self.hello = self._handshake()
-            self.protocol = self.hello["protocol"]
         except BaseException:
             # The caller never gets this handle, so nothing else can stop
             # the scorer or release its pipes.
@@ -125,7 +125,7 @@ class ExternalScorer:
             roles = json_field(hello, "roles", ARRAY, items=STRING)
         except ValueError as exc:
             raise MalformedResponseError(str(exc), line) from None
-        if protocol not in PROTOCOLS:
+        if protocol != 2:
             raise MalformedResponseError(
                 f"unsupported protocol {protocol!r}", line)
         if self.role not in roles:
@@ -189,26 +189,9 @@ class ExternalScorer:
         except ValueError as exc:
             raise MalformedResponseError(str(exc), json.dumps(obj)) from None
 
-    def rank_text(self, question: str, text: str) -> float:
-        return self._request(
-            {"type": "rank", "question": question, "text": text},
-            "rank_result",
-            lambda reply: float(json_field(reply, "score", NUMBER)))
-
-    def read_text(self, question: str, text: str,
-                  k: int) -> list[tuple[int, int, float]]:
-        return self._request(
-            {"type": "read", "question": question, "text": text, "k": k},
-            "read_result",
-            lambda reply: _spans(json_field(reply, "spans", ARRAY),
-                                 "spans"))
-
     def rank_pool(self, question: str, para_ids: Sequence[str],
                   texts: Sequence[str]) -> list[float]:
-        """One score per text: one ``rank_batch`` request, or at protocol 1
-        one ``rank`` request per text."""
-        if self.protocol == 1:
-            return [self.rank_text(question, text) for text in texts]
+        """One score per text, from one ``rank_batch`` request."""
         return self._request(
             {"type": "rank_batch", "question": question, "texts": texts},
             "rank_batch_result",
@@ -218,10 +201,7 @@ class ExternalScorer:
     def read_pool(self, question: str, para_ids: Sequence[str],
                   texts: Sequence[str],
                   k: int) -> list[list[tuple[int, int, float]]]:
-        """One span list per text: one ``read_batch`` request, or at
-        protocol 1 one ``read`` request per text."""
-        if self.protocol == 1:
-            return [self.read_text(question, text, k) for text in texts]
+        """One span list per text, from one ``read_batch`` request."""
         return self._request(
             {"type": "read_batch", "question": question, "texts": texts,
              "k": k}, "read_batch_result", _span_lists)
@@ -285,14 +265,6 @@ class ScorerPool:
                 elif handle in self._handles:  # closed by a protocol fault
                     self._handles.remove(handle)
 
-    def rank_text(self, question: str, text: str) -> float:
-        with self._handle() as handle:
-            return handle.rank_text(question, text)
-
-    def read_text(self, question: str, text: str, k: int):
-        with self._handle() as handle:
-            return handle.read_text(question, text, k)
-
     def rank_pool(self, question: str, para_ids: Sequence[str],
                   texts: Sequence[str]) -> list[float]:
         with self._handle() as handle:
@@ -302,6 +274,21 @@ class ScorerPool:
                   texts: Sequence[str], k: int):
         with self._handle() as handle:
             return handle.read_pool(question, para_ids, texts, k)
+
+    def rank_text(self, question: str, text: str) -> float:
+        """The score of one text, from a one-text ``rank_pool``: for a
+        caller that probes one text, such as a benchmark's spawn check or a
+        tracer that wraps this method."""
+        [score] = self.rank_pool(question, [""], [text])
+        return score
+
+    def read_text(self, question: str, text: str,
+                  k: int) -> list[tuple[int, int, float]]:
+        """The spans of one text, from a one-text ``read_pool``: for a
+        caller that probes one text, such as a benchmark's spawn check or a
+        tracer that wraps this method."""
+        [spans] = self.read_pool(question, [""], [text], k)
+        return spans
 
     def close(self):
         with self._lock:

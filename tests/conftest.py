@@ -1,11 +1,14 @@
 """Shared fixtures: the frozen F1/F2 corpora, a session-scoped index, the
-trained builtin ranker, and independent scoring oracles."""
+trained builtin ranker, independent scoring oracles, and hand-written
+external scorers."""
 
 from __future__ import annotations
 
 import json
 import math
 import re
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -181,3 +184,34 @@ def make_random_corpus(rng, max_docs: int = 50, vocab=None,
             article_id=f"a{i}", title=title, body=" ".join(words),
             position=0))
     return paragraphs, stopwords
+
+
+# -- hand-written external scorers ---------------------------------------
+
+_SCORER = """\
+import json, os, sys, time
+
+def send(obj):
+    print(json.dumps(obj), flush=True)
+
+{setup}
+send(dict({{"type": "hello", "protocol": 2, "roles": {roles!r}}}, **{hello}))
+for request in sys.stdin:
+    req = json.loads(request)
+{each}
+    send({{"id": req["id"], **({reply})}})
+"""
+
+
+def scorer_command(reply: str = "{}", *, roles=("rank", "read"),
+                   setup: str = "", hello: str = "{}",
+                   each: str = "") -> list[str]:
+    """Command line of a protocol-2 scorer written for one test. It runs
+    the statements ``setup``, which may redefine ``send(obj)``, the one
+    writer of its lines; says hello offering ``roles``, plus the fields of
+    the expression ``hello``; then, per request ``req``, runs the
+    statements ``each`` and sends the expression ``reply`` under the
+    request's id, unless ``reply`` has an ``id`` of its own."""
+    return [sys.executable, "-c", _SCORER.format(
+        setup=setup, roles=list(roles), hello=hello,
+        each=textwrap.indent(each, "    "), reply=reply)]

@@ -104,10 +104,30 @@ class TestDatasetsAndTraining:
         assert code == 1
         [line] = capsys.readouterr().err.splitlines()
         match = re.fullmatch(rf"error: {re.escape(str(partial))}: no "
-                             r"paragraph text for '(.+)'", line)
+                             r"paragraph text for indexed para_id '(.+)'",
+                             line)
         assert match, line
         assert f'"para_id": "{match[1]}"' in lines
         assert f'"para_id": "{match[1]}"' not in partial.read_text("utf-8")
+
+    @pytest.mark.parametrize("method", ["aug1", "aug2"])
+    def test_extra_paragraph_exits_one(self, workdir, tmp_path, capsys,
+                                       method):
+        lines = (workdir / "paragraphs.jsonl").read_text("utf-8")
+        first = json.loads(lines.splitlines()[0])
+        extra = tmp_path / "extra.jsonl"
+        extra.write_text(lines + json.dumps(dict(first, para_id="zz#extra"))
+                         + "\n", "utf-8")
+        code = main(["build-dataset", "--method", method,
+                     "--index", str(workdir / "idx"),
+                     "--questions", str(FIXTURES / "f2_questions.jsonl"),
+                     "--paragraphs", str(extra),
+                     "--ranker-model", str(workdir / "model.json"),
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {extra}: para_id 'zz#extra' is not in the index"]
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_model_file_is_loadable(self, workdir):
         model = json.loads((workdir / "model.json").read_text("utf-8"))
@@ -179,28 +199,23 @@ class TestAnswer:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {paragraphs}: {message}"]
 
-    def test_external_reader_answers_alike_at_both_protocols(self, workdir,
-                                                             tmp_path):
-        answers = []
-        for protocol in ("1", "2"):
-            out = tmp_path / f"v{protocol}.jsonl"
-            reader = shlex.join([sys.executable, "-m",
-                                 "mindstone.scorers.echo_scorer",
-                                 "--protocol", protocol])
-            assert main(["answer", "--index", str(workdir / "idx"),
-                         "--paragraphs", str(workdir / "paragraphs.jsonl"),
-                         "--ranker-model", str(workdir / "model.json"),
-                         "--batch", str(FIXTURES / "f2_questions.jsonl"),
-                         "--external-reader", reader,
-                         "--out", str(out)]) == 0
-            records = [json.loads(line)
-                       for line in out.read_text("utf-8").splitlines()]
-            for record in records:
-                del record["trace"]["times_ms"]
-            answers.append(records)
-        assert len(answers[0]) == 200
-        assert all("error" not in record for record in answers[0])
-        assert answers[0] == answers[1]
+    def test_external_reader_answers_every_question(self, workdir,
+                                                     tmp_path):
+        out = tmp_path / "answers.jsonl"
+        reader = shlex.join([sys.executable, "-m",
+                             "mindstone.scorers.echo_scorer"])
+        assert main(["answer", "--index", str(workdir / "idx"),
+                     "--paragraphs", str(workdir / "paragraphs.jsonl"),
+                     "--ranker-model", str(workdir / "model.json"),
+                     "--batch", str(FIXTURES / "f2_questions.jsonl"),
+                     "--external-reader", reader, "--out", str(out)]) == 0
+        records = [json.loads(line)
+                   for line in out.read_text("utf-8").splitlines()]
+        assert len(records) == 200
+        assert all("error" not in record and record["answers"]
+                   for record in records)
+        # The echo reader reads each whole paragraph as one span.
+        assert {a["start"] for r in records for a in r["answers"]} == {0}
 
     def test_failed_question_is_logged(self, workdir, monkeypatch, caplog,
                                        capsys):

@@ -1,7 +1,7 @@
 """External scorer wire protocol: handshake, request/response, failures."""
 
 import gc
-import importlib
+import importlib.util
 import os
 import re
 import signal
@@ -9,12 +9,14 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindstone
+from conftest import scorer_command
 from mindstone import scorers
 from mindstone.corpus import Paragraph
 from mindstone.errors import (HandshakeTimeoutError, MalformedResponseError,
@@ -48,16 +50,26 @@ class TestEchoScorer:
     def test_handshake_and_constant_rank(self):
         with ExternalScorer(ECHO + ["--rank-score", "0.25"],
                             "rank") as scorer:
-            assert scorer.hello["protocol"] == scorer.protocol == 2
-            assert scorer.rank_text("question", "paragraph text") == 0.25
-            assert scorer.rank_text("another", "text") == 0.25
+            assert scorer.hello["protocol"] == 2
+            assert scorer.rank_pool("question", ["p"],
+                                    ["paragraph text"]) == [0.25]
             assert scorer.rank_pool("q", ["a", "b"], ["x", "y z"]) == [
                 0.25, 0.25]
 
     def test_read_returns_whole_text_span(self):
         with ExternalScorer(ECHO, "read") as scorer:
-            spans = scorer.read_text("q", "some paragraph", k=2)
-            assert spans == [(0, len("some paragraph"), 1.0)]
+            spans = scorer.read_pool("q", ["p", "r"],
+                                     ["some paragraph", "x"], k=2)
+            assert spans == [[(0, len("some paragraph"), 1.0)],
+                             [(0, 1, 1.0)]]
+
+    def test_refuses_other_requests(self):
+        from mindstone.scorers import echo_scorer
+        req = {"type": "summarise", "id": "4", "question": "q",
+               "texts": ["t"]}
+        assert echo_scorer.reply(req, 1.0) == {
+            "type": "error", "id": "4",
+            "message": "unknown request type 'summarise'"}
 
     def test_dispatch_through_stage_functions(self, f2_paragraphs):
         para = next(iter(f2_paragraphs.values()))
@@ -90,6 +102,20 @@ class TestLightImports:
         for name in ("rank", "read", "truncate_to_tokens"):
             assert name in vars(scorers), name
         assert vars(datasets)["rank"] is scorers.rank
+
+    def test_benchmark_tracer_targets_stay_patchable(self):
+        # The benchmark's tracer replaces each (owner, attribute) it lists
+        # in the owner's own namespace, and probes a reader pool's spawn
+        # with one ``read_text``.
+        path = Path(__file__).resolve().parents[1] / "cascadebench/tracer.py"
+        spec = importlib.util.spec_from_file_location("_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for owner, attr, *_ in tracer.layer_targets():
+            assert attr in vars(owner), (owner, attr)
+        text = "a probe paragraph"
+        with ScorerPool(ECHO, "read") as pool:
+            assert pool.read_text("probe", text, 1) == [(0, len(text), 1.0)]
 
     def test_all_resolves_to_submodule_objects(self):
         for name in scorers.__all__:
@@ -125,14 +151,7 @@ class TestFailureModes:
             ExternalScorer(ECHO + ["--roles", "rank"], "read")
 
     def test_error_response_becomes_stage_error(self, f2_paragraphs):
-        script = py_script(
-            "import sys, json\n"
-            "print(json.dumps({'type':'hello','protocol':1,"
-            "'roles':['rank']}), flush=True)\n"
-            "for line in sys.stdin:\n"
-            "    req = json.loads(line)\n"
-            "    print(json.dumps({'type':'error','id':req['id'],"
-            "'message':'model exploded'}), flush=True)\n")
+        script = scorer_command("{'type':'error','message':'model exploded'}")
         para = next(iter(f2_paragraphs.values()))
         with ExternalScorer(script, "rank") as scorer:
             # The handle raises the scorer's message, which is no protocol
@@ -140,7 +159,7 @@ class TestFailureModes:
             for _ in range(2):
                 with pytest.raises(MindstoneError,
                                    match=r"^model exploded$") as info:
-                    scorer.rank_text("q", "t")
+                    scorer.rank_pool("q", ["p"], ["t"])
                 assert type(info.value) is MindstoneError
             assert not scorer._closed
             with pytest.raises(StageError,
@@ -175,34 +194,31 @@ class TestFailureModes:
         assert "response is not valid JSON: 'not json" in result.error
 
     def test_id_mismatch_is_malformed(self):
-        script = py_script(
-            "import sys, json\n"
-            "print(json.dumps({'type':'hello','protocol':1,"
-            "'roles':['rank']}), flush=True)\n"
-            "for line in sys.stdin:\n"
-            "    print(json.dumps({'type':'rank_result','id':'bogus',"
-            "'score':1.0}), flush=True)\n")
+        script = scorer_command(
+            "{'type':'rank_batch_result','id':'bogus','scores':[1.0]}")
         with ExternalScorer(script, "rank") as scorer:
             with pytest.raises(MalformedResponseError, match="bogus"):
-                scorer.rank_text("q", "t")
+                scorer.rank_pool("q", ["p"], ["t"])
             # The channel is out of step: the scorer is killed and closed.
             assert scorer._proc.returncode is not None
             with pytest.raises(ScorerProtocolError, match="closed"):
-                scorer.rank_text("q", "t")
+                scorer.rank_pool("q", ["p"], ["t"])
 
-    def test_wrong_protocol_version(self):
+    @pytest.mark.parametrize("protocol", [1, 3])
+    def test_wrong_protocol_version(self, protocol):
         script = py_script(
-            "import json; print(json.dumps({'type':'hello','protocol':3,"
-            "'roles':['rank']}), flush=True)")
-        with pytest.raises(MalformedResponseError, match="protocol"):
+            "import json; print(json.dumps({'type':'hello','protocol':"
+            f"{protocol},'roles':['rank']}}), flush=True)")
+        with pytest.raises(MalformedResponseError,
+                           match=f"^unsupported protocol {protocol}: "):
             ExternalScorer(script, "rank")
 
     @pytest.mark.parametrize("hello, message", [
         ({"protocol": True, "roles": ["rank"]},
          "protocol: expected an integer, got a boolean"),
-        ({"protocol": 1, "roles": "rank,read"},
+        ({"protocol": 2, "roles": "rank,read"},
          "roles: expected an array, got a string"),
-        ({"protocol": 1, "roles": ["rank", 2]},
+        ({"protocol": 2, "roles": ["rank", 2]},
          "roles[1]: expected a string, got a number"),
     ])
     def test_hello_of_another_type_is_malformed(self, hello, message):
@@ -214,39 +230,36 @@ class TestFailureModes:
             ExternalScorer(script, "rank", timeout=10)
 
     @pytest.mark.parametrize("role, reply, message", [
-        ("rank", {"score": "0.5"}, "score: expected a number, got a string"),
-        ("rank", {"score": True}, "score: expected a number, got a boolean"),
-        ("read", {"spans": [{"start": 0.9, "end": 5, "score": 1.0}]},
-         "spans[0].start: expected an integer, got a number"),
-        ("read", {"spans": [{"start": 0, "end": "5", "score": 1.0}]},
-         "spans[0].end: expected an integer, got a string"),
-        ("read", {"spans": [{"start": 0, "end": 5, "score": None}]},
-         "spans[0].score: expected a number, got null"),
+        ("rank", {"scores": ["0.5"]},
+         "scores[0]: expected a number, got a string"),
+        ("rank", {"scores": [True]},
+         "scores[0]: expected a number, got a boolean"),
+        ("read", {"spans": [[{"start": 0.9, "end": 5, "score": 1.0}]]},
+         "spans[0][0].start: expected an integer, got a number"),
+        ("read", {"spans": [[{"start": 0, "end": "5", "score": 1.0}]]},
+         "spans[0][0].end: expected an integer, got a string"),
+        ("read", {"spans": [[{"start": 0, "end": 5, "score": None}]]},
+         "spans[0][0].score: expected a number, got null"),
+        ("read", {"spans": [[{"start": 0, "end": 5}]]},
+         "spans[0][0]: missing field 'score'"),
     ])
     def test_reply_of_another_type_is_malformed(self, role, reply, message):
-        reply = dict(reply, type=f"{role}_result")
-        script = py_script(
-            "import sys, json\n"
-            "print(json.dumps({'type':'hello','protocol':1,"
-            f"'roles':['{role}']}}), flush=True)\n"
-            "for line in sys.stdin:\n"
-            f"    print(json.dumps(dict({reply!r}, "
-            "id=json.loads(line)['id'])), flush=True)\n")
-        with ExternalScorer(script, role) as scorer:
+        reply = dict(reply, type=f"{role}_batch_result")
+        with ExternalScorer(scorer_command(repr(reply)), role) as scorer:
             # The reply is well framed: the handle stays usable.
             for _ in range(2):
                 with pytest.raises(MalformedResponseError,
                                    match="^" + re.escape(f"{message}: ")):
                     if role == "rank":
-                        scorer.rank_text("q", "text")
+                        scorer.rank_pool("q", ["p"], ["text"])
                     else:
-                        scorer.read_text("q", "text", 1)
+                        scorer.read_pool("q", ["p"], ["text"], 1)
             assert scorer._proc.poll() is None
 
     def test_death_mid_stream_is_exit_error(self):
         scorer = ExternalScorer(ECHO + ["--exit-after", "0"], "rank")
         with pytest.raises(ScorerExitError, match=r"\(exit code 3\)"):
-            scorer.rank_text("q", "t")
+            scorer.rank_pool("q", ["p"], ["t"])
         assert scorer._closed
 
     def test_close_is_idempotent(self):
@@ -281,27 +294,37 @@ class ThreadRecordingPool(ScorerPool):
 
 
 class TestScorerPool:
+    @pytest.mark.parametrize("role, reply, message", [
+        ("rank", "{'type':'rank_batch_result','scores':[]}",
+         "not enough values to unpack"),
+        ("read", "{'type':'read_batch_result','spans':[[],[]]}",
+         "too many values to unpack"),
+    ])
+    def test_one_text_call_wants_one_result(self, role, reply, message):
+        with ScorerPool(scorer_command(reply), role) as pool:
+            with pytest.raises(ValueError, match=message):
+                if role == "rank":
+                    pool.rank_text("q", "text")
+                else:
+                    pool.read_text("q", "text", 1)
+
     def test_timed_out_handle_is_replaced(self, spawned, tmp_path):
         # Only the first request of all sleeps past the timeout; the score
         # is the text's length, so a late reply to it would show.
         flag = str(tmp_path / "slept")
-        script = py_script(
-            "import json, os, sys, time\n"
-            "print(json.dumps({'type':'hello','protocol':1,"
-            "'roles':['rank']}), flush=True)\n"
-            "for line in sys.stdin:\n"
-            "    req = json.loads(line)\n"
-            f"    if not os.path.exists({flag!r}):\n"
-            f"        open({flag!r}, 'w').close()\n"
-            "        time.sleep(3)\n"
-            "    print(json.dumps({'type':'rank_result','id':req['id'],"
-            "'score':len(req['text'])}), flush=True)\n")
+        script = scorer_command(
+            "{'type':'rank_batch_result',"
+            "'scores':[len(text) for text in req['texts']]}",
+            each=f"if not os.path.exists({flag!r}):\n"
+                 f"    open({flag!r}, 'w').close()\n"
+                 "    time.sleep(3)")
         with ScorerPool(script, "rank", timeout=1.0) as pool:
             with pytest.raises(ScorerProtocolError, match="no response"):
-                pool.rank_text("q", "slow")
+                pool.rank_pool("q", ["p"], ["slow"])
             assert spawned[0].returncode is not None
-            assert pool.rank_text("q", "second text") == len("second text")
-            assert pool.rank_text("q", "third") == len("third")
+            assert pool.rank_pool("q", ["p", "r"], ["second text", "x"]) == [
+                len("second text"), 1]
+            assert pool.rank_pool("q", ["p"], ["third"]) == [len("third")]
             assert len(spawned) == 2
 
     def test_parallel_batch_through_pool(self, f2_index, f2_paragraphs,
@@ -354,30 +377,29 @@ class TestScorerPool:
             assert len(spawned) == 1
 
 
-# A scorer that frames every line it sends as sys.argv[2] says: "whole"
-# (one write), "bytes" (one flushed write per byte) or "split" (two flushed
-# writes, cut inside the emoji if the line has one). With "joined" the
-# hello and the reply to request "0" go out in one write, before the host
-# sends that request. The reply to question "fail" is an error.
+# Set-up of a scorer that frames every line it sends as sys.argv[2] says:
+# "whole" (one write), "bytes" (one flushed write per byte) or "split" (two
+# flushed writes, cut inside the emoji if the line has one). With "joined"
+# the hello and the reply to request "0" go out in one write, before the
+# host sends that request. The reply to question "fail" is an error.
 FRAMED = r"""
-import json, sys, time
 role, framing = sys.argv[1:]
 EMOJI = "\U0001F600".encode()
 
 def reply(req):
     if req["question"] == "fail":
-        return {"type": "error", "id": req["id"],
-                "message": "café \U0001F600"}
+        return {"type": "error", "message": "café \U0001F600"}
     if role == "rank":
-        return {"type": "rank_result", "id": req["id"],
-                "score": len(req["text"])}
-    return {"type": "read_result", "id": req["id"],
-            "spans": [{"start": 0, "end": len(req["text"]), "score": 1.0}]}
+        return {"type": "rank_batch_result",
+                "scores": [len(text) for text in req["texts"]]}
+    return {"type": "read_batch_result",
+            "spans": [[{"start": 0, "end": len(text), "score": 1.0}]
+                      for text in req["texts"]]}
 
 def line(obj):
     return (json.dumps(obj, ensure_ascii=False) + "\n").encode()
 
-def send(data):
+def write(data):
     cut = data.find(EMOJI) + 2 if EMOJI in data else len(data) // 2
     pieces = {"bytes": [data[i:i + 1] for i in range(len(data))],
               "split": [data[:cut], data[cut:]]}.get(framing, [data])
@@ -386,15 +408,17 @@ def send(data):
         sys.stdout.buffer.flush()
         time.sleep(0.001)
 
-hello = line({"type": "hello", "protocol": 1, "roles": [role]})
-if framing == "joined":
-    send(hello + line(reply({"id": "0", "question": "q",
-                             "text": "some text"})))
-    sys.stdin.readline()
-else:
-    send(hello)
-for request in sys.stdin:
-    send(line(reply(json.loads(request))))
+sent = 0
+
+def send(obj):
+    global sent
+    sent += 1
+    if framing != "joined" or sent > 2:
+        write(line(obj))
+    elif sent == 1:  # the hello, then the reply to request "0" unasked
+        write(line(obj) + line(dict(reply({"question": "q",
+                                           "texts": ["some text"]}),
+                                    id="0")))
 """
 
 
@@ -403,45 +427,42 @@ class TestReplyFraming:
                                          "split"])
     @pytest.mark.parametrize("role", ["rank", "read"])
     def test_framing_gives_the_whole_line_result(self, role, framing):
-        with ExternalScorer(py_script(FRAMED) + [role, framing], role,
+        script = scorer_command("reply(req)", roles=[role], setup=FRAMED)
+        with ExternalScorer(script + [role, framing], role,
                             timeout=10) as scorer:
-            assert scorer.hello == {"type": "hello", "protocol": 1,
+            assert scorer.hello == {"type": "hello", "protocol": 2,
                                     "roles": [role]}
 
             def call(question, text):
                 if role == "rank":
-                    return scorer.rank_text(question, text)
-                return scorer.read_text(question, text, 1)
+                    return scorer.rank_pool(question, ["p"], [text])
+                return scorer.read_pool(question, ["p"], [text], 1)
 
             assert call("q", "some text") == (
-                9.0 if role == "rank" else [(0, 9, 1.0)])
+                [9.0] if role == "rank" else [[(0, 9, 1.0)]])
             with pytest.raises(MindstoneError, match="^café \U0001F600$"):
                 call("fail", "t")
             assert call("q", "other") == (
-                5.0 if role == "rank" else [(0, 5, 1.0)])
+                [5.0] if role == "rank" else [[(0, 5, 1.0)]])
             assert scorer._proc.poll() is None
 
 
 class TestReaderFaults:
-    HELLO = ("import json, os, sys, time\n"
-             "print(json.dumps({'type':'hello','protocol':1,"
-             "'roles':['rank']}), flush=True)\n")
-
     @pytest.mark.parametrize("when", ["hello", "reply"])
     def test_non_utf8_line_is_malformed_at_once(self, spawned, when):
         # The default 30 s timeout: the bytes fail the call, not the clock.
         junk = "sys.stdout.buffer.write(b'\\xff\\xfe junk\\n'); " \
-               "sys.stdout.flush(); time.sleep(60)\n"
+               "sys.stdout.flush(); time.sleep(60)"
         if when == "hello":
-            script = "import sys, time\n" + junk
+            script = py_script("import sys, time\n" + junk)
         else:
-            script = self.HELLO + "sys.stdin.readline()\n" + junk
+            script = scorer_command(each=junk)
         start = time.monotonic()
         with pytest.raises(MalformedResponseError,
                            match=re.escape(r"not UTF-8: b'\xff\xfe junk'")):
-            scorer = ExternalScorer(py_script(script), "rank")
+            scorer = ExternalScorer(script, "rank")
             start = time.monotonic()
-            scorer.rank_text("q", "t")
+            scorer.rank_pool("q", ["p"], ["t"])
         assert time.monotonic() - start < 1.0
         assert spawned[0].returncode is not None
         assert spawned[0].stdout.closed
@@ -450,13 +471,11 @@ class TestReaderFaults:
 
     def test_closed_stdout_is_exit_error_within_timeout(self, spawned):
         # The scorer outlives its stdout: it is killed at the deadline.
-        script = (self.HELLO + "sys.stdin.readline()\n"
-                  "os.close(1)\n"
-                  "time.sleep(10)\n")
-        scorer = ExternalScorer(py_script(script), "rank", timeout=2.0)
+        script = scorer_command(each="os.close(1)\ntime.sleep(10)")
+        scorer = ExternalScorer(script, "rank", timeout=2.0)
         start = time.monotonic()
         with pytest.raises(ScorerExitError) as info:
-            scorer.rank_text("q", "t")
+            scorer.rank_pool("q", ["p"], ["t"])
         assert time.monotonic() - start < 4.0
         assert "closed its stdout (exit code None)" in str(info.value)
         assert spawned[0].returncode is not None
@@ -464,14 +483,12 @@ class TestReaderFaults:
 
     def test_close_with_grandchild_holding_stdout(self):
         # The grandchild inherits the scorer's stdout and outlives it.
-        script = (
-            "import json, subprocess, sys\n"
-            "child = subprocess.Popen([sys.executable, '-c', "
-            "'import time; time.sleep(30)'])\n"
-            "print(json.dumps({'type':'hello','protocol':1,"
-            "'roles':['rank'],'pid':child.pid}), flush=True)\n"
-            "sys.stdin.read()\n")
-        scorer = ExternalScorer(py_script(script), "rank")
+        script = scorer_command(
+            setup="import subprocess\n"
+                  "child = subprocess.Popen([sys.executable, '-c', "
+                  "'import time; time.sleep(30)'])",
+            hello="{'pid': child.pid}")
+        scorer = ExternalScorer(script, "rank")
         try:
             start = time.monotonic()
             scorer.close()
@@ -481,34 +498,19 @@ class TestReaderFaults:
             os.kill(scorer.hello["pid"], signal.SIGKILL)
 
 
-def _v2_scorer(reply: str) -> list[str]:
-    """A protocol-2 scorer that answers each request with ``reply``, a
-    Python expression over the request ``req``, under the request's id."""
-    return py_script(
-        "import sys, json\n"
-        "print(json.dumps({'type':'hello','protocol':2,"
-        "'roles':['rank','read']}), flush=True)\n"
-        "for line in sys.stdin:\n"
-        "    req = json.loads(line)\n"
-        f"    print(json.dumps(dict({reply}, id=req['id'])), flush=True)\n")
-
-
-class TestProtocol2:
+class TestBatchReplies:
     PARAS = [Paragraph("p#0", "a", "", "first body", 0),
              Paragraph("p#1", "a", "", "second body", 1)]
 
-    @pytest.mark.parametrize("protocol", [1, 2])
-    def test_pool_calls_match_per_text_calls(self, protocol):
-        texts = ["some paragraph", "x", "a longer third text"]
-        with ExternalScorer(ECHO + ["--protocol", str(protocol),
-                                    "--rank-score", "0.5"], "read") as s:
-            assert s.protocol == protocol
-            spans = s.read_pool("q", ["a", "b", "c"], texts, 1)
-            assert spans == [s.read_text("q", text, 1) for text in texts]
-            assert s.rank_pool("q", ["a", "b", "c"], texts) == [0.5] * 3
-            # One request per pool at protocol 2, one per text at 1.
-            per_pool = 1 if protocol == 2 else len(texts)
-            assert s._next_id == 2 * per_pool + len(texts)
+    def test_pool_calls_match_per_text_calls(self):
+        ids, texts = ["a", "b", "c"], ["some paragraph", "x", "a longer text"]
+        with ExternalScorer(ECHO + ["--rank-score", "0.5"], "read") as s:
+            spans = s.read_pool("q", ids, texts, 1)
+            assert spans == [s.read_pool("q", [pid], [text], 1)[0]
+                             for pid, text in zip(ids, texts)]
+            assert s.rank_pool("q", ids, texts) == [0.5] * 3
+            # One request per pool.
+            assert s._next_id == 2 + len(texts)
 
     @pytest.mark.parametrize("stage, reply, message", [
         ("read", "{'type':'read_batch_result','spans':[[]]}",
@@ -528,7 +530,7 @@ class TestProtocol2:
             "no spans"])
     def test_refused_batch_reply_keeps_the_handle(self, stage, reply,
                                                   message):
-        with ExternalScorer(_v2_scorer(reply), stage) as scorer:
+        with ExternalScorer(scorer_command(reply), stage) as scorer:
             for _ in range(2):
                 with pytest.raises(StageError) as info:
                     if stage == "rank":
@@ -538,31 +540,19 @@ class TestProtocol2:
                 assert str(info.value) == f"[{stage}] {message}"
             assert not scorer._closed and scorer._proc.poll() is None
 
-    def test_v1_echo_refuses_batch_requests(self):
-        from mindstone.scorers import echo_scorer
-        req = {"type": "read_batch", "id": "4", "question": "q",
-               "texts": ["t"], "k": 1}
-        assert echo_scorer.reply(req, 1.0, 1) == {
-            "type": "error", "id": "4",
-            "message": "unknown request type 'read_batch'"}
-        assert echo_scorer.reply(req, 1.0, 2)["type"] == "read_batch_result"
-
 
 class TestEchoFaultFlags:
     """``echo_scorer`` breaks after answering N requests: it hangs, replies
-    garbage or exits, at either protocol."""
+    garbage or exits."""
 
-    @pytest.mark.parametrize("protocol", ["1", "2"])
     @pytest.mark.parametrize("fault, error, message", [
         ("--hang-after", ScorerProtocolError, "no response from scorer"),
         ("--garbage-after", MalformedResponseError,
          "response is not valid JSON: 'not json'"),
         ("--exit-after", ScorerExitError, r"\(exit code 3\)"),
     ])
-    def test_fault_after_n_requests(self, spawned, protocol, fault, error,
-                                    message):
-        scorer = ExternalScorer(ECHO + ["--protocol", protocol, fault, "2"],
-                                "read", timeout=1.0)
+    def test_fault_after_n_requests(self, spawned, fault, error, message):
+        scorer = ExternalScorer(ECHO + [fault, "2"], "read", timeout=1.0)
         for text in ("one", "two"):
             assert scorer.read_pool("q", ["p"], [text], 1) == [
                 [(0, len(text), 1.0)]]
@@ -573,27 +563,23 @@ class TestEchoFaultFlags:
 
 
 class TestRoundTrips:
-    """Requests per F2 question, counted on the handle: one per stage at
-    protocol 2, one per paragraph at protocol 1."""
+    """Requests per F2 question, counted on the handle: one per stage."""
 
-    @pytest.mark.parametrize("protocol", [1, 2])
-    def test_read_requests_per_question(self, protocol, f2_index,
-                                        f2_paragraphs, f2_records,
-                                        trained_ranker, f2_reader):
+    def test_read_requests_per_question(self, f2_index, f2_paragraphs,
+                                        f2_records, trained_ranker,
+                                        f2_reader):
         from mindstone.pipeline import Pipeline, PipelineConfig
         config = PipelineConfig()
         builtin = Pipeline(f2_index, f2_paragraphs, trained_ranker,
                            f2_reader, config)
-        with ExternalScorer(ECHO + ["--protocol", str(protocol)],
-                            "read") as reader:
+        with ExternalScorer(ECHO, "read") as reader:
             pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker,
                             reader, config)
             for record in f2_records[:10]:
                 before = reader._next_id
                 result = pipe.answer(record.question)
                 assert result.trace.counts["read"] == 3
-                assert reader._next_id - before == (
-                    1 if protocol == 2 else 3)
+                assert reader._next_id - before == 1
                 # The echo reader reads each whole (truncated) text.
                 assert result.ranked == builtin.answer(
                     record.question).ranked
@@ -632,11 +618,10 @@ _SCHEDULES = st.fixed_dictionaries({}, optional={
 
 
 @settings(max_examples=20, deadline=None)
-@given(protocol=st.sampled_from(["1", "2"]), schedule=_SCHEDULES,
+@given(schedule=_SCHEDULES,
        picks=st.lists(st.integers(0, 7), min_size=1, max_size=4))
 def test_fault_schedules_fail_only_read(f2_index, f2_paragraphs, f2_records,
-                                        trained_ranker, protocol, schedule,
-                                        picks):
+                                        trained_ranker, schedule, picks):
     """Random fault schedules through a ScorerPool reader: every question
     gets its fault-free answer or a ``[read]`` error, never another
     request's reply (which would change the whole-text spans or fail the
@@ -658,8 +643,7 @@ def test_fault_schedules_fail_only_read(f2_index, f2_paragraphs, f2_records,
     with mock.patch.object(subprocess, "Popen", spy):
         # The timeout also bounds each spawn's hello, so it leaves room
         # for a slow spawn on a busy host.
-        with ScorerPool(ECHO + ["--protocol", protocol] + flags, "read",
-                        timeout=1.0) as reader:
+        with ScorerPool(ECHO + flags, "read", timeout=1.0) as reader:
             pipe = Pipeline(f2_index, f2_paragraphs, trained_ranker, reader,
                             PipelineConfig(n_retriever=20, n_reader=3))
             results = pipe.answer_batch(questions)

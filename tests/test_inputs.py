@@ -6,13 +6,13 @@ got <JSON type>``; a value of the right kind reads back as written."""
 
 import copy
 import json
-import sys
 from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scorer_command
 from mindstone import cli
 from mindstone.corpus import Paragraph, read_records
 from mindstone.errors import IndexBuildError, MalformedResponseError
@@ -311,27 +311,11 @@ def test_squad(tmp_path_factory, data):
 
 
 # Answers every request with the reply its question holds, under its id.
-_MIRROR = [sys.executable, "-c", (
-    "import sys, json\n"
-    "print(json.dumps({'type': 'hello', 'protocol': 2, "
-    "'roles': ['rank', 'read']}), flush=True)\n"
-    "for line in sys.stdin:\n"
-    "    req = json.loads(line)\n"
-    "    print(json.dumps(dict(json.loads(req['question']), id=req['id'])),"
-    " flush=True)\n")]
-_RANK_RESULT = {"type": "rank_result", "score": 0.5}
-_READ_RESULT = {"type": "read_result",
-                "spans": [{"start": 0, "end": 3, "score": 1.5}]}
+_MIRROR = scorer_command("json.loads(req['question'])")
 _RANK_BATCH_RESULT = {"type": "rank_batch_result", "scores": [0.5]}
 _READ_BATCH_RESULT = {"type": "read_batch_result",
                       "spans": [[{"start": 0, "end": 3, "score": 1.5}]]}
 _REPLY_FIELDS = [
-    (_RANK_RESULT, ("score",), "a number", _FINITE),
-    (_READ_RESULT, ("spans",), "an array", None),
-    (_READ_RESULT, ("spans", 0), "an object", None),
-    (_READ_RESULT, ("spans", 0, "start"), "an integer", st.integers(0, 99)),
-    (_READ_RESULT, ("spans", 0, "end"), "an integer", st.integers(0, 99)),
-    (_READ_RESULT, ("spans", 0, "score"), "a number", _FINITE),
     (_RANK_BATCH_RESULT, ("scores",), "an array", None),
     (_RANK_BATCH_RESULT, ("scores", 0), "a number", _FINITE),
     (_READ_BATCH_RESULT, ("spans",), "an array", None),
@@ -360,10 +344,6 @@ def test_scorer_reply(mirror, data):
 
     def load(value):
         reply = json.dumps(_replaced(base, field, value))
-        if base is _RANK_RESULT:
-            return ranker.rank_text(reply, "text")
-        if base is _READ_RESULT:
-            return reader.read_text(reply, "text", 1)
         if base is _RANK_BATCH_RESULT:
             return ranker.rank_pool(reply, ["p"], ["text"])
         return reader.read_pool(reply, ["p"], ["text"], 1)
@@ -377,13 +357,9 @@ def test_scorer_reply(mirror, data):
     assert not ranker._closed and not reader._closed
     if right is not None:
         value = data.draw(right)
-        reply = _replaced(base, field, value)
-        if base is _RANK_RESULT:
-            assert load(value) == float(value)
-        elif base is _RANK_BATCH_RESULT:
+        if base is _RANK_BATCH_RESULT:
             assert load(value) == [float(value)]
         else:
-            batch = base is _READ_BATCH_RESULT
-            span = reply["spans"][0][0] if batch else reply["spans"][0]
-            want = [(span["start"], span["end"], float(span["score"]))]
-            assert load(value) == ([want] if batch else want)
+            span = _replaced(base, field, value)["spans"][0][0]
+            assert load(value) == [
+                [(span["start"], span["end"], float(span["score"]))]]

@@ -3,12 +3,12 @@
 import contextlib
 import json
 import re
-import sys
 import threading
 
 import numpy as np
 import pytest
 
+from conftest import scorer_command
 from mindstone.corpus import Paragraph, read_json_lines, write_json_lines
 from mindstone.errors import StageError
 from mindstone.expansion import ExpansionParams, expand_query, question_vector
@@ -370,20 +370,10 @@ class TestStageErrors:
         def rank_pool(self, question, para_ids, texts):
             return [1e308 if "4821" in text else -1e308 for text in texts]
 
-    ERROR_REPLY = (
-        "import sys, json\n"
-        "print(json.dumps({'type':'hello','protocol':1,"
-        "'roles':['rank','read']}), flush=True)\n"
-        "for line in sys.stdin:\n"
-        "    req = json.loads(line)\n"
-        "    print(json.dumps({'type':'error','id':req['id'],"
-        "'message':'model exploded'}), flush=True)\n")
-    NOT_JSON_REPLY = (
-        "import sys, json\n"
-        "print(json.dumps({'type':'hello','protocol':1,"
-        "'roles':['read']}), flush=True)\n"
-        "for line in sys.stdin:\n"
-        "    print('not json', flush=True)\n")
+    ERROR_REPLY = scorer_command(
+        "{'type':'error','message':'model exploded'}")
+    NOT_JSON_REPLY = scorer_command(
+        roles=["read"], each="print('not json', flush=True)\ncontinue")
 
     @pytest.mark.parametrize("fault, stage", [
         ("nan ranker", "rank"), ("string ranker", "rank"),
@@ -402,7 +392,7 @@ class TestStageErrors:
                 stages["read"] = self.NanReader()
             elif fault == "error reply":
                 stages[stage] = stack.enter_context(ExternalScorer(
-                    [sys.executable, "-c", self.ERROR_REPLY], stage))
+                    self.ERROR_REPLY, stage))
             elif fault == "missing paragraph":
                 del paras["g#0"]
             else:
@@ -454,9 +444,8 @@ class TestStageErrors:
     def test_refused_reader_reply_lands_in_record(self, reader, error):
         index, paras = TestAnswer._gold_corpus()
         with contextlib.ExitStack() as stack:
-            if isinstance(reader, str):
-                reader = stack.enter_context(ExternalScorer(
-                    [sys.executable, "-c", reader], "read"))
+            if isinstance(reader, list):
+                reader = stack.enter_context(ExternalScorer(reader, "read"))
             elif reader is None:
                 paras["g#0"] = Paragraph("g#0", "g", "", "", 0)
                 reader = GoldSpanReader("4821")
